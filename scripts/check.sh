@@ -381,6 +381,10 @@ EOF
 echo "== tier-1 tests =="
 python -m pytest -x -q "$@"
 
+echo "== benchmark self-tests =="
+# pyproject's testpaths=["tests"] never collects perfbench/; name it.
+python -m pytest -q perfbench
+
 echo "== slow markers =="
 python -m pytest -q -m slow benchmarks/bench_table2_microops.py \
     tests/integration/test_chaos.py tests/serve/test_saturation.py \

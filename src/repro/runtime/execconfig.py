@@ -60,6 +60,9 @@ class ExecConfig:
         gang: gang-execution mode — ``True`` gangs every eligible job,
             ``"auto"`` gangs when at least two jobs in a batch are
             eligible, ``False`` disables stacked replay (docs/GANG.md).
+            In the serving tier a batch is one worker's ``("runs",
+            ...)`` frame; framing and transport handling do not depend
+            on the mode.
         superplan: whole-kernel superplan mode — ``True``/``"auto"``
             fuse each job body's eligible mirror microcode into one
             cached trace, ``False`` replays per instruction
@@ -76,10 +79,10 @@ class ExecConfig:
             platform supports it, ``"shm"`` requires it, ``"pickle"``
             keeps everything inline (docs/SERVING.md). Results,
             placement, and telemetry are bit-identical in every mode.
-        batch_window_s: the gateway's micro-batching window — how long
-            an assignable request may wait for round-mates so one wire
-            frame can carry the whole per-worker round. ``0`` (the
-            default) dispatches each request in its own frame.
+        batch_window_s: the gateway's micro-batching window. Each
+            dispatch round ships one wire frame per worker either way;
+            the window is how long an incomplete round may wait for
+            round-mates. ``0`` (the default) dispatches at once.
     """
 
     plan_cache: object = True

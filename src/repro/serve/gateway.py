@@ -51,11 +51,12 @@ orphan.
 **Data plane** (``ServeConfig.wire`` / ``batch_window_s``,
 docs/SERVING.md): numpy payloads and array results cross the worker
 boundary as shared-memory descriptors (:mod:`repro.serve.shm`) when
-the platform supports it, and every dispatch rides a batched
-``("runs", seq, members, ack)`` frame — one per request by default,
-one per per-worker round when the micro-batching window is open. A
-lost or garbled batch frame is one transport fault that orphans every
-member through the same detectors as before; results, placement, and
+the platform supports it, and each dispatch round rides one batched
+``("runs", seq, members, ack)`` frame per worker — the one run
+message, in every gang mode; the micro-batching window only decides
+whether an incomplete round waits for round-mates. A lost or garbled
+frame is one transport fault that orphans every member through the
+same detectors (:mod:`repro.serve.link`); results, placement, and
 telemetry stay bit-identical in every wire mode.
 """
 
@@ -67,7 +68,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import (
     AdmissionError,
@@ -79,8 +80,14 @@ from repro.common.errors import (
     WorkerUnresponsiveError,
 )
 from repro.engine.system import CAPE32K, CAPEConfig
+from repro.serve.link import (
+    WORKER_GONE,
+    WorkerLink,
+    count_gang_outcome,
+    silence_budget_s,
+)
 from repro.serve.pool import default_mp_context
-from repro.serve.resilience import BreakerState, CircuitBreaker, ResilienceConfig
+from repro.serve.resilience import ResilienceConfig
 from repro.serve.shm import WIRE_MODES, HostWire, payload_nbytes
 from repro.serve.spec import JobSpec
 from repro.serve.worker import WorkerHandle, WorkerOptions
@@ -151,12 +158,13 @@ class ServeConfig:
             (docs/SERVING.md).
         retry_after_s: floor of the backpressure hint; the advertised
             value scales with observed service time and queue depth.
-        gang: gang-execution mode (``True`` / ``False`` / ``"auto"``).
-            When enabled, each dispatch round groups the dispatchable
-            requests by owning worker and ships one ``("gang", ...)``
-            request per worker; the worker gangs what can be ganged
-            (``docs/GANG.md``). ``False`` keeps one-request-per-message
-            dispatch.
+        gang: gang-execution mode (``True`` / ``False`` / ``"auto"``),
+            shipped to the workers: each per-worker ``("runs", ...)``
+            frame runs through :func:`repro.gang.run_ganged`, which
+            gangs what can be ganged (``docs/GANG.md``); ``False`` runs
+            every member sequentially. Framing, transport-fault
+            detection, hedging, and deadlines are the same in every
+            mode.
         superplan: whole-kernel superplan mode (``True`` / ``False`` /
             ``"auto"``), shipped to every worker's systems
             (``docs/PERFORMANCE.md``). Results, cycles, and microop
@@ -166,11 +174,11 @@ class ServeConfig:
             array results cross the worker boundary as zero-copy
             segment descriptors instead of pickled bytes. Results,
             placement, and telemetry are bit-identical in every mode.
-        batch_window_s: the micro-batching window. ``0`` (default)
-            ships each request in its own wire frame; ``> 0`` lets an
-            assignable request wait up to this many wall seconds for
-            round-mates so each per-worker dispatch round coalesces
-            into one ``("runs", ...)`` frame.
+        batch_window_s: the micro-batching window. Every dispatch
+            round ships one ``("runs", ...)`` frame per worker; ``0``
+            (default) dispatches whatever is assignable at once, ``> 0``
+            lets an incomplete round wait up to this many wall seconds
+            for round-mates so its frames carry more members.
     """
 
     configs: Tuple[CAPEConfig, ...] = (CAPE32K, CAPE32K)
@@ -337,8 +345,8 @@ class _Request:
     """One admitted request's mutable in-gateway state."""
 
     __slots__ = (
-        "spec", "future", "submitted_at", "retries", "device_id", "seq",
-        "deadline_at", "pending_seqs", "hedged", "finished", "queued",
+        "spec", "future", "submitted_at", "retries", "deadline_at",
+        "pending_seqs", "hedged", "finished", "queued",
     )
 
     def __init__(
@@ -351,8 +359,6 @@ class _Request:
         self.future = future
         self.submitted_at = time.perf_counter()
         self.retries = 0
-        self.device_id: Optional[int] = None
-        self.seq: Optional[int] = None
         #: absolute ``time.monotonic()`` deadline, or None (unbounded).
         self.deadline_at = deadline_at
         #: seqs of outstanding run dispatches (primary and hedge).
@@ -360,38 +366,6 @@ class _Request:
         self.hedged = False
         self.finished = False
         self.queued = False
-
-
-class _Frame:
-    """One ``("runs", ...)`` frame on the wire: seq × worker × members.
-
-    ``members`` is the ordered ``(request, device_id)`` list the frame
-    carries — one entry at ``batch_window_s == 0``, a whole per-worker
-    dispatch round when micro-batching coalesces. One wire message has
-    one fate: the frame's reply answers every member, and a concluded
-    loss (seq-order gap, heartbeat progress mark, worker death, or
-    ``worker_timeout``) orphans every member together while counting a
-    single transport fault. ``ordinal`` is the *end* position of the
-    frame's jobs in the worker's lifetime dispatch count, matching the
-    worker-side ``jobs_completed`` heartbeat mark. ``tokens`` are the
-    request-arena blocks pinned for the members' shared-memory
-    payloads, released only on proof the worker is done reading them.
-    """
-
-    __slots__ = (
-        "seq", "ordinal", "worker_id", "members", "tokens",
-        "is_hedge", "sent_at", "concluded",
-    )
-
-    def __init__(self, seq, ordinal, worker_id, members, tokens, is_hedge):
-        self.seq = seq
-        self.ordinal = ordinal
-        self.worker_id = worker_id
-        self.members = members
-        self.tokens = tokens
-        self.is_hedge = is_hedge
-        self.sent_at = time.monotonic()
-        self.concluded = False
 
 
 class Gateway:
@@ -442,18 +416,15 @@ class Gateway:
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.report_data = GatewayReport()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._handles: Dict[int, WorkerHandle] = {}
+        #: worker_id -> transport link of each *live* worker (a failed
+        #: over worker's link leaves; its stale messages are ignored).
+        self._links: Dict[int, WorkerLink] = {}
         self._readers: List[threading.Thread] = []
         self._stop_readers = threading.Event()
         self._seq = itertools.count()
         self._queue: deque = deque()
-        #: Outstanding dispatch frames by seq (primary and hedge).
-        self._frames: Dict[int, _Frame] = {}
         #: Requests dispatched and not yet finished/re-queued.
         self._inflight_requests: set = set()
-        #: In-flight gang requests:
-        #: seq -> (worker_id, [requests], arena tokens).
-        self._gangs: Dict[int, Tuple[int, List[_Request], tuple]] = {}
         self._free_devices: deque = deque()
         self._dead_devices: set = set()
         self._worker_of: Dict[int, int] = {}
@@ -473,18 +444,7 @@ class Gateway:
         #: Absolute monotonic expiry of the open micro-batching window,
         #: or None when no round is being held for round-mates.
         self._window_deadline: Optional[float] = None
-        # -- resilience state ------------------------------------------
         self.resilience = config.resilience
-        #: worker_id -> circuit breaker (None when disabled).
-        self._breakers: Dict[int, Optional[CircuitBreaker]] = {}
-        #: worker_id -> FIFO of outstanding :class:`_Frame`.
-        self._wire: Dict[int, deque] = {}
-        #: worker_id -> lifetime run dispatches sent (worker ordinals).
-        self._wire_sent: Dict[int, int] = {}
-        #: worker_id -> monotonic time of the last frame the reader saw.
-        self._last_seen: Dict[int, float] = {}
-        #: Workers terminated on a hang verdict, awaiting reader EOF.
-        self._unresponsive: set = set()
         self._monitor_task: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------
@@ -513,6 +473,7 @@ class Gateway:
             warmup=cfg.warmup,
             fault_plan=cfg.fault_plan,
             superplan=cfg.superplan,
+            gang=cfg.gang,
             heartbeat_interval_s=cfg.resilience.heartbeat_interval_s,
         )
         ctx = default_mp_context()
@@ -522,7 +483,6 @@ class Gateway:
             self._worker_of[device_id] = device_id % num_workers
             self._device_config[device_id] = config
             self._free_devices.append(device_id)
-        now = time.monotonic()
         for worker_id in range(num_workers):
             owned = [
                 (device_id, config)
@@ -535,15 +495,15 @@ class Gateway:
             )
             handle = WorkerHandle(
                 worker_id, owned, worker_options, mp_context=ctx
+            ).start()
+            link = WorkerLink(
+                handle, self._host_wire, cfg.resilience.make_breaker(),
+                self.observer, self.report_data,
             )
-            self._handles[worker_id] = handle.start()
-            self._breakers[worker_id] = cfg.resilience.make_breaker()
-            self._wire[worker_id] = deque()
-            self._wire_sent[worker_id] = 0
-            self._last_seen[worker_id] = now
+            self._links[worker_id] = link
             reader = threading.Thread(
                 target=self._reader_main,
-                args=(worker_id, handle),
+                args=(link,),
                 name=f"cape-serve-reader-{worker_id}",
                 daemon=True,
             )
@@ -553,14 +513,15 @@ class Gateway:
         if self.observer.enabled:
             self.observer.gauge("serve.gateway.workers").set(num_workers)
 
-    def _reader_main(self, worker_id: int, handle: WorkerHandle) -> None:
+    def _reader_main(self, link: WorkerLink) -> None:
         """Reader thread: pump one worker's replies into the loop."""
+        worker_id = link.worker_id
         while not self._stop_readers.is_set():
             try:
-                if not handle._conn.poll(0.05):
-                    continue
-                msg = handle._conn.recv()
-            except (EOFError, BrokenPipeError, OSError):
+                msg = link.handle.recv(timeout=0.05)
+            except WorkerTimeoutError:
+                continue
+            except WorkerDiedError:
                 if not self._stop_readers.is_set():
                     self._loop.call_soon_threadsafe(
                         self._on_worker_death, worker_id
@@ -568,7 +529,7 @@ class Gateway:
                 return
             # The hang detector's silence clock: a plain float store is
             # atomic under the GIL, so no lock is needed here.
-            self._last_seen[worker_id] = time.monotonic()
+            link.last_seen = time.monotonic()
             self._loop.call_soon_threadsafe(self._on_message, worker_id, msg)
 
     async def drain(self) -> None:
@@ -593,11 +554,11 @@ class Gateway:
                 pass
             self._monitor_task = None
         self._stop_readers.set()
-        for handle in self._handles.values():
-            await asyncio.to_thread(handle.shutdown)
+        for link in self._links.values():
+            await asyncio.to_thread(link.handle.shutdown)
         for reader in self._readers:
             await asyncio.to_thread(reader.join, 5.0)
-        self._handles.clear()
+        self._links.clear()
         self._readers.clear()
         if self._host_wire is not None:
             # Unlinks every slab and reply-ring segment; the stats dict
@@ -612,23 +573,30 @@ class Gateway:
     @property
     def pending(self) -> int:
         """Requests queued + in flight."""
-        return (
-            len(self._queue)
-            + len(self._inflight_requests)
-            + sum(len(group) for _wid, group, _tok in self._gangs.values())
-        )
+        return len(self._queue) + len(self._inflight_requests)
 
     @property
     def live_devices(self) -> int:
         return len(self._device_config) - len(self._dead_devices)
 
     def retry_after_hint(self) -> float:
-        """How long a shed caller should wait before retrying."""
+        """How long a shed caller should wait before retrying.
+
+        Scales the observed wall time per request by the backlog.
+        Until a first request completes (workers still booting, say),
+        the oldest in-flight request's age stands in for the wall time
+        — a lower bound that grows while the wait does, so early
+        callers back off instead of spending their retries at the floor.
+        """
         floor = self.config.retry_after_s
-        if self._ewma_wall_s is None or not self.live_devices:
+        wall_s = self._ewma_wall_s
+        if wall_s is None and self._inflight_requests:
+            oldest = min(r.submitted_at for r in self._inflight_requests)
+            wall_s = time.perf_counter() - oldest
+        if wall_s is None or not self.live_devices:
             return floor
         backlog_rounds = (self.pending + 1) / self.live_devices
-        return max(floor, self._ewma_wall_s * backlog_rounds)
+        return max(floor, wall_s * backlog_rounds)
 
     def _admit(self, spec: JobSpec) -> None:
         """Raise the appropriate rejection, or record admission."""
@@ -750,12 +718,13 @@ class Gateway:
         monitor task re-pumps periodically, so skipped work is retried
         without any caller action.
 
-        With ``batch_window_s > 0`` an incomplete round (fewer queued
+        Each round ships one ``("runs", ...)`` frame per worker. With
+        ``batch_window_s > 0`` an incomplete round (fewer queued
         requests than free live devices) is held open briefly so
-        round-mates can coalesce into one wire frame per worker; the
-        window never delays a full round or a draining gateway, and it
-        only affects frame *packing* — placement is the same
-        footprint-aware round-robin either way.
+        round-mates can coalesce into it; the window never delays a
+        full round or a draining gateway, and it only affects frame
+        *packing* — placement is the same footprint-aware round-robin
+        either way.
         """
         window = self.config.batch_window_s
         if window > 0 and self._queue and not self._closing:
@@ -772,7 +741,7 @@ class Gateway:
                 if now < self._window_deadline:
                     return  # hold the round open for round-mates
         self._window_deadline = None
-        assignments = []
+        by_worker: Dict[int, List[Tuple[_Request, int]]] = {}
         skipped = []
         now = time.monotonic()
         scan = len(self._free_devices)
@@ -781,149 +750,26 @@ class Gateway:
             device_id = self._free_devices.popleft()
             if device_id in self._dead_devices:
                 continue
-            if not self._breaker_allows(self._worker_of[device_id], now):
+            worker_id = self._worker_of[device_id]
+            if not self._links[worker_id].allow(now):
                 skipped.append(device_id)
                 continue
-            request = self._queue.popleft()
-            assignments.append((request, device_id))
+            by_worker.setdefault(worker_id, []).append(
+                (self._queue.popleft(), device_id)
+            )
         self._free_devices.extend(skipped)
-        if self.config.gang is not False and assignments:
-            self._dispatch_ganged(assignments)
-        elif assignments:
-            by_worker: Dict[int, List[Tuple[_Request, int]]] = {}
-            for request, device_id in assignments:
-                by_worker.setdefault(
-                    self._worker_of[device_id], []
-                ).append((request, device_id))
-            for worker_id, group in sorted(by_worker.items()):
-                if self.config.batch_window_s > 0:
-                    # Micro-batched: the worker's whole round rides one
-                    # ("runs", ...) frame.
-                    self._dispatch_frame(worker_id, group)
-                else:
-                    # One frame per request: wire-level behaviour (and
-                    # fault granularity) identical to per-request
-                    # dispatch.
-                    for member in group:
-                        self._dispatch_frame(worker_id, [member])
+        for worker_id, group in sorted(by_worker.items()):
+            self._dispatch_frame(worker_id, group)
         if self.observer.enabled:
             self.observer.gauge("serve.gateway.queue_depth").set(
                 len(self._queue)
             )
-        if (
-            self._closing
-            and not self._queue
-            and not self._inflight_requests
-            and not self._gangs
-        ):
+        if self._closing and not self._queue and not self._inflight_requests:
             self._drained.set()
-
-    def _breaker_allows(self, worker_id: int, now: float) -> bool:
-        """May work be routed to this worker? Counts half-open probes."""
-        breaker = self._breakers.get(worker_id)
-        if breaker is None:
-            return True
-        was_closed = breaker.state is BreakerState.CLOSED
-        allowed = breaker.allow(now)
-        if allowed and not was_closed:
-            # The cooldown lapsed: this admission is the probe.
-            self.report_data.breaker_probes += 1
-            if self.observer.enabled:
-                self.observer.counter(
-                    "serve.breaker.probes", worker=worker_id
-                ).inc()
-        return allowed
-
-    def _transport_failure(self, worker_id: int, kind: str) -> None:
-        """Account one detected transport fault against a worker."""
-        faults = self.report_data.transport_faults
-        faults[kind] = faults.get(kind, 0) + 1
-        if self.observer.enabled:
-            self.observer.counter(
-                "faults.transport.detected", kind=kind
-            ).inc()
-        breaker = self._breakers.get(worker_id)
-        if breaker is not None and breaker.record_failure(time.monotonic()):
-            self.report_data.breaker_trips += 1
-            if self.observer.enabled:
-                self.observer.counter(
-                    "serve.breaker.trips", worker=worker_id
-                ).inc()
-
-    def _transport_success(self, worker_id: int) -> None:
-        breaker = self._breakers.get(worker_id)
-        if breaker is not None:
-            breaker.record_success()
-
-    def _silence_budget_s(self) -> float:
-        """Total pipe silence tolerated from a worker that owes work.
-
-        With heartbeats on, a healthy worker is never silent for more
-        than an interval or two, so the hang threshold applies; with
-        them off, silence is normal during execution and only the
-        blunt ``worker_timeout`` bounds it.
-        """
-        if self.resilience.heartbeat_interval_s > 0:
-            return self.resilience.hang_timeout_s
-        return self.config.worker_timeout
 
     def _spec_bytes_out(self, spec: JobSpec) -> int:
         """Data bytes this spec ships to a worker (payload + golden)."""
         return payload_nbytes(spec.payload) + payload_nbytes(spec.golden)
-
-    def _dispatch_ganged(self, assignments) -> None:
-        """Ship one dispatch round as per-worker gang requests."""
-        by_worker: Dict[int, List[Tuple[_Request, int]]] = {}
-        for request, device_id in assignments:
-            by_worker.setdefault(
-                self._worker_of[device_id], []
-            ).append((request, device_id))
-        for worker_id, group in sorted(by_worker.items()):
-            handle = self._handles.get(worker_id)
-            seq = next(self._seq)
-            requests = []
-            payload = []
-            tokens: list = []
-            for request, device_id in group:
-                request.device_id = device_id
-                request.seq = seq
-                request.queued = False
-                requests.append(request)
-                wire_spec, spec_tokens = self._host_wire.encode_spec(
-                    request.spec
-                )
-                tokens.extend(spec_tokens)
-                self.report_data.payload_bytes_out += self._spec_bytes_out(
-                    request.spec
-                )
-                payload.append((device_id, wire_spec))
-            # Registered before sending so a death during send releases
-            # the arena tokens through the normal failover path.
-            self._gangs[seq] = (worker_id, requests, tuple(tokens))
-            try:
-                handle.send_gang(
-                    seq,
-                    payload,
-                    self.config.gang,
-                    ack=self._host_wire.ack_for(worker_id),
-                )
-            except WorkerDiedError:
-                self._on_worker_death(worker_id)
-                continue
-            self._host_wire.note_frame(len(payload))
-
-    def _release_frame(self, frame: _Frame) -> None:
-        """Free a frame's request-arena tokens (idempotent).
-
-        Called only on proof the worker is done reading the blocks: its
-        reply arrived (even garbled), a drop was proven by the FIFO
-        detectors, or the worker is gone. A bare timeout conclusion
-        keeps the tokens pinned until one of those proofs lands (the
-        arena's own close() unlinks everything as the backstop).
-        """
-        if frame.tokens and self._host_wire is not None:
-            self._host_wire.free(frame.tokens)
-        frame.tokens = ()
 
     def _dispatch_frame(
         self,
@@ -949,22 +795,21 @@ class Gateway:
                 self._cancel_deadline(request)
                 continue
             members.append((request, device_id))
+        link = self._links.get(worker_id)
+        if link is None:
+            # The worker died mid-pump: its round goes back to the queue.
+            for request, _device_id in reversed(members):
+                request.queued = True
+                self._queue.appendleft(request)
+            return
         if not members:
             return
-        handle = self._handles.get(worker_id)
         seq = next(self._seq)
-        wire_members = []
-        tokens: list = []
+        jobs = []
         for request, device_id in members:
-            request.device_id = device_id
-            request.seq = seq
             request.queued = False
             self._inflight_requests.add(request)
             request.pending_seqs.add(seq)
-            wire_spec, spec_tokens = self._host_wire.encode_spec(
-                request.spec
-            )
-            tokens.extend(spec_tokens)
             self.report_data.payload_bytes_out += self._spec_bytes_out(
                 request.spec
             )
@@ -973,25 +818,14 @@ class Gateway:
                 if request.deadline_at is None
                 else request.deadline_at - now
             )
-            wire_members.append((device_id, wire_spec, remaining))
-        ordinal = self._wire_sent[worker_id] + len(members)
-        self._wire_sent[worker_id] = ordinal
-        frame = _Frame(
-            seq, ordinal, worker_id, members, tuple(tokens), is_hedge
-        )
-        self._frames[seq] = frame
-        self._wire[worker_id].append(frame)
+            jobs.append((device_id, request.spec, remaining))
         try:
-            handle.send_runs(
-                seq, wire_members, ack=self._host_wire.ack_for(worker_id)
-            )
+            link.send(seq, members, jobs, is_hedge)
         except WorkerDiedError:
             # The reader thread will (or already did) report the death;
             # reporting here too is idempotent and keeps the requests on
             # the fast path to re-placement.
             self._on_worker_death(worker_id)
-            return
-        self._host_wire.note_frame(len(members))
 
     def _cancel_deadline(self, request: _Request) -> None:
         """Fail a request whose wall-clock budget lapsed undispatched."""
@@ -1012,71 +846,25 @@ class Gateway:
             )
 
     def _on_message(self, worker_id: int, msg) -> None:
-        kind = msg[0]
-        if kind == "results":
+        link = self._links.get(worker_id)
+        if link is None:
+            return  # stale message from a worker already failed over
+        if msg[0] == "results":
             _, seq, payload = msg
-            self._on_results(worker_id, seq, payload)
-        elif kind == "heartbeat":
-            self._on_heartbeat(worker_id, msg[2] or {})
-        elif kind == "gang":
-            _, seq, replies = msg
-            self._on_gang(seq, replies)
-        elif kind == "stats":
-            _, _seq, stats = msg
-            self.report_data.plan_cache[worker_id] = stats.get(
-                "plan_cache", {}
-            )
-
-    def _on_heartbeat(self, worker_id: int, info: dict) -> None:
-        """Fold a liveness frame: fault gauges + the drop detector.
-
-        ``jobs_completed`` is updated worker-side only *after* a reply
-        is sent (or deliberately dropped), and the pipe is FIFO — so a
-        heartbeat carrying mark ``n`` proves every reply up to worker
-        ordinal ``n`` was already delivered or will never come.
-        Anything still on the wire ledger at or below the mark was
-        dropped.
-        """
-        injected = info.get("transport_injected")
-        if injected and self.observer.enabled:
-            for fault_kind, count in sorted(injected.items()):
-                self.observer.gauge(
-                    "faults.transport.injected",
-                    worker=worker_id,
-                    kind=fault_kind,
-                ).set(count)
-        completed = info.get("jobs_completed")
-        if completed is not None:
-            wire = self._wire.get(worker_id)
-            concluded = False
-            while wire and wire[0].ordinal <= completed:
-                frame = wire.popleft()
-                # The progress mark proves the worker moved past this
-                # frame: done reading its arena blocks, reply dropped.
-                self._release_frame(frame)
-                self._conclude_frame_lost(frame, "dropped")
-                concluded = True
-            if concluded:
+            self._on_results(link, seq, payload)
+        elif msg[0] == "heartbeat":
+            dropped = link.on_heartbeat(msg[2] or {})
+            for frame in dropped:
+                self._conclude_frame_lost(link, frame, "dropped")
+            if dropped:
                 self._pump()
 
-    def _on_results(self, worker_id: int, seq: int, payload) -> None:
-        wire = self._wire.get(worker_id)
-        if wire is None:
-            return
-        # Replies are strictly ordered per worker: a reply sequenced
-        # past an outstanding frame proves that frame's reply was
-        # dropped.
-        while wire and wire[0].seq < seq:
-            gapped = wire.popleft()
-            self._release_frame(gapped)
-            self._conclude_frame_lost(gapped, "dropped")
-        if not wire or wire[0].seq != seq:
-            return  # stale frame from a worker already failed over
-        frame = wire.popleft()
-        # The worker replied, so it is provably done reading the
-        # frame's request-arena blocks — garbled or not.
-        self._release_frame(frame)
-        self._frames.pop(seq, None)
+    def _on_results(self, link: WorkerLink, seq: int, payload) -> None:
+        dropped, frame = link.on_results(seq)
+        for gapped in dropped:
+            self._conclude_frame_lost(link, gapped, "dropped")
+        if frame is None:
+            return  # matches nothing outstanding: a stale frame
         for request, _device_id in frame.members:
             request.pending_seqs.discard(seq)
         if (
@@ -1086,15 +874,16 @@ class Gateway:
         ):
             # A garbled frame: the seq routed it, the payload is junk.
             # One wire message, one fate — every member re-queues.
-            self._conclude_frame_lost(frame, "garbled")
+            self._conclude_frame_lost(link, frame, "garbled")
             self._pump()
             return
-        self._transport_success(worker_id)
+        link.record_success()
         for (request, device_id), reply in zip(frame.members, payload):
-            reply = self._host_wire.decode_reply(worker_id, reply)
+            reply = self._host_wire.decode_reply(link.worker_id, reply)
             self.report_data.payload_bytes_in += payload_nbytes(
                 reply.get("output")
             )
+            count_gang_outcome(self.observer, reply)
             self._settle_device(device_id, reply)
             if frame.concluded:
                 # A reply that was merely late: this frame was already
@@ -1137,7 +926,7 @@ class Gateway:
         elif device_id not in self._dead_devices:
             self._free_devices.append(device_id)
 
-    def _conclude_frame_lost(self, frame: _Frame, kind: str) -> None:
+    def _conclude_frame_lost(self, link: WorkerLink, frame, kind: str) -> None:
         """This frame's reply will never usefully arrive.
 
         One wire message, one fate: every member request is orphaned
@@ -1147,13 +936,9 @@ class Gateway:
         death failover retires those) and, for members with no sibling
         dispatch still able to answer, re-queues or fails the request.
         """
-        if frame.concluded:
+        if not link.conclude(frame, kind):
             return
-        frame.concluded = True
-        self._frames.pop(frame.seq, None)
-        worker_gone = kind in ("died", "unresponsive")
-        if not worker_gone:
-            self._transport_failure(frame.worker_id, kind)
+        worker_gone = kind in WORKER_GONE
         for request, device_id in frame.members:
             request.pending_seqs.discard(frame.seq)
             if not worker_gone and device_id not in self._dead_devices:
@@ -1192,35 +977,6 @@ class Gateway:
                     f"({kind}) and no retry capacity remains"
                 )
             request.future.set_exception(exc)
-
-    def _on_gang(self, seq: int, replies) -> None:
-        entry = self._gangs.pop(seq, None)
-        if entry is None:  # raced with a worker-death re-queue
-            return
-        worker_id, requests, tokens = entry
-        # The gang replied: the worker is done reading the arena blocks.
-        if tokens and self._host_wire is not None:
-            self._host_wire.free(tokens)
-        obs = self.observer
-        for request, reply in zip(requests, replies):
-            reply = self._host_wire.decode_reply(worker_id, reply)
-            self.report_data.payload_bytes_in += payload_nbytes(
-                reply.get("output")
-            )
-            if obs.enabled and reply.get("ganged"):
-                obs.counter("gang.hit").inc()
-                obs.histogram("gang.size").observe(reply["gang_size"])
-            elif obs.enabled:
-                reason = (
-                    "ejected" if reply.get("ejected")
-                    else reply.get("gang_reason") or "?"
-                )
-                obs.counter("gang.miss", reason=reason).inc()
-                if reply.get("ejected"):
-                    obs.counter("gang.ejected").inc()
-            self._settle_device(request.device_id, reply)
-            self._finish(request, reply, request.device_id)
-        self._pump()
 
     def _finish(self, request: _Request, reply: dict, device_id: int) -> None:
         """Fold the winning reply into its request's future + ledgers.
@@ -1301,32 +1057,21 @@ class Gateway:
         monitor terminated a live-but-silent worker): same failover,
         separate accounting.
         """
-        handle = self._handles.pop(worker_id, None)
-        if handle is None:
+        link = self._links.pop(worker_id, None)
+        if link is None:
             return
         kind = "unresponsive" if unresponsive else "died"
         if not unresponsive:
             self.report_data.worker_deaths += 1
             if self.observer.enabled:
                 self.observer.counter("serve.gateway.worker_deaths").inc()
-        self._dead_devices.update(handle.device_ids)
+        self._dead_devices.update(link.handle.device_ids)
         self._free_devices = deque(
             d for d in self._free_devices if d not in self._dead_devices
         )
-        wire = self._wire.get(worker_id)
-        if wire:
-            for frame in list(wire):
-                # A dead worker cannot still be reading the arena.
-                self._release_frame(frame)
-                self._conclude_frame_lost(frame, kind)
-            wire.clear()
-        for seq, (gang_worker, requests, tokens) in list(self._gangs.items()):
-            if gang_worker == worker_id:
-                del self._gangs[seq]
-                if tokens and self._host_wire is not None:
-                    self._host_wire.free(tokens)
-                for request in requests:
-                    self._requeue_or_fail(request, kind)
+        # A dead worker cannot still be reading the arena.
+        for frame in link.drain():
+            self._conclude_frame_lost(link, frame, kind)
         if not self.live_devices:
             # Total capacity loss: everything still queued fails fast.
             while self._queue:
@@ -1376,31 +1121,33 @@ class Gateway:
                     self._cancel_deadline(request)
         # Hang detection: a worker that owes work and has been totally
         # silent (no reply, no heartbeat) past the budget is wedged.
-        budget = self._silence_budget_s()
-        for worker_id in sorted(self._handles):
-            owes = any(
-                not f.concluded for f in self._wire.get(worker_id, ())
-            ) or any(
-                gang_worker == worker_id
-                for gang_worker, _reqs, _tok in self._gangs.values()
-            )
-            if not owes:
-                continue
-            if now - self._last_seen.get(worker_id, now) <= budget:
-                continue
-            self._declare_unresponsive(worker_id)
-        # Per-frame escalations: timeout conclusions and hedging.
+        budget = silence_budget_s(self.resilience, self.config.worker_timeout)
+        for worker_id, link in sorted(self._links.items()):
+            if link.silent(now, budget):
+                self._declare_unresponsive(worker_id)
+        # Per-frame escalations, in dispatch order: timeout conclusions
+        # and hedging.
         threshold = self.resilience.hedge_threshold(self._ewma_wall_s)
-        for frame in list(self._frames.values()):
+        frames = sorted(
+            (
+                (frame, link)
+                for link in self._links.values()
+                for frame in link.frames
+            ),
+            key=lambda pair: pair[0].seq,
+        )
+        for frame, link in frames:
             if frame.concluded:
                 continue
             age = now - frame.sent_at
-            if age > self.config.worker_timeout:
+            # Unread messages from the worker mean this process fell
+            # behind; judge the frame once they are read.
+            if age > self.config.worker_timeout and not link.handle.poll():
                 # No token release here: a timeout is a verdict about
                 # the caller's patience, not proof the worker stopped
                 # reading. The blocks stay pinned until a FIFO proof,
                 # the worker's death, or close() unlinks the arena.
-                self._conclude_frame_lost(frame, "timeout")
+                self._conclude_frame_lost(link, frame, "timeout")
                 continue
             if threshold is None or frame.is_hedge or age <= threshold:
                 continue
@@ -1411,23 +1158,20 @@ class Gateway:
 
     def _declare_unresponsive(self, worker_id: int) -> None:
         """Hang verdict: terminate the wedged process, fail over."""
-        handle = self._handles.get(worker_id)
-        if handle is None or worker_id in self._unresponsive:
+        link = self._links.get(worker_id)
+        if link is None:
             return
-        if not handle.alive:
+        if not link.handle.alive:
             self._on_worker_death(worker_id)
             return
-        self._unresponsive.add(worker_id)
         self.report_data.worker_unresponsive += 1
         if self.observer.enabled:
             self.observer.counter("serve.worker.unresponsive").inc()
-        self._transport_failure(worker_id, "hang")
-        handle.terminate(timeout=0.0)
+        link.record_fault("hang")
+        link.handle.terminate(timeout=0.0)
         self._on_worker_death(worker_id, unresponsive=True)
 
-    def _maybe_hedge(
-        self, request: _Request, primary: _Frame, now: float
-    ) -> None:
+    def _maybe_hedge(self, request: _Request, primary, now: float) -> None:
         """Re-dispatch a straggler to a free device on another worker.
 
         The hedge rides its own single-member frame and occupies a free
@@ -1442,7 +1186,7 @@ class Gateway:
             worker_id = self._worker_of[device_id]
             if worker_id == primary.worker_id:
                 continue
-            if not self._breaker_allows(worker_id, now):
+            if not self._links[worker_id].allow(now):
                 continue
             self._free_devices.remove(device_id)
             request.hedged = True

@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import time
-from collections import deque
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -50,7 +49,13 @@ from repro.runtime.execconfig import ExecConfig, resolve_exec
 from repro.runtime.job import JobResult
 from repro.runtime.pool import DEFAULT_POOL, Device, DevicePool
 from repro.runtime._telemetry import TelemetryReport
-from repro.serve.resilience import BreakerState, CircuitBreaker, ResilienceConfig
+from repro.serve.link import (
+    TransportTally,
+    WorkerLink,
+    count_gang_outcome,
+    silence_budget_s,
+)
+from repro.serve.resilience import ResilienceConfig
 from repro.serve.shm import HostWire
 from repro.serve.spec import JobSpec, ServeJob
 from repro.serve.worker import WorkerHandle, WorkerOptions
@@ -61,42 +66,6 @@ __all__ = ["ServePool", "default_mp_context"]
 #: Small enough that other workers' replies and the silence clocks are
 #: serviced promptly; the loop is I/O-bound either way.
 _POLL_SLICE_S = 0.02
-
-
-class _Frame:
-    """One dispatched ``runs`` frame awaiting its ordered reply.
-
-    Since the batched-dispatch rework, a frame carries *every* member
-    of one launch round bound for one worker — one wire message, one
-    reply, one fate: a dropped or garbled frame concludes all of its
-    members through the same detectors that concluded single dispatches
-    before. ``ordinal`` is the worker's lifetime job count *after* this
-    frame (heartbeat progress marks land only on frame boundaries), and
-    ``tokens`` pins the frame's request-arena blocks until the worker
-    is provably done reading them.
-
-    Lives in the pool's per-worker wire ledger (strict FIFO, mirroring
-    the worker's reply order) until its reply is received — or, once
-    *concluded* lost (drop/timeout/death), until a later reply or the
-    ledger's end sweeps it out. Concluded frames are kept in the ledger
-    so a reply that turns out to be merely late still matches its frame
-    instead of desynchronising the stream.
-    """
-
-    __slots__ = (
-        "seq", "ordinal", "worker_id", "entries", "tokens", "is_hedge",
-        "concluded", "sent_at",
-    )
-
-    def __init__(self, seq, ordinal, worker_id, entries, tokens, is_hedge, sent_at):
-        self.seq = seq
-        self.ordinal = ordinal
-        self.worker_id = worker_id
-        self.entries = entries
-        self.tokens = tokens
-        self.is_hedge = is_hedge
-        self.concluded = False
-        self.sent_at = sent_at
 
 
 class _Pending:
@@ -116,12 +85,12 @@ class _Pending:
         "hedge_reply", "hedge_lost", "hedge_accounted", "resolved",
     )
 
-    def __init__(self, device, job, spec, primary: Optional[_Frame]):
+    def __init__(self, device, job, spec):
         self.device = device
         self.job = job
         self.spec = spec
-        self.primary = primary
-        self.hedge: Optional[_Frame] = None
+        self.primary = None  # the Frame carrying the primary dispatch
+        self.hedge = None
         self.lost = None  # reason once the primary is concluded lost
         self.hedge_reply = None
         self.hedge_lost = False
@@ -172,13 +141,14 @@ class ServePool(DevicePool):
             ``ResilienceConfig()`` (heartbeats on, hedging off).
         mp_context: a ``multiprocessing`` context; defaults to
             :func:`default_mp_context`.
-        gang: gang-execution mode (``True`` / ``False`` / ``"auto"``).
-            When enabled, each launch batch is split by owning worker
-            and shipped as one ``("gang", ...)`` request per worker;
-            the worker runs :func:`repro.gang.run_ganged` over its
-            shard — stacked replay for eligible groups, sequential
-            fallback otherwise. ``"auto"`` is evaluated per worker
-            sub-batch. See ``docs/GANG.md``.
+        gang: gang-execution mode (``True`` / ``False`` / ``"auto"``),
+            shipped to every worker via
+            :class:`~repro.serve.worker.WorkerOptions`. Each launch
+            batch rides one ``("runs", ...)`` frame per worker in every
+            mode; the worker runs the frame through
+            :func:`repro.gang.run_ganged` — stacked replay for eligible
+            groups, sequential otherwise (``False`` never gangs).
+            ``"auto"`` is evaluated per frame. See ``docs/GANG.md``.
         superplan: whole-kernel superplan mode (``True`` / ``False`` /
             ``"auto"``), shipped to every worker's systems via
             :class:`~repro.serve.worker.WorkerOptions`
@@ -268,8 +238,8 @@ class ServePool(DevicePool):
         )
         #: Superplan mode shipped to the workers' systems.
         self.superplan = superplan
-        # The parent's gang knob stays False (its systems never execute
-        # jobs); this tier's gang mode steers the worker-side batches.
+        # The parent's systems never execute jobs, so this gang mode
+        # only steers the worker-side frames (WorkerOptions.gang).
         self.gang = resolve_gang_mode(gang)
         self.fault_plan = fault_plan
         self.num_workers = min(workers, len(self.devices))
@@ -285,7 +255,9 @@ class ServePool(DevicePool):
         self.worker_of: Dict[int, int] = {
             d.device_id: d.device_id % self.num_workers for d in self.devices
         }
-        self._handles: Dict[int, WorkerHandle] = {}
+        #: worker_id -> the worker's transport link (ledger, clocks,
+        #: breaker; rebuilt per run).
+        self._links: Dict[int, WorkerLink] = {}
         self._dead_worker_ids: set = set()
         #: Devices whose worker-side substrate (injector death or
         #: process crash) reported whole-device loss.
@@ -293,18 +265,9 @@ class ServePool(DevicePool):
         self._seq = itertools.count()
         #: worker_id -> last seen plan-cache snapshot / stats reply.
         self.worker_stats: Dict[int, dict] = {}
-        #: worker_id -> circuit breaker (None when breakers disabled).
-        self._breakers: Dict[int, Optional[CircuitBreaker]] = {}
-        #: worker_id -> lifetime run-requests sent (mirrors the
-        #: worker's ``jobs_executed`` counter; drop detection keys
-        #: heartbeat progress against these ordinals).
-        self._wire_sent: Dict[int, int] = {}
-        #: worker_id -> FIFO of :class:`_Expectation` (the wire ledger;
-        #: persists across batches so late replies still match frames).
-        self._wire_expect: Dict[int, deque] = {}
-        #: worker_id -> monotonic timestamp of the last frame seen
-        #: (reply or heartbeat); the silence clock for hang detection.
-        self._last_seen: Dict[int, float] = {}
+        #: Detected transport faults and breaker trips/probes, across
+        #: runs.
+        self.transport = TransportTally()
         #: EWMA of observed reply wall times (the hedge threshold's
         #: baseline when ``hedge_after_s`` is not set explicitly).
         self._ewma_reply_s: Optional[float] = None
@@ -352,9 +315,9 @@ class ServePool(DevicePool):
             warmup=self.plan_cache_warmup,
             fault_plan=self.fault_plan,
             superplan=self.superplan,
+            gang=self.gang,
             heartbeat_interval_s=self.resilience.heartbeat_interval_s,
         )
-        now = time.monotonic()
         for worker_id in range(self.num_workers):
             owned = [
                 (d.device_id, d.config)
@@ -365,17 +328,18 @@ class ServePool(DevicePool):
                 options,
                 reply_segment=self._host_wire.reply_segment_for(worker_id),
             )
-            self._handles[worker_id] = WorkerHandle(
+            handle = WorkerHandle(
                 worker_id, owned, worker_options, mp_context=ctx
             ).start()
-            self._breakers[worker_id] = self.resilience.make_breaker()
-            self._wire_sent[worker_id] = 0
-            self._wire_expect[worker_id] = deque()
-            self._last_seen[worker_id] = now
+            self._links[worker_id] = WorkerLink(
+                handle, self._host_wire, self.resilience.make_breaker(),
+                self.observer, self.transport,
+            )
 
     def _stop_workers(self) -> None:
         try:
-            for worker_id, handle in self._handles.items():
+            for worker_id, link in self._links.items():
+                handle = link.handle
                 if handle.alive and worker_id not in self._dead_worker_ids:
                     try:
                         seq = next(self._seq)
@@ -395,7 +359,7 @@ class ServePool(DevicePool):
                     except (WorkerDiedError, WorkerTimeoutError):
                         pass
                 handle.shutdown()
-            self._handles.clear()
+            self._links.clear()
         finally:
             if self._host_wire is not None:
                 # Unlinks every owned segment; mappings held by any
@@ -404,13 +368,14 @@ class ServePool(DevicePool):
                 self._host_wire.close()
                 self._host_wire = None
 
-    def _on_worker_death(self, handle: WorkerHandle) -> None:
+    def _on_worker_death(self, link: WorkerLink) -> None:
         """Record a crashed worker; its devices die via the ladder."""
+        handle = link.handle
         if handle.worker_id in self._dead_worker_ids:
             return
         self._dead_worker_ids.add(handle.worker_id)
         self._dead_device_ids.update(handle.device_ids)
-        self._conclude_worker_gone(handle.worker_id, "died")
+        self._conclude_worker_gone(link, "died")
         if self.observer.enabled:
             self.observer.counter("serve.worker_deaths").inc()
             self.observer.instant(
@@ -454,7 +419,7 @@ class ServePool(DevicePool):
             )
         return spec
 
-    def _apply_reply(self, device: Device, job, reply: dict, handle) -> None:
+    def _apply_reply(self, device: Device, job, reply: dict, worker_id) -> None:
         """Fold one worker reply into the job, ledgers, and metrics."""
         obs = self.observer
         job.result = JobResult(
@@ -468,65 +433,23 @@ class ServePool(DevicePool):
         )
         if reply["device_dead"]:
             self._dead_device_ids.add(device.device_id)
-        self.worker_stats[handle.worker_id] = {
-            "worker_id": handle.worker_id,
+        self.worker_stats[worker_id] = {
+            "worker_id": worker_id,
             "jobs_executed": reply["jobs_executed"],
             "plan_cache": reply["plan_cache"],
         }
         if obs.enabled:
-            obs.counter("serve.worker.jobs", worker=handle.worker_id).inc()
+            obs.counter("serve.worker.jobs", worker=worker_id).inc()
             cache = reply["plan_cache"]
             for key in ("hits", "misses", "entries"):
-                obs.gauge(
-                    f"serve.plan.{key}", worker=handle.worker_id
-                ).set(cache[key])
-            if "ganged" in reply:
-                # Gang outcome, accounted pool-side: the workers have no
-                # observer, so the reply carries what run_ganged would
-                # have emitted. gang.size is observed per member here
-                # (the in-process pool observes it once per gang).
-                if reply["ganged"]:
-                    obs.counter("gang.hit").inc()
-                    obs.histogram("gang.size").observe(reply["gang_size"])
-                elif reply["ejected"]:
-                    obs.counter("gang.ejected").inc()
-                    obs.counter("gang.miss", reason="ejected").inc()
-                else:
-                    obs.counter(
-                        "gang.miss", reason=reply["gang_reason"] or "?"
-                    ).inc()
+                obs.gauge(f"serve.plan.{key}", worker=worker_id).set(cache[key])
+            if reply.get("deadline_cancelled"):
+                obs.counter("serve.deadline.cancelled").inc()
+        count_gang_outcome(obs, reply)
 
     # ------------------------------------------------------------------
     # Resilient reply collection
     # ------------------------------------------------------------------
-
-    def _silence_budget_s(self) -> float:
-        """Total pipe silence tolerated from a live worker with work owed.
-
-        With heartbeats on, a healthy worker is never silent for more
-        than an interval or two, so the hang threshold applies; with
-        them off, silence is normal during execution and only the blunt
-        ``worker_timeout`` bounds it.
-        """
-        if self.resilience.heartbeat_interval_s > 0:
-            return self.resilience.hang_timeout_s
-        return self.worker_timeout
-
-    def _transport_failure(self, worker_id: int, kind: str) -> None:
-        """Account one detected transport fault against a worker."""
-        breaker = self._breakers.get(worker_id)
-        if breaker is not None and breaker.record_failure(time.monotonic()):
-            if self.observer.enabled:
-                self.observer.counter(
-                    "serve.breaker.trips", worker=worker_id
-                ).inc()
-        if self.observer.enabled:
-            self.observer.counter("faults.transport.detected", kind=kind).inc()
-
-    def _transport_success(self, worker_id: int) -> None:
-        breaker = self._breakers.get(worker_id)
-        if breaker is not None:
-            breaker.record_success()
 
     def _transport_failed_result(self, kind: str, worker_id: int) -> JobResult:
         """The failed result a lost dispatch resolves to (ladder fodder)."""
@@ -558,67 +481,44 @@ class ServePool(DevicePool):
             error=messages.get(kind, f"{kind}: worker {worker_id}"),
         )
 
-    def _release_frame(self, frame: _Frame) -> None:
-        """Return a frame's request-arena blocks to the allocator.
-
-        Called only once the worker is provably done reading them: its
-        reply arrived (even garbled), the drop detectors proved the
-        frame was processed, or the process itself is gone. A bare
-        timeout conclusion does *not* release — the worker may still
-        read the blocks later.
-        """
-        if frame.tokens and self._host_wire is not None:
-            self._host_wire.free(frame.tokens)
-        frame.tokens = ()
-
-    def _conclude_lost(self, frame: _Frame, kind: str) -> None:
+    def _conclude_lost(self, frame, kind: str) -> None:
         """Conclude a frame's reply will never usefully arrive.
 
         One wire message, one fate: every member of the frame is
-        concluded lost together — a dropped or garbled batch frame
-        resolves all of its members through the same detectors.
+        concluded lost together — a dropped or garbled frame resolves
+        all of its members through the same detectors.
         """
-        if frame.concluded:
+        if not self._links[frame.worker_id].conclude(frame, kind):
             return
-        frame.concluded = True
-        self._transport_failure(frame.worker_id, kind)
-        for entry in frame.entries:
+        for entry in frame.members:
             if frame.is_hedge:
-                entry.hedge_lost = True
+                if entry.hedge is frame:
+                    entry.hedge_lost = True
             elif entry.lost is None and not entry.resolved:
                 entry.lost = kind
 
-    def _conclude_worker_gone(self, worker_id: int, kind: str) -> None:
+    def _conclude_worker_gone(self, link: WorkerLink, kind: str) -> None:
         """Fold a dead/unresponsive worker over its whole wire ledger."""
-        for frame in self._wire_expect.get(worker_id, ()):
-            self._release_frame(frame)
-            if frame.concluded:
-                continue
-            frame.concluded = True
-            for entry in frame.entries:
-                if frame.is_hedge:
-                    entry.hedge_lost = True
-                elif entry.lost is None and not entry.resolved:
-                    entry.lost = kind
-        self._wire_expect[worker_id] = deque()
+        for frame in link.drain():
+            self._conclude_lost(frame, kind)
 
-    def _declare_unresponsive(self, handle: WorkerHandle) -> None:
+    def _declare_unresponsive(self, link: WorkerLink) -> None:
         """Hang verdict: alive but fully silent past the budget.
 
         Distinct from a death — counted separately — but the remedy is
         the same routing-around: terminate the wedged process and let
         the :meth:`_on_worker_death` failover retire its devices.
         """
-        worker_id = handle.worker_id
+        worker_id = link.worker_id
         if worker_id in self._dead_worker_ids:
             return
         self._unresponsive_worker_ids.add(worker_id)
         if self.observer.enabled:
             self.observer.counter("serve.worker.unresponsive").inc()
-        self._transport_failure(worker_id, "hang")
-        self._conclude_worker_gone(worker_id, "unresponsive")
-        handle.terminate()
-        self._on_worker_death(handle)
+        link.record_fault("hang")
+        self._conclude_worker_gone(link, "unresponsive")
+        link.handle.terminate()
+        self._on_worker_death(link)
 
     def _spec_deadline_s(self, spec) -> Optional[float]:
         deadline = getattr(spec, "deadline_s", None)
@@ -626,14 +526,10 @@ class ServePool(DevicePool):
             return self.resilience.default_deadline_s
         return deadline
 
-    def _note_reply_time(self, frame: _Frame) -> None:
+    def _note_reply_time(self, frame) -> None:
         dt = max(0.0, time.monotonic() - frame.sent_at)
         prev = self._ewma_reply_s
         self._ewma_reply_s = dt if prev is None else 0.2 * dt + 0.8 * prev
-
-    def _count_deadline(self, reply: dict) -> None:
-        if self.observer.enabled and reply.get("deadline_cancelled"):
-            self.observer.counter("serve.deadline.cancelled").inc()
 
     def _count_hedge_wasted(self, entry: _Pending) -> None:
         if entry.hedge is None or entry.hedge_accounted:
@@ -644,42 +540,16 @@ class ServePool(DevicePool):
 
     def _apply_primary(self, entry: _Pending, reply: dict) -> None:
         self._apply_reply(
-            entry.device,
-            entry.job,
-            reply,
-            self._handles[entry.primary.worker_id],
+            entry.device, entry.job, reply, entry.primary.worker_id
         )
-        self._count_deadline(reply)
         entry.resolved = True
 
     def _apply_hedge(self, entry: _Pending, reply: dict) -> None:
-        self._apply_reply(
-            entry.device, entry.job, reply, self._handles[entry.hedge.worker_id]
-        )
-        self._count_deadline(reply)
+        self._apply_reply(entry.device, entry.job, reply, entry.hedge.worker_id)
         entry.resolved = True
         entry.hedge_accounted = True
         if self.observer.enabled:
             self.observer.counter("serve.hedge.won").inc()
-
-    def _live_hedge_targets(self, primary_worker_id: int):
-        """Deterministic candidate order for a hedge dispatch."""
-        now = time.monotonic()
-        obs = self.observer
-        for worker_id in sorted(self._handles):
-            if (
-                worker_id == primary_worker_id
-                or worker_id in self._dead_worker_ids
-            ):
-                continue
-            breaker = self._breakers.get(worker_id)
-            if breaker is not None:
-                was_open = breaker.state is BreakerState.OPEN
-                if not breaker.allow(now):
-                    continue
-                if was_open and obs.enabled:  # cooldown lapsed: a probe
-                    obs.counter("serve.breaker.probes", worker=worker_id).inc()
-            yield worker_id
 
     def _issue_hedge(self, entry: _Pending) -> bool:
         """Re-dispatch a straggling entry's spec to another worker.
@@ -688,105 +558,70 @@ class ServePool(DevicePool):
         are content-deterministic, so *which* device computed the
         result doesn't matter; the entry's bookkeeping stays keyed on
         the primary placement either way (canonical winner selection).
+        Breakers never steer *primary* placement here; they gate hedge
+        targets, in deterministic worker order.
         """
-        for worker_id in self._live_hedge_targets(entry.primary.worker_id):
-            handle = self._handles[worker_id]
-            seq = next(self._seq)
-            wire_spec, tokens = self._host_wire.encode_spec(entry.spec)
+        now = time.monotonic()
+        for worker_id, link in sorted(self._links.items()):
+            if (
+                worker_id == entry.primary.worker_id
+                or worker_id in self._dead_worker_ids
+                or not link.allow(now)
+            ):
+                continue
+            job = (
+                link.handle.device_ids[0],
+                entry.spec,
+                self._spec_deadline_s(entry.spec),
+            )
             try:
-                handle.send_runs(
-                    seq,
-                    [
-                        (
-                            handle.device_ids[0],
-                            wire_spec,
-                            self._spec_deadline_s(entry.spec),
-                        )
-                    ],
-                    ack=self._host_wire.ack_for(worker_id),
+                entry.hedge = link.send(
+                    next(self._seq), [entry], [job], is_hedge=True
                 )
             except WorkerDiedError:
-                self._host_wire.free(tokens)
-                self._on_worker_death(handle)
+                self._on_worker_death(link)
                 continue
-            self._host_wire.note_frame(1)
-            ordinal = self._wire_sent[worker_id] + 1
-            self._wire_sent[worker_id] = ordinal
-            frame = _Frame(
-                seq, ordinal, worker_id, [entry], tokens, True,
-                time.monotonic(),
-            )
-            entry.hedge = frame
-            self._wire_expect[worker_id].append(frame)
             if self.observer.enabled:
                 self.observer.counter("serve.hedge.issued").inc()
             return True
         return False
 
-    def _process_frame(self, worker_id: int, msg) -> None:
-        """Fold one pipe frame (heartbeat or reply) into the ledgers."""
-        obs = self.observer
-        self._last_seen[worker_id] = time.monotonic()
-        kind = msg[0]
-        if kind == "heartbeat":
-            info = msg[2] or {}
-            injected = info.get("transport_injected")
-            if injected and obs.enabled:
-                for fault_kind, count in sorted(injected.items()):
-                    obs.gauge(
-                        "faults.transport.injected",
-                        worker=worker_id,
-                        kind=fault_kind,
-                    ).set(count)
-            completed = info.get("jobs_completed")
-            if completed is not None:
-                # The worker already sent (or dropped) every reply up
-                # to this mark, and FIFO delivery read them before this
-                # heartbeat — anything still outstanding was dropped.
-                # Marks land only on frame boundaries, so a frame whose
-                # end ordinal the mark passed was dropped whole.
-                q = self._wire_expect[worker_id]
-                while q and q[0].ordinal <= completed:
-                    frame = q.popleft()
-                    self._conclude_lost(frame, "dropped")
-                    self._release_frame(frame)
+    def _process_frame(self, link: WorkerLink, msg) -> None:
+        """Fold one pipe message (heartbeat or reply) into the ledgers."""
+        link.last_seen = time.monotonic()
+        worker_id = link.worker_id
+        if msg[0] == "heartbeat":
+            for frame in link.on_heartbeat(msg[2] or {}):
+                self._conclude_lost(frame, "dropped")
             return
-        if kind != "results":
+        if msg[0] != "results":
             raise ConfigError(
-                f"worker {worker_id} protocol error: unexpected {kind!r} "
+                f"worker {worker_id} protocol error: unexpected {msg[0]!r} "
                 f"frame while collecting run replies"
             )
         _, rseq, payload = msg
-        q = self._wire_expect[worker_id]
-        # Replies are strictly ordered per worker: a reply sequenced
-        # past an outstanding frame proves that frame was dropped.
-        while q and q[0].seq < rseq:
-            frame = q.popleft()
-            self._conclude_lost(frame, "dropped")
-            self._release_frame(frame)
-        if not q or q[0].seq != rseq:
+        dropped, frame = link.on_results(rseq)
+        for gapped in dropped:
+            self._conclude_lost(gapped, "dropped")
+        if frame is None:
             raise ConfigError(
                 f"worker {worker_id} protocol error: reply seq {rseq} "
                 f"matches no outstanding request"
             )
-        frame = q.popleft()
-        # The worker replied, so it is done reading this frame's
-        # request blocks — even if the payload turns out garbled.
-        self._release_frame(frame)
         if not isinstance(payload, list):
             # A garbled frame: the seq routed it, the payload is junk —
             # and every member shares the loss.
             self._conclude_lost(frame, "garbled")
             return
-        if len(payload) != len(frame.entries):
+        if len(payload) != len(frame.members):
             raise ConfigError(
                 f"worker {worker_id} protocol error: frame seq {rseq} "
                 f"carried {len(payload)} replies for "
-                f"{len(frame.entries)} members"
+                f"{len(frame.members)} members"
             )
-        self._transport_success(worker_id)
+        link.record_success()
         self._note_reply_time(frame)
-        for entry, reply in zip(frame.entries, payload):
+        for entry, reply in zip(frame.members, payload):
             reply = self._host_wire.decode_reply(worker_id, reply)
             if frame.is_hedge:
                 if entry.resolved:
@@ -806,20 +641,14 @@ class ServePool(DevicePool):
     def _sweep_entries(self, entries) -> None:
         """Wall-clock escalations between polls: hangs, timeouts, hedges."""
         now = time.monotonic()
-        budget = self._silence_budget_s()
-        for worker_id in sorted(self._handles):
-            if worker_id in self._dead_worker_ids:
+        budget = silence_budget_s(self.resilience, self.worker_timeout)
+        for worker_id, link in sorted(self._links.items()):
+            if worker_id in self._dead_worker_ids or not link.silent(now, budget):
                 continue
-            q = self._wire_expect[worker_id]
-            if not any(not exp.concluded for exp in q):
-                continue
-            if now - self._last_seen[worker_id] <= budget:
-                continue
-            handle = self._handles[worker_id]
-            if handle.alive:
-                self._declare_unresponsive(handle)
+            if link.handle.alive:
+                self._declare_unresponsive(link)
             else:
-                self._on_worker_death(handle)
+                self._on_worker_death(link)
         threshold = self.resilience.hedge_threshold(self._ewma_reply_s)
         for entry in entries:
             if entry.resolved:
@@ -861,193 +690,69 @@ class ServePool(DevicePool):
         in-process device failure, so retries/replays stay deterministic.
         """
         while not all(entry.resolved for entry in entries):
-            for worker_id in sorted(self._handles):
+            for worker_id, link in sorted(self._links.items()):
                 if worker_id in self._dead_worker_ids:
                     continue
-                handle = self._handles[worker_id]
-                q = self._wire_expect[worker_id]
                 try:
                     # Idle workers get a zero-length poll purely to keep
                     # heartbeats from backing up the pipe buffer.
-                    msg = handle.recv(timeout=_POLL_SLICE_S if q else 0)
+                    msg = link.handle.recv(
+                        timeout=_POLL_SLICE_S if link.frames else 0
+                    )
                     while True:
-                        self._process_frame(worker_id, msg)
-                        msg = handle.recv(timeout=0)
+                        self._process_frame(link, msg)
+                        msg = link.handle.recv(timeout=0)
                 except WorkerTimeoutError:
                     pass
                 except WorkerDiedError:
-                    self._on_worker_death(handle)
+                    self._on_worker_death(link)
             self._sweep_entries(entries)
 
-    def _recv_gang_frame(self, handle: WorkerHandle):
-        """Await one gang reply, skipping heartbeats; ``None`` on loss.
+    def _execute_batch(self, batch) -> None:
+        """Ship one launch batch: one ``runs`` frame per worker.
 
-        Gang batches are not hedged (a batch is one atomic request), so
-        the escalation ladder is simpler: silence past the hang budget
-        from a live worker is an unresponsive verdict; EOF or the
-        overall ``worker_timeout`` is a death.
+        Pickle + syscall cost is amortised over the round instead of
+        paid per request, and the worker gangs what its gang mode
+        allows. The inherited driver replays completions in launchpad
+        order afterwards, so grouping cannot perturb the bit-identical
+        placement/telemetry contract.
         """
-        worker_id = handle.worker_id
-        deadline = time.monotonic() + self.worker_timeout
-        while True:
-            try:
-                msg = handle.recv(timeout=_POLL_SLICE_S)
-            except WorkerTimeoutError:
-                now = time.monotonic()
-                silent = now - self._last_seen.get(worker_id, now)
-                if silent > self._silence_budget_s() or now > deadline:
-                    if handle.alive:
-                        self._declare_unresponsive(handle)
-                    else:
-                        self._on_worker_death(handle)
-                    return None
-                continue
-            except WorkerDiedError:
-                self._on_worker_death(handle)
-                return None
-            self._last_seen[worker_id] = time.monotonic()
-            if msg[0] == "heartbeat":
-                continue
-            return msg
-
-    def _execute_ganged(self, batch) -> None:
-        """Ship one launch batch as per-worker gang requests."""
         by_worker: Dict[int, list] = {}
         for device, job in batch:
-            self._spec_of(job)
-            by_worker.setdefault(
-                self.worker_of[device.device_id], []
-            ).append((device, job))
-        pending = []
+            by_worker.setdefault(self.worker_of[device.device_id], []).append(
+                _Pending(device, job, self._spec_of(job))
+            )
+        entries = []
         for worker_id, group in sorted(by_worker.items()):
-            handle = self._handles[worker_id]
-            if worker_id in self._dead_worker_ids:
-                for _device, job in group:
-                    job.result = self._crashed_result(worker_id)
-                continue
-            seq = next(self._seq)
-            requests = []
-            tokens: tuple = ()
-            for device, job in group:
-                wire_spec, spec_tokens = self._host_wire.encode_spec(
-                    self._spec_of(job)
-                )
-                tokens += spec_tokens
-                requests.append((device.device_id, wire_spec))
-            try:
-                handle.send_gang(
-                    seq, requests, self.gang,
-                    ack=self._host_wire.ack_for(worker_id),
-                )
-            except WorkerDiedError:
-                self._host_wire.free(tokens)
-                self._on_worker_death(handle)
-                for _device, job in group:
-                    job.result = self._crashed_result(worker_id)
-                continue
-            self._host_wire.note_frame(len(requests))
-            pending.append((handle, seq, group, tokens))
-        for handle, seq, group, tokens in pending:
-            if handle.worker_id in self._dead_worker_ids:
-                self._host_wire.free(tokens)
-                for _device, job in group:
-                    job.result = self._crashed_result(handle.worker_id)
-                continue
-            frame = self._recv_gang_frame(handle)
-            self._host_wire.free(tokens)
-            if frame is None:  # died or declared unresponsive
-                for _device, job in group:
-                    job.result = self._crashed_result(handle.worker_id)
-                continue
-            kind, rseq, replies = frame
-            if kind != "gang" or rseq != seq or len(replies) != len(group):
-                raise ConfigError(
-                    f"worker {handle.worker_id} protocol error: expected "
-                    f"('gang', {seq}) with {len(group)} replies, got "
-                    f"({kind!r}, {rseq}, {len(replies)} replies)"
-                )
-            for (device, job), reply in zip(group, replies):
-                reply = self._host_wire.decode_reply(
-                    handle.worker_id, reply
-                )
-                self._apply_reply(device, job, reply, handle)
+            link = self._links[worker_id]
+            if worker_id not in self._dead_worker_ids:
+                jobs = [
+                    (e.device.device_id, e.spec, self._spec_deadline_s(e.spec))
+                    for e in group
+                ]
+                try:
+                    frame = link.send(next(self._seq), group, jobs)
+                except WorkerDiedError:
+                    self._on_worker_death(link)
+                else:
+                    for entry in group:
+                        entry.primary = frame
+                    entries.extend(group)
+                    continue
+            for entry in group:
+                entry.job.result = self._crashed_result(worker_id)
+        if entries:
+            self._collect(entries)
 
     @contextmanager
     def _execution_tier(self):
-        obs = self.observer
         self._start_workers()
         try:
-            if obs.enabled:
-                obs.metrics.gauge("serve.workers").set(self.num_workers)
-
-            def execute(batch) -> None:
-                if self.gang is not False:
-                    self._execute_ganged(batch)
-                    return
-                # Batched dispatch: one ("runs", ...) frame per worker
-                # per launch round — pickle + syscall cost amortised
-                # over the round instead of paid per request. The
-                # inherited driver replays completions in launchpad
-                # order afterwards, so grouping cannot perturb the
-                # bit-identical placement/telemetry contract.
-                by_worker: Dict[int, list] = {}
-                for device, job in batch:
-                    self._spec_of(job)
-                    by_worker.setdefault(
-                        self.worker_of[device.device_id], []
-                    ).append((device, job))
-                entries = []
-                for worker_id, group in sorted(by_worker.items()):
-                    if worker_id in self._dead_worker_ids:
-                        for _device, job in group:
-                            job.result = self._crashed_result(worker_id)
-                        continue
-                    handle = self._handles[worker_id]
-                    members = []
-                    frame_entries = []
-                    tokens: tuple = ()
-                    for device, job in group:
-                        spec = self._spec_of(job)
-                        wire_spec, spec_tokens = (
-                            self._host_wire.encode_spec(spec)
-                        )
-                        tokens += spec_tokens
-                        members.append(
-                            (
-                                device.device_id,
-                                wire_spec,
-                                self._spec_deadline_s(spec),
-                            )
-                        )
-                        frame_entries.append(_Pending(device, job, spec, None))
-                    seq = next(self._seq)
-                    try:
-                        handle.send_runs(
-                            seq,
-                            members,
-                            ack=self._host_wire.ack_for(worker_id),
-                        )
-                    except WorkerDiedError:
-                        self._host_wire.free(tokens)
-                        self._on_worker_death(handle)
-                        for _device, job in group:
-                            job.result = self._crashed_result(worker_id)
-                        continue
-                    self._host_wire.note_frame(len(members))
-                    ordinal = self._wire_sent[worker_id] + len(members)
-                    self._wire_sent[worker_id] = ordinal
-                    frame = _Frame(
-                        seq, ordinal, worker_id, frame_entries, tokens,
-                        False, time.monotonic(),
-                    )
-                    for entry in frame_entries:
-                        entry.primary = frame
-                    self._wire_expect[worker_id].append(frame)
-                    entries.extend(frame_entries)
-                if entries:
-                    self._collect(entries)
-
-            yield execute
+            if self.observer.enabled:
+                self.observer.metrics.gauge("serve.workers").set(
+                    self.num_workers
+                )
+            yield self._execute_batch
         finally:
             self._stop_workers()
 

@@ -15,42 +15,39 @@ snapshot.
 The protocol is deliberately tiny — tuples over a duplex
 ``multiprocessing`` pipe, requests answered strictly in order:
 
-=====================================  ====================================
-parent → worker                        worker → parent
-=====================================  ====================================
-``("run", seq, di, spec[, dl])``       ``("result", seq, reply_dict)``
-``("runs", seq, members, ack)``        ``("results", seq, [reply, ...])``
-``("gang", seq, reqs, mode[, ack])``   ``("gang", seq, [reply_dict, ...])``
-``("stats", seq)``                     ``("stats", seq, stats_dict)``
-``("shutdown",)``                      (clean exit, pipe closes)
-(unsolicited, from a side thread)      ``("heartbeat", worker_id, info)``
-=====================================  ====================================
+=================================  ====================================
+parent → worker                    worker → parent
+=================================  ====================================
+``("runs", seq, members, ack)``    ``("results", seq, [reply, ...])``
+``("stats", seq)``                 ``("stats", seq, stats_dict)``
+``("shutdown",)``                  (clean exit, pipe closes)
+(unsolicited, from a side thread)  ``("heartbeat", worker_id, info)``
+=================================  ====================================
 
-``runs`` is the batched-dispatch frame: ``members`` is one launch
-round's worth of ``(device_id, spec, deadline_s)`` tuples for this
-worker, answered by exactly one ``results`` frame carrying the member
-replies in order — one pickle + one syscall per *round* instead of per
-request. ``ack`` piggybacks the parent's cumulative reply-ring consume
-mark for the shared-memory data plane (``repro.serve.shm``): specs may
-arrive with :class:`~repro.serve.shm.ShmRef` descriptors in place of
-numpy arrays (decoded here into zero-copy views), and reply arrays are
-written into this worker's reply ring when one was provisioned via
+``runs`` is the one run message: ``members`` is one dispatch round's
+worth of ``(device_id, spec, deadline_s)`` tuples for this worker (a
+single member for a hedge), answered by exactly one ``results`` frame
+carrying the member replies in order — one pickle + one syscall per
+*round* instead of per request. The worker runs every frame through
+:func:`repro.gang.run_ganged` in its ``WorkerOptions.gang`` mode —
+stacked replay for eligible groups, sequential execution otherwise —
+so kill/hang/slow/drop/garble injection, deadlines, and the progress
+marks below apply to every frame alike. ``ack`` piggybacks the
+parent's cumulative reply-ring consume mark for the shared-memory data
+plane (``repro.serve.shm``): specs may arrive with
+:class:`~repro.serve.shm.ShmRef` descriptors in place of numpy arrays
+(decoded here into zero-copy views), and reply arrays are written into
+this worker's reply ring when one was provisioned via
 ``WorkerOptions.reply_segment``.
 
-The optional fifth ``run`` element ``dl`` is the request's *remaining*
-wall-clock budget in seconds (``None`` = unbounded); a worker that
-receives an already-expired request cheap-cancels it — an error reply
-with ``deadline_cancelled`` set, no execution. When
+``deadline_s`` is the member's *remaining* wall-clock budget in
+seconds (``None`` = unbounded); a worker that receives an
+already-expired member cheap-cancels it — an error reply with
+``deadline_cancelled`` set, no execution. When
 ``WorkerOptions.heartbeat_interval_s`` is positive, a side thread
 interleaves ``heartbeat`` messages with the ordered replies (sends
 share one lock, so frames never tear); parents must skip them when
 awaiting a reply.
-
-A ``gang`` request carries one launch batch for this worker's devices
-(``reqs`` is ``[(device_id, spec), ...]``); the worker runs it through
-:func:`repro.gang.run_ganged` — stacked replay for eligible groups,
-sequential fallback otherwise — and replies with one dict per request,
-each the normal ``run`` reply plus the gang outcome fields.
 
 A worker crash — injected via :class:`~repro.faults.WorkerKill` or
 real — closes the pipe; the parent surfaces it as
@@ -66,6 +63,7 @@ itself — see :class:`~repro.faults.TransportSchedule` for precedence.
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
@@ -109,6 +107,10 @@ class WorkerOptions:
     #: Whole-kernel superplan mode for the shard's systems
     #: (``True`` / ``False`` / ``"auto"``, docs/PERFORMANCE.md).
     superplan: object = False
+    #: Gang-execution mode for every ``runs`` frame (``True`` /
+    #: ``False`` / ``"auto"``, docs/GANG.md); ``"auto"`` is evaluated
+    #: per frame.
+    gang: object = False
     #: Period of the unsolicited ``("heartbeat", ...)`` messages a side
     #: thread sends so the parent can tell a hung worker from a slow
     #: one; ``0`` (the default) disables the thread entirely.
@@ -206,63 +208,6 @@ def _result_reply(spec: JobSpec, injector, result) -> dict:
     }
 
 
-def _execute(system: CAPESystem, injector, spec: JobSpec) -> dict:
-    """Run one spec on a (freshly reset) device; plain-dict reply.
-
-    ``Job.execute`` already captures body errors in the result; this
-    additionally catches spec-level failures (an unknown kernel, an
-    unpicklable payload surfacing late) so a malformed request costs
-    one error reply, never the worker process.
-    """
-    try:
-        job = spec.to_job()
-        system.reset()
-        result = job.execute(system)
-    except Exception as exc:  # noqa: BLE001 — the reply IS the error path
-        return _error_reply(spec, injector, exc)
-    return _result_reply(spec, injector, result)
-
-
-def _execute_gang(systems, injectors, requests, mode) -> list:
-    """Run a ``("gang", ...)`` request: one batch across owned devices.
-
-    ``requests`` is ``[(device_id, spec), ...]`` — at most one entry per
-    device, exactly the launch batch the parent's event loop formed.
-    :func:`repro.gang.run_ganged` does the eligibility split, stacked
-    replay, and sequential fallback; each reply dict is the normal
-    ``run`` reply plus the gang outcome fields (``ganged`` / ``ejected``
-    / ``gang_size`` / ``gang_reason``) so the parent can account
-    ``gang.*`` metrics without a second round trip.
-    """
-    replies: list = [None] * len(requests)
-    entries = []
-    slots = []
-    for i, (device_id, spec) in enumerate(requests):
-        try:
-            job = spec.to_job()
-        except Exception as exc:  # noqa: BLE001 — reply IS the error path
-            reply = _error_reply(spec, injectors[device_id], exc)
-            reply["device_id"] = device_id
-            reply.update(
-                ganged=False, ejected=False, gang_size=0, gang_reason="spec"
-            )
-            replies[i] = reply
-            continue
-        entries.append((systems[device_id], job))
-        slots.append(i)
-    outcomes = run_ganged(entries, mode=mode) if entries else []
-    for slot, (system, job), outcome in zip(slots, entries, outcomes):
-        device_id, spec = requests[slot]
-        reply = _result_reply(spec, injectors[device_id], job.result)
-        reply["device_id"] = device_id
-        reply["ganged"] = outcome.ganged
-        reply["ejected"] = outcome.ejected
-        reply["gang_size"] = outcome.gang_size
-        reply["gang_reason"] = outcome.reason
-        replies[slot] = reply
-    return replies
-
-
 #: The reply payload an injected :class:`~repro.faults.ReplyGarble`
 #: substitutes for the real dict — deliberately not a mapping, so any
 #: parent-side reply handler trips over it (tests assert the marker).
@@ -281,6 +226,64 @@ def _cancel_reply(spec: JobSpec, injector, deadline_s) -> dict:
     )
     reply["deadline_cancelled"] = True
     return reply
+
+
+def _run_frame(systems, injectors, members, mode) -> list:
+    """Execute one ``runs`` frame's members; one plain-dict reply each.
+
+    Every member goes through :func:`repro.gang.run_ganged` in the
+    worker's gang ``mode`` — stacked replay for eligible groups,
+    sequential execution otherwise (``mode=False`` is the plain
+    sequential path). A member whose deadline was spent on arrival is
+    cheap-cancelled, never run. ``Job.execute`` already captures body
+    errors in the result; spec-level failures (an unknown kernel, an
+    unpicklable payload surfacing late, a failed device reset) are
+    caught too, so a malformed request costs one error reply, never the
+    worker process. With gang on, each executed member's reply also
+    carries its outcome (``ganged`` / ``ejected`` / ``gang_size`` /
+    ``gang_reason``) so the parent can account ``gang.*`` metrics.
+    """
+    replies: list = [None] * len(members)
+    entries = []
+    slots = []
+    errors: Dict[int, Exception] = {}
+    for i, (device_id, spec, deadline_s) in enumerate(members):
+        if deadline_s is not None and deadline_s <= 0:
+            replies[i] = _cancel_reply(spec, injectors[device_id], deadline_s)
+            continue
+        try:
+            job = spec.to_job()
+        except Exception as exc:  # noqa: BLE001 — the reply IS the error path
+            replies[i] = _error_reply(spec, injectors[device_id], exc)
+            continue
+        entries.append((systems[device_id], job))
+        slots.append(i)
+
+    def run_job(index: int) -> None:
+        system, job = entries[index]
+        try:
+            system.reset()
+            job.result = job.execute(system)
+        except Exception as exc:  # noqa: BLE001 — the reply IS the error path
+            errors[index] = exc
+
+    outcomes = run_ganged(entries, mode=mode, run_job=run_job)
+    for index, (slot, (_system, job), outcome) in enumerate(
+        zip(slots, entries, outcomes)
+    ):
+        device_id, spec, _deadline_s = members[slot]
+        injector = injectors[device_id]
+        if index in errors:
+            reply = _error_reply(spec, injector, errors[index])
+        else:
+            reply = _result_reply(spec, injector, job.result)
+        if mode is not False:
+            reply["ganged"] = outcome.ganged
+            reply["ejected"] = outcome.ejected
+            reply["gang_size"] = outcome.gang_size
+            reply["gang_reason"] = outcome.reason
+        replies[slot] = reply
+    return replies
 
 
 class _Heartbeat:
@@ -342,6 +345,11 @@ def worker_main(
     job but never sends (device state still advances, exactly as if
     the reply were lost in flight), a garble sends a non-dict payload.
     """
+    # Keep the heap inherited from a forked parent out of this
+    # process's collections: a full pass over a large parent heap holds
+    # the GIL long enough to silence the heartbeat past the hang
+    # threshold.
+    gc.freeze()
     systems, injectors, plan_cache = _build_shard(worker_id, devices, options)
     wire = WorkerWire(options.reply_segment, options.wire_min_bytes)
     schedule = None
@@ -378,76 +386,15 @@ def worker_main(
                 return
             if msg[0] == "shutdown":
                 return
-            if msg[0] == "run":
-                if len(msg) == 5:
-                    _, seq, device_id, spec, deadline_s = msg
-                else:  # pre-deadline 4-tuple senders remain valid
-                    _, seq, device_id, spec = msg
-                    deadline_s = None
-                spec = wire.decode_spec(spec)
-                jobs_executed += 1
-                j = jobs_executed
-                heartbeat.info["jobs_executed"] = j
-                if kill_at is not None and j >= kill_at:
-                    # The injected crash: die mid-job, reply never sent.
-                    conn.close()
-                    os._exit(KILLED_EXIT_CODE)
-                if schedule is not None and (
-                    schedule.hang_at is not None and j >= schedule.hang_at
-                ):
-                    injected["hang"] += 1
-                    hang_forever()
-                if deadline_s is not None and deadline_s <= 0:
-                    # Cheap cancel: the budget was gone on arrival, so
-                    # skip execution and say why in the reply.
-                    reply = _cancel_reply(
-                        spec, injectors[device_id], deadline_s
-                    )
-                else:
-                    reply = _execute(
-                        systems[device_id], injectors[device_id], spec
-                    )
-                reply["worker_id"] = worker_id
-                reply["device_id"] = device_id
-                reply["jobs_executed"] = j
-                reply["plan_cache"] = plan_cache.snapshot()
-                if schedule is not None:
-                    delay = schedule.slow.get(j)
-                    if delay is not None:
-                        injected["slow"] += 1
-                        time.sleep(delay)
-                    if j in schedule.drop_at:
-                        # The job ran — device state advanced — but the
-                        # reply vanishes, as if lost on the wire. The
-                        # completion mark below still advances (updated
-                        # only *after* the send would have happened), so
-                        # the parent's drop detector can conclude the
-                        # loss from a later heartbeat.
-                        injected["drop"] += 1
-                        heartbeat.info["transport_injected"] = dict(injected)
-                        heartbeat.info["jobs_completed"] = j
-                        continue
-                    if j in schedule.garble_at:
-                        injected["garble"] += 1
-                        heartbeat.info["transport_injected"] = dict(injected)
-                        send(("result", seq, GARBLED_PAYLOAD))
-                        heartbeat.info["jobs_completed"] = j
-                        continue
-                send(("result", seq, reply))
-                # Updated after the send (under FIFO): any heartbeat
-                # carrying this mark was framed behind the reply, so a
-                # parent that saw the mark but no reply knows the reply
-                # was dropped, not merely late.
-                heartbeat.info["jobs_completed"] = j
-            elif msg[0] == "runs":
+            if msg[0] == "runs":
                 _, seq, members, ack = msg
                 wire.note_ack(ack)
                 start = jobs_executed
                 end = start + len(members)
                 if kill_at is not None and end >= kill_at:
                     # The injected crash lands inside this frame: die
-                    # mid-batch, reply never sent — every member fails
-                    # over exactly like a crash during a lone run.
+                    # mid-frame, reply never sent — every member fails
+                    # over exactly like a hard crash.
                     conn.close()
                     os._exit(KILLED_EXIT_CODE)
                 if schedule is not None and (
@@ -457,22 +404,17 @@ def worker_main(
                     hang_forever()
                 jobs_executed = end
                 heartbeat.info["jobs_executed"] = end
-                replies = []
-                for i, (device_id, spec, deadline_s) in enumerate(members):
-                    spec = wire.decode_spec(spec)
-                    if deadline_s is not None and deadline_s <= 0:
-                        reply = _cancel_reply(
-                            spec, injectors[device_id], deadline_s
-                        )
-                    else:
-                        reply = _execute(
-                            systems[device_id], injectors[device_id], spec
-                        )
+                members = [
+                    (device_id, wire.decode_spec(spec), deadline_s)
+                    for device_id, spec, deadline_s in members
+                ]
+                replies = _run_frame(systems, injectors, members, options.gang)
+                snapshot = plan_cache.snapshot()
+                for i, reply in enumerate(replies):
                     reply["worker_id"] = worker_id
-                    reply["device_id"] = device_id
+                    reply["device_id"] = members[i][0]
                     reply["jobs_executed"] = start + i + 1
-                    reply["plan_cache"] = plan_cache.snapshot()
-                    replies.append(reply)
+                    reply["plan_cache"] = snapshot
                 if schedule is not None:
                     span = range(start + 1, end + 1)
                     for j in span:
@@ -483,10 +425,14 @@ def worker_main(
                     dropped = [j for j in span if j in schedule.drop_at]
                     garbled = [j for j in span if j in schedule.garble_at]
                     if dropped:
-                        # Any member loss drops the *whole* frame — one
-                        # wire message, one fate. The completion mark
-                        # still advances to the frame end so the
-                        # parent's detectors conclude every member.
+                        # The jobs ran — device state advanced — but the
+                        # reply vanishes, as if lost on the wire. Any
+                        # member loss drops the *whole* frame: one wire
+                        # message, one fate. The completion mark still
+                        # advances to the frame end (only *after* the
+                        # send would have happened), so the parent's
+                        # drop detector can conclude every member from a
+                        # later heartbeat.
                         injected["drop"] += len(dropped)
                         heartbeat.info["transport_injected"] = dict(injected)
                         heartbeat.info["jobs_completed"] = end
@@ -500,36 +446,11 @@ def worker_main(
                 send(
                     ("results", seq, [wire.encode_reply(r) for r in replies])
                 )
+                # Updated after the send (under FIFO): any heartbeat
+                # carrying this mark was framed behind the reply, so a
+                # parent that saw the mark but no reply knows the reply
+                # was dropped, not merely late.
                 heartbeat.info["jobs_completed"] = end
-            elif msg[0] == "gang":
-                _, seq, requests, mode = msg[:4]
-                if len(msg) == 5:
-                    wire.note_ack(msg[4])
-                requests = [
-                    (device_id, wire.decode_spec(spec))
-                    for device_id, spec in requests
-                ]
-                end = jobs_executed + len(requests)
-                if kill_at is not None and end >= kill_at:
-                    # The injected crash lands inside this batch: die
-                    # mid-gang, reply never sent — the whole batch fails
-                    # over exactly like a crash during a lone run.
-                    conn.close()
-                    os._exit(KILLED_EXIT_CODE)
-                if schedule is not None and (
-                    schedule.hang_at is not None and end >= schedule.hang_at
-                ):
-                    injected["hang"] += 1
-                    hang_forever()
-                jobs_executed = end
-                heartbeat.info["jobs_executed"] = end
-                replies = _execute_gang(systems, injectors, requests, mode)
-                for reply in replies:
-                    reply["worker_id"] = worker_id
-                    reply["jobs_executed"] = jobs_executed
-                    reply["plan_cache"] = plan_cache.snapshot()
-                send(("gang", seq, [wire.encode_reply(r) for r in replies]))
-                heartbeat.info["jobs_completed"] = jobs_executed
             elif msg[0] == "stats":
                 _, seq = msg
                 send(
@@ -646,30 +567,14 @@ class WorkerHandle:
             f"(exit code {self.exitcode}, devices {list(self.device_ids)})"
         )
 
-    def send_run(
-        self,
-        seq: int,
-        device_id: int,
-        spec: JobSpec,
-        deadline_s: Optional[float] = None,
-    ) -> None:
-        """Dispatch one spec; ``deadline_s`` is the *remaining* wall
-        budget (``None`` = unbounded), enforced worker-side as a cheap
-        cancel when it is already spent on arrival."""
-        if device_id not in self.device_ids:
-            raise ConfigError(
-                f"device {device_id} is not owned by worker {self.worker_id}"
-            )
-        if deadline_s is None:
-            self._send(("run", seq, device_id, spec))
-        else:
-            self._send(("run", seq, device_id, spec, float(deadline_s)))
-
     def send_runs(self, seq: int, members, ack: int = 0) -> None:
-        """Ship one batched-dispatch frame: a list of
-        ``(device_id, wire_spec, deadline_s)`` members answered by a
-        single ``("results", seq, [reply, ...])`` frame. ``ack`` is the
-        parent's cumulative reply-ring consume mark (shm wire only)."""
+        """Ship one ``runs`` frame: a list of ``(device_id, wire_spec,
+        deadline_s)`` members answered by a single ``("results", seq,
+        [reply, ...])`` frame. ``deadline_s`` is the member's
+        *remaining* wall budget (``None`` = unbounded), enforced
+        worker-side as a cheap cancel when already spent on arrival.
+        ``ack`` is the parent's cumulative reply-ring consume mark (shm
+        wire only)."""
         for device_id, _spec, _deadline_s in members:
             if device_id not in self.device_ids:
                 raise ConfigError(
@@ -677,17 +582,6 @@ class WorkerHandle:
                     f"{self.worker_id}"
                 )
         self._send(("runs", seq, list(members), int(ack)))
-
-    def send_gang(self, seq: int, requests, mode, ack: int = 0) -> None:
-        """Ship one launch batch ``[(device_id, spec), ...]`` for gang
-        execution on this worker's shard."""
-        for device_id, _spec in requests:
-            if device_id not in self.device_ids:
-                raise ConfigError(
-                    f"device {device_id} is not owned by worker "
-                    f"{self.worker_id}"
-                )
-        self._send(("gang", seq, list(requests), mode, int(ack)))
 
     def send_stats(self, seq: int) -> None:
         self._send(("stats", seq))
@@ -699,6 +593,13 @@ class WorkerHandle:
             # Name the worker and the frame kind: a storm log full of
             # bare BrokenPipeErrors is unattributable.
             raise self._died(f"while sending a {msg[0]!r} frame") from exc
+
+    def poll(self) -> bool:
+        """Is a message waiting unread (or the pipe at EOF)?"""
+        try:
+            return self._conn.poll(0)
+        except (BrokenPipeError, OSError):
+            return False
 
     def recv(self, timeout: Optional[float] = None):
         """Next ``(kind, seq, payload)`` message; raises on crash/timeout.

@@ -147,9 +147,14 @@ class TestDevicePoolIdentity:
 
 
 class TestExecConfigWiring:
-    def test_exec_config_sets_the_pool_knobs(self):
+    def test_exec_config_sets_the_pool_knobs(self, monkeypatch):
         from repro.runtime import ThreadParallelismWarning
+        import repro.runtime.pool as pool_module
 
+        # The warning targets 1-CPU hosts: pretend to be one, and reset
+        # its once-per-process latch, so the check holds on any host.
+        monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(pool_module, "_thread_parallelism_warned", False)
         with pytest.warns(ThreadParallelismWarning):
             pool = DevicePool(
                 (TINY,), exec=ExecConfig(parallelism=2, gang=True)

@@ -11,7 +11,7 @@ from repro.common.errors import (
     QuotaExceededError,
 )
 from repro.engine.system import CAPEConfig
-from repro.faults import FaultPlan, WorkerKill
+from repro.faults import FaultPlan, SlowWorker, WorkerKill
 from repro.serve import (
     Gateway,
     JobSpec,
@@ -122,6 +122,31 @@ class TestBackpressure:
         results, report = run(main())
         assert [r.output for r in results] == [dot_golden(i) for i in range(8)]
         assert report.completed == 8
+
+    def test_retry_hint_backs_off_before_the_first_reply(self):
+        """Until a request completes, the hint follows the oldest
+        in-flight request's age: callers shed while the first reply is
+        slow back off instead of spending every retry at the floor."""
+        plan = FaultPlan(faults=(SlowWorker(delay_s=0.5, at_jobs=(1,)),))
+
+        async def main():
+            cfg = ServeConfig(
+                configs=(TINY,), workers=1, max_queue=2,
+                retry_after_s=0.005, fault_plan=plan,
+            )
+            async with Gateway(cfg) as gw:
+                return await asyncio.gather(
+                    *(
+                        gw.submit_retrying(dot_spec(f"r{i}", i), attempts=50)
+                        for i in range(8)
+                    ),
+                    return_exceptions=True,
+                )
+
+        results = run(main())
+        failed = [r for r in results if isinstance(r, BaseException)]
+        assert not failed, failed
+        assert [r.output for r in results] == [dot_golden(i) for i in range(8)]
 
     def test_closed_gateway_rejects(self):
         async def main():

@@ -28,6 +28,7 @@ from repro.faults import (
     WorkerHang,
     WorkerKill,
 )
+from repro.obs import Observer
 from repro.runtime import DevicePool
 from repro.serve import (
     Gateway,
@@ -43,6 +44,14 @@ TINY = CAPEConfig(name="tiny", num_chains=64)
 
 #: Fast-reacting policy for tests: hangs detected in ~0.4s.
 FAST = ResilienceConfig(heartbeat_interval_s=0.02, hang_timeout_s=0.4)
+
+#: The storm tests run in the legacy gang-off mode and on the default
+#: path (``ExecConfig().gang == "auto"``) over the bit-level mirror.
+GANG_MODES = pytest.mark.parametrize(
+    "gang,backend",
+    [(False, None), ("auto", "bitplane")],
+    ids=["gang-off", "gang-auto"],
+)
 
 
 def dot_specs(n=12, seed=3):
@@ -163,6 +172,11 @@ def make_handle(fault_plan=None, heartbeat_interval_s=0.0):
     ).start()
 
 
+def send_one(handle, seq, spec, deadline_s=None):
+    """Ship a one-member ``runs`` frame (a single dispatch)."""
+    handle.send_runs(seq, [(0, spec, deadline_s)])
+
+
 def recv_result(handle, timeout=30.0):
     """Next non-heartbeat frame."""
     while True:
@@ -179,9 +193,9 @@ class TestWorkerTransport:
                 handle.recv(timeout=0.05)  # nothing owed, just silent
             assert handle.alive
             # And the pipe still works afterwards.
-            handle.send_run(0, 0, dot_specs(1)[0])
-            kind, seq, reply = recv_result(handle)
-            assert (kind, seq) == ("result", 0)
+            send_one(handle, 0, dot_specs(1)[0])
+            kind, seq, (reply,) = recv_result(handle)
+            assert (kind, seq) == ("results", 0)
             assert reply["error"] is None
         finally:
             handle.shutdown()
@@ -191,12 +205,12 @@ class TestWorkerTransport:
         handle = make_handle(fault_plan=plan)
         try:
             specs = dot_specs(2)
-            handle.send_run(0, 0, specs[0])
-            handle.send_run(1, 0, specs[1])
-            kind, seq, reply = recv_result(handle)
+            send_one(handle, 0, specs[0])
+            send_one(handle, 1, specs[1])
+            kind, seq, (reply,) = recv_result(handle)
             # Job 1's reply vanished; job 2 answers first — and its
             # lifetime counter proves job 1 ran.
-            assert (kind, seq) == ("result", 1)
+            assert (kind, seq) == ("results", 1)
             assert reply["jobs_executed"] == 2
             handle.send_stats(2)
             stats = recv_result(handle)[2]
@@ -208,9 +222,9 @@ class TestWorkerTransport:
         plan = FaultPlan(faults=(ReplyGarble(at_job=1),))
         handle = make_handle(fault_plan=plan)
         try:
-            handle.send_run(0, 0, dot_specs(1)[0])
+            send_one(handle, 0, dot_specs(1)[0])
             kind, seq, payload = recv_result(handle)
-            assert (kind, seq) == ("result", 0)
+            assert (kind, seq) == ("results", 0)
             assert payload == GARBLED_PAYLOAD
             assert not isinstance(payload, dict)
         finally:
@@ -219,13 +233,13 @@ class TestWorkerTransport:
     def test_expired_deadline_is_cheap_cancelled(self):
         handle = make_handle()
         try:
-            handle.send_run(0, 0, dot_specs(1)[0], deadline_s=-0.5)
-            _, _, reply = recv_result(handle)
+            send_one(handle, 0, dot_specs(1)[0], deadline_s=-0.5)
+            _, _, (reply,) = recv_result(handle)
             assert reply["deadline_cancelled"]
             assert "DeadlineExceededError" in reply["error"]
             # A live deadline executes normally.
-            handle.send_run(1, 0, dot_specs(1)[0], deadline_s=30.0)
-            _, _, reply = recv_result(handle)
+            send_one(handle, 1, dot_specs(1)[0], deadline_s=30.0)
+            _, _, (reply,) = recv_result(handle)
             assert reply["error"] is None
             assert not reply.get("deadline_cancelled")
         finally:
@@ -235,7 +249,7 @@ class TestWorkerTransport:
         plan = FaultPlan(faults=(SlowWorker(delay_s=0.3, at_jobs=(1,)),))
         handle = make_handle(fault_plan=plan, heartbeat_interval_s=0.02)
         try:
-            handle.send_run(0, 0, dot_specs(1)[0])
+            send_one(handle, 0, dot_specs(1)[0])
             beats = 0
             while True:
                 msg = handle.recv(timeout=10.0)
@@ -243,7 +257,7 @@ class TestWorkerTransport:
                     beats += 1
                     continue
                 break
-            assert msg[0] == "result"
+            assert msg[0] == "results"
             assert beats >= 2  # the pipe was never silent during the stall
         finally:
             handle.shutdown()
@@ -252,7 +266,7 @@ class TestWorkerTransport:
         plan = FaultPlan(faults=(WorkerHang(at_job=1),))
         handle = make_handle(fault_plan=plan, heartbeat_interval_s=0.02)
         try:
-            handle.send_run(0, 0, dot_specs(1)[0])
+            send_one(handle, 0, dot_specs(1)[0])
             with pytest.raises(WorkerTimeoutError):
                 while True:  # drain straggler heartbeats, then silence
                     handle.recv(timeout=0.3)
@@ -279,7 +293,8 @@ class TestServePoolResilience:
         assert not pool._dead_worker_ids  # nobody was declared dead
         assert not pool._unresponsive_worker_ids
 
-    def test_storm_results_bit_identical_to_sequential(self):
+    @GANG_MODES
+    def test_storm_results_bit_identical_to_sequential(self, gang, backend):
         specs = dot_specs(12)
         plan = FaultPlan(
             faults=(
@@ -288,13 +303,18 @@ class TestServePoolResilience:
                 ReplyGarble(at_job=4, worker=0),
             ),
         )
+        obs = Observer()
         pool = ServePool(
             [TINY, TINY], workers=2, fault_plan=plan,
             resilience=FAST, worker_timeout=5.0,
+            gang=gang, backend=backend, observer=obs,
         )
         jobs = pool.submit_specs(specs)
         pool.run()
         assert outputs(jobs) == sequential_outputs(specs)
+        detected = obs.metrics.total
+        assert detected("faults.transport.detected", kind="dropped") >= 1
+        assert detected("faults.transport.detected", kind="garbled") >= 1
 
     def test_hang_is_detected_and_counted_separately(self):
         specs = dot_specs(8)
@@ -348,7 +368,8 @@ def gw_outputs(results):
 
 
 class TestGatewayResilience:
-    def test_storm_completes_all_jobs_bit_identical(self):
+    @GANG_MODES
+    def test_storm_completes_all_jobs_bit_identical(self, gang, backend):
         specs = dot_specs(16)
         want = sequential_outputs(specs)
         plan = FaultPlan(
@@ -361,7 +382,10 @@ class TestGatewayResilience:
         )
 
         async def main():
-            async with Gateway(gw_config(plan, worker_timeout=1.0)) as gw:
+            cfg = gw_config(
+                plan, worker_timeout=1.0, gang=gang, backend=backend
+            )
+            async with Gateway(cfg) as gw:
                 results = await gather_results(gw, specs)
                 return results, gw.report()
 
@@ -455,7 +479,8 @@ class TestGatewayResilience:
         assert not errs
         assert gw_outputs(okay) == want
 
-    def test_queued_deadline_is_cancelled_not_run(self):
+    @GANG_MODES
+    def test_queued_deadline_is_cancelled_not_run(self, gang, backend):
         async def main():
             cfg = gw_config(
                 None,
@@ -465,6 +490,8 @@ class TestGatewayResilience:
                 configs=(TINY,),
                 workers=1,
                 max_queue=64,
+                gang=gang,
+                backend=backend,
             )
             async with Gateway(cfg) as gw:
                 blockers = [
@@ -513,9 +540,12 @@ class TestGatewayResilience:
 
 
 class TestStormProperty:
+    @GANG_MODES
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_seeded_storm_with_hedging_matches_fault_free(self, seed):
+    def test_seeded_storm_with_hedging_matches_fault_free(
+        self, seed, gang, backend
+    ):
         specs = dot_specs(10, seed=5)
         want = sequential_outputs(specs)
         plan = FaultPlan.transport_storm(
@@ -533,16 +563,26 @@ class TestStormProperty:
             hedge=True, hedge_after_s=0.05,
         )
 
+        obs = Observer()
+
         async def main():
             cfg = gw_config(
                 plan, resilience, configs=(TINY,) * 3, workers=3,
-                worker_timeout=2.0,
+                worker_timeout=2.0, gang=gang, backend=backend,
             )
-            async with Gateway(cfg) as gw:
+            async with Gateway(cfg, observer=obs) as gw:
                 return await gather_results(gw, specs)
 
         results = asyncio.run(main())
         assert gw_outputs(results) == want
+        # Every drop and garble a worker reports injecting (the tally
+        # rides the same heartbeat as the drop detector's progress mark)
+        # was detected by the parent.
+        metrics = obs.metrics
+        for injected, detected in (("drop", "dropped"), ("garble", "garbled")):
+            assert metrics.total(
+                "faults.transport.detected", kind=detected
+            ) >= metrics.total("faults.transport.injected", kind=injected)
 
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -560,7 +600,8 @@ class TestStormProperty:
 
 @pytest.mark.slow
 class TestChaosSoak:
-    def test_long_storm_with_kills_completes_everything(self):
+    @GANG_MODES
+    def test_long_storm_with_kills_completes_everything(self, gang, backend):
         specs = dot_specs(48, seed=13)
         want = sequential_outputs(specs)
         plan = FaultPlan.transport_storm(
@@ -575,7 +616,7 @@ class TestChaosSoak:
         async def main():
             cfg = gw_config(
                 plan, resilience, configs=(TINY,) * 4, workers=4,
-                worker_timeout=2.0, max_queue=128,
+                worker_timeout=2.0, max_queue=128, gang=gang, backend=backend,
             )
             async with Gateway(cfg) as gw:
                 results = await gather_results(gw, specs)

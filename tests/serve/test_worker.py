@@ -21,6 +21,11 @@ def make_handle(fault_plan=None, warmup=(), devices=((0, TINY), (1, TINY))):
     return WorkerHandle(0, devices, options).start()
 
 
+def send_one(handle, seq, device_id, spec):
+    """Ship a one-member ``runs`` frame (a single dispatch)."""
+    handle.send_runs(seq, [(device_id, spec, None)])
+
+
 def dot_spec(name="d", i=0):
     return JobSpec(
         name, "dot", {"x": np.arange(8) + i, "y": np.arange(8)}, lanes=8
@@ -31,9 +36,9 @@ class TestProtocol:
     def test_run_reply_matches_in_process_execution(self):
         handle = make_handle()
         try:
-            handle.send_run(7, 0, dot_spec())
-            kind, seq, reply = handle.recv(timeout=30)
-            assert (kind, seq) == ("result", 7)
+            send_one(handle, 7, 0, dot_spec())
+            kind, seq, (reply,) = handle.recv(timeout=30)
+            assert (kind, seq) == ("results", 7)
             assert reply["output"] == int((np.arange(8) ** 2).sum())
             assert reply["error"] is None
             assert reply["device_dead"] is False
@@ -46,7 +51,7 @@ class TestProtocol:
         handle = make_handle()
         try:
             for seq in range(3):
-                handle.send_run(seq, seq % 2, dot_spec(f"j{seq}", i=seq))
+                send_one(handle, seq, seq % 2, dot_spec(f"j{seq}", i=seq))
             seqs = [handle.recv(timeout=30)[1] for _ in range(3)]
             assert seqs == [0, 1, 2]
         finally:
@@ -59,7 +64,7 @@ class TestProtocol:
         )
         handle = make_handle(fault_plan=plan)
         try:
-            handle.send_run(0, 0, dot_spec())
+            send_one(handle, 0, 0, dot_spec())
             handle.recv(timeout=30)
             handle.send_stats(1)
             kind, seq, stats = handle.recv(timeout=30)
@@ -73,12 +78,12 @@ class TestProtocol:
     def test_malformed_spec_costs_one_error_reply_not_the_worker(self):
         handle = make_handle()
         try:
-            handle.send_run(0, 0, JobSpec("bad", "no_such_kernel"))
-            _, _, reply = handle.recv(timeout=30)
+            send_one(handle, 0, 0, JobSpec("bad", "no_such_kernel"))
+            _, _, (reply,) = handle.recv(timeout=30)
             assert "no_such_kernel" in reply["error"]
             # The worker is still serving.
-            handle.send_run(1, 0, dot_spec())
-            _, _, reply = handle.recv(timeout=30)
+            send_one(handle, 1, 0, dot_spec())
+            _, _, (reply,) = handle.recv(timeout=30)
             assert reply["error"] is None
         finally:
             handle.shutdown()
@@ -92,7 +97,7 @@ class TestProtocol:
         handle = make_handle(devices=((3, TINY),))
         try:
             with pytest.raises(ConfigError, match="not owned"):
-                handle.send_run(0, 99, dot_spec())
+                send_one(handle, 0, 99, dot_spec())
         finally:
             handle.shutdown()
 
@@ -107,8 +112,8 @@ class TestWarmup:
             _, _, stats = handle.recv(timeout=30)
             assert stats["plan_cache"]["entries"] > 0
             warm_misses = stats["plan_cache"]["misses"]
-            handle.send_run(1, 0, spec)
-            _, _, reply = handle.recv(timeout=30)
+            send_one(handle, 1, 0, spec)
+            _, _, (reply,) = handle.recv(timeout=30)
             # The served job hit the warmed cache: no new compilations.
             assert reply["plan_cache"]["misses"] == warm_misses
             assert reply["plan_cache"]["hits"] > 0
@@ -121,10 +126,10 @@ class TestWorkerKill:
         plan = FaultPlan(faults=(WorkerKill(at_job=2, worker=0),))
         handle = make_handle(fault_plan=plan)
         try:
-            handle.send_run(0, 0, dot_spec("ok"))
-            _, _, reply = handle.recv(timeout=30)
+            send_one(handle, 0, 0, dot_spec("ok"))
+            _, _, (reply,) = handle.recv(timeout=30)
             assert reply["error"] is None
-            handle.send_run(1, 0, dot_spec("doomed"))
+            send_one(handle, 1, 0, dot_spec("doomed"))
             with pytest.raises(WorkerDiedError):
                 handle.recv(timeout=30)
             handle._process.join(10)
@@ -136,8 +141,8 @@ class TestWorkerKill:
         plan = FaultPlan(faults=(WorkerKill(at_job=1, worker=5),))
         handle = make_handle(fault_plan=plan)
         try:
-            handle.send_run(0, 0, dot_spec())
-            _, _, reply = handle.recv(timeout=30)
+            send_one(handle, 0, 0, dot_spec())
+            _, _, (reply,) = handle.recv(timeout=30)
             assert reply["error"] is None
         finally:
             handle.shutdown()
@@ -146,12 +151,12 @@ class TestWorkerKill:
         plan = FaultPlan(faults=(WorkerKill(at_job=1, worker=None),))
         handle = make_handle(fault_plan=plan)
         try:
-            handle.send_run(0, 0, dot_spec())
+            send_one(handle, 0, 0, dot_spec())
             with pytest.raises(WorkerDiedError):
                 handle.recv(timeout=30)
             handle._process.join(10)
             with pytest.raises(WorkerDiedError):
                 for _ in range(64):  # a pipe buffers; keep pushing
-                    handle.send_run(1, 0, dot_spec())
+                    send_one(handle, 1, 0, dot_spec())
         finally:
             handle.shutdown()
