@@ -9,10 +9,13 @@ matrix app, and the variable-intensity text apps scale worst.
 
 import math
 
+import pytest
+
 from repro.eval.harness import run_phoenix_suite
 from repro.eval.tables import format_table
 
 
+@pytest.mark.slow
 def test_fig11_phoenix(once):
     rows = once(run_phoenix_suite)
     print()

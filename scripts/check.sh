@@ -387,6 +387,6 @@ python -m pytest -q perfbench
 
 echo "== slow markers =="
 python -m pytest -q -m slow benchmarks/bench_table2_microops.py \
-    tests/integration/test_chaos.py tests/serve/test_saturation.py \
-    tests/gang/test_gang_chaos.py tests/serve/test_resilience.py \
-    tests/serve/test_wire.py
+    benchmarks/bench_fig11_phoenix.py tests/integration/test_chaos.py \
+    tests/serve/test_saturation.py tests/gang/test_gang_chaos.py \
+    tests/serve/test_resilience.py tests/serve/test_wire.py

@@ -93,10 +93,10 @@ class InOrderCore:
         hierarchy = self.hierarchy
         l1_hit = hierarchy.config.l1_latency
         stall = 0.0
-        for addr in block.loads:
-            lat = hierarchy.access(int(addr), AccessType.LOAD)
+        for addr in block.loads.tolist():
+            lat = hierarchy.access(addr, AccessType.LOAD)
             stall += max(0, lat - l1_hit)
-        for addr in block.stores:
-            lat = hierarchy.access(int(addr), AccessType.STORE)
+        for addr in block.stores.tolist():
+            lat = hierarchy.access(addr, AccessType.STORE)
             stall += max(0, lat - l1_hit) / self.config.max_mlp
         return stall / self.config.max_mlp

@@ -123,16 +123,16 @@ class OoOCore:
         beyond_l1 = 0.0
         dep_budget = block.dependent_loads
         serial = 0.0
-        for addr in block.loads:
-            lat = hierarchy.access(int(addr), AccessType.LOAD)
+        for addr in block.loads.tolist():
+            lat = hierarchy.access(addr, AccessType.LOAD)
             extra = max(0, lat - l1_hit)
             if dep_budget > 0 and extra > 0:
                 serial += lat
                 dep_budget -= 1
             else:
                 beyond_l1 += extra
-        for addr in block.stores:
-            lat = hierarchy.access(int(addr), AccessType.STORE)
+        for addr in block.stores.tolist():
+            lat = hierarchy.access(addr, AccessType.STORE)
             # Stores retire through the store queue; only their
             # beyond-L1 latency consumes miss bandwidth.
             beyond_l1 += max(0, lat - l1_hit)

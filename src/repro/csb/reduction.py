@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.common.errors import ConfigError
@@ -34,7 +35,7 @@ class ReductionTree:
         if self.num_chains <= 0:
             raise ConfigError(f"num_chains must be positive, got {self.num_chains}")
 
-    @property
+    @cached_property
     def num_stages(self) -> int:
         """Pipeline depth: one radix-4 level per stage (5 at 1,024 chains)."""
         if self.num_chains == 1:

@@ -50,7 +50,7 @@ from repro.plan.superplan import (
     resolve_superplan_mode,
     superplan_key,
 )
-from repro.engine.cp import ControlProcessor, CPStats
+from repro.engine.cp import ControlProcessor
 from repro.engine.vcu import VCU, VCUStats
 from repro.engine.vmu import VMU, PageFault, VMUConfig, VMUStats
 from repro.memory.hbm import HBM
@@ -214,7 +214,9 @@ class CAPESystem:
         #: types smaller than 32 bits ... handled by the microcode").
         self.sew = config.element_bits
         self._models = {config.element_bits: self.model}
-        self._mod = np.int64(1) << self.sew
+        #: ``2**SEW - 1``: ``x & _mask`` is ``x mod 2**SEW`` for every
+        #: int64, negative differences and wrapped products included.
+        self._mask = (1 << self.sew) - 1
         #: Architectural registers written since construction/reset —
         #: the register-file occupancy the runtime schedules against.
         self._written_vregs: set = set()
@@ -307,8 +309,10 @@ class CAPESystem:
         """Restore architectural and stats state without reconstruction.
 
         Re-arms the system for a fresh run — vector registers, vl/vstart,
-        SEW, cycle/energy stats, CP shadow, VCU/VMU counters, and the
-        paging model all return to their initial state. Main-memory
+        SEW, cycle/energy stats, the CP (shadow, counters, and cold
+        caches), VCU/VMU counters, and the paging model all return to
+        their initial state, so a job costs the same whatever ran on the
+        device before it. Main-memory
         *contents* are preserved unless ``clear_memory`` is set, so a
         device pool can reuse one system (and its preloaded data) across
         jobs instead of rebuilding it per run.
@@ -322,8 +326,7 @@ class CAPESystem:
         self.stats = _CAPERunStats(frequency_hz=self.circuit.frequency_hz)
         self._memory_energy_j = 0.0
         self._written_vregs.clear()
-        self.cp.stats = CPStats()
-        self.cp._shadow_budget = 0.0
+        self.cp = ControlProcessor(self.cp.core.config)
         self.vcu.stats = VCUStats()
         self.vmu.stats = VMUStats()
         self.vmu._mapped_pages = None
@@ -354,7 +357,7 @@ class CAPESystem:
         self.sew = bits
         self.model = self._models[bits]
         self.vcu.model = self.model
-        self._mod = np.int64(1) << bits
+        self._mask = (1 << bits) - 1
 
     # ------------------------------------------------------------------
     # Configuration intrinsics
@@ -568,11 +571,9 @@ class CAPESystem:
     def vsra_vi(self, vd: int, vs1: int, shamt: int) -> None:
         """``vsra.vi`` — arithmetic shift right by an immediate."""
         bits = self.sew
-
-        def op(a: np.ndarray, k: int) -> np.ndarray:
-            return to_unsigned(to_signed(a, bits) >> k, bits)
-
-        self._shift("vsra.vi", vd, vs1, shamt, op)
+        self._shift(
+            "vsra.vi", vd, vs1, shamt, lambda a, k: to_signed(a, bits) >> k
+        )
 
     def _shift(self, mnemonic, vd, vs1, shamt, op) -> None:
         if not 0 <= shamt < self.sew:
@@ -580,7 +581,9 @@ class CAPESystem:
                 f"shift amount {shamt} outside [0, {self.sew})"
             )
         sl = self.active_slice
-        self.vregs[vd, sl] = op(self.vregs[vs1, sl], int(shamt)) % self._mod
+        result = op(self.vregs[vs1, sl], int(shamt))
+        result &= self._mask
+        self.vregs[vd, sl] = result
         self._written_vregs.add(vd)
         cycles = self.vcu.dispatch(mnemonic, self.vl - self.vstart)
         self._charge_compute(cycles)
@@ -618,9 +621,7 @@ class CAPESystem:
     def vmsne(self, vd: int, vs1: int, vs2: int) -> None:
         """``vmsne.vv`` — inequality mask."""
         sl = self.active_slice
-        self.vregs[vd, sl] = (
-            self.vregs[vs1, sl] != self.vregs[vs2, sl]
-        ).astype(np.int64)
+        self.vregs[vd, sl] = self.vregs[vs1, sl] != self.vregs[vs2, sl]
         self._written_vregs.add(vd)
         cycles = self.vcu.dispatch("vmsne.vv", self.vl - self.vstart)
         self._charge_compute(cycles)
@@ -652,7 +653,7 @@ class CAPESystem:
         """``vmseq.vx`` — mask of elements equal to a scalar."""
         sl = self.active_slice
         s = to_unsigned(np.int64(scalar), self.sew)
-        self.vregs[vd, sl] = (self.vregs[vs1, sl] == s).astype(np.int64)
+        self.vregs[vd, sl] = self.vregs[vs1, sl] == s
         self._written_vregs.add(vd)
         cycles = self.vcu.dispatch("vmseq.vx", self.vl - self.vstart)
         self._charge_compute(cycles)
@@ -661,9 +662,7 @@ class CAPESystem:
     def vmseq(self, vd: int, vs1: int, vs2: int) -> None:
         """``vmseq.vv``."""
         sl = self.active_slice
-        self.vregs[vd, sl] = (
-            self.vregs[vs1, sl] == self.vregs[vs2, sl]
-        ).astype(np.int64)
+        self.vregs[vd, sl] = self.vregs[vs1, sl] == self.vregs[vs2, sl]
         self._written_vregs.add(vd)
         cycles = self.vcu.dispatch("vmseq.vv", self.vl - self.vstart)
         self._charge_compute(cycles)
@@ -672,10 +671,12 @@ class CAPESystem:
     def vmslt(self, vd: int, vs1: int, vs2: int) -> None:
         """``vmslt.vv`` — signed less-than mask."""
         sl = self.active_slice
-        bits = self.sew
-        a = to_signed(self.vregs[vs1, sl], bits)
-        b = to_signed(self.vregs[vs2, sl], bits)
-        self.vregs[vd, sl] = (a < b).astype(np.int64)
+        # Flipping the sign bit orders the rows as to_signed does, without
+        # the two signed copies: to_signed(x) is just (x ^ sign) - sign.
+        sign = 1 << (self.sew - 1)
+        self.vregs[vd, sl] = (
+            (self.vregs[vs1, sl] ^ sign) < (self.vregs[vs2, sl] ^ sign)
+        )
         self._written_vregs.add(vd)
         cycles = self.vcu.dispatch("vmslt.vv", self.vl - self.vstart)
         self._charge_compute(cycles)
@@ -684,9 +685,7 @@ class CAPESystem:
     def vmsltu(self, vd: int, vs1: int, vs2: int) -> None:
         """``vmsltu.vv`` — unsigned less-than mask."""
         sl = self.active_slice
-        self.vregs[vd, sl] = (
-            self.vregs[vs1, sl] < self.vregs[vs2, sl]
-        ).astype(np.int64)
+        self.vregs[vd, sl] = self.vregs[vs1, sl] < self.vregs[vs2, sl]
         self._written_vregs.add(vd)
         cycles = self.vcu.dispatch("vmsltu.vv", self.vl - self.vstart)
         self._charge_compute(cycles)
@@ -718,7 +717,9 @@ class CAPESystem:
         sl = self.active_slice
         vals = self.vregs[vs1, sl]
         if signed:
-            total = int(to_signed(vals, self.sew).sum())
+            # sum(to_signed(v)) without the signed copy (see vmslt).
+            sign = 1 << (self.sew - 1)
+            total = int((vals ^ sign).sum()) - len(vals) * sign
         else:
             total = int(vals.sum())
         cycles = self.vcu.dispatch(
@@ -918,7 +919,8 @@ class CAPESystem:
         sl = self.active_slice
         a = self.vregs[vs1, sl]
         b = self.vregs[vs2, sl] if vs2 is not None else None
-        result = op(a, b) % self._mod
+        result = op(a, b)  # a fresh array: reduce it in place
+        result &= self._mask
         if mask is not None:
             m = (self.vregs[mask, sl] & 1) == 1
             result = np.where(m, result, self.vregs[vd, sl])
@@ -1021,7 +1023,7 @@ class CAPESystem:
         """
         got = engine.peek(vd)
         want = self.vregs[vd]
-        bits = 1 if mnemonic in MASK_RESULTS else int(self._mod - 1)
+        bits = 1 if mnemonic in MASK_RESULTS else self._mask
         sl = self.active_slice
         outside = np.ones(len(got), dtype=bool)
         outside[sl] = False

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.assoc.instruction_model import InstructionModel
@@ -452,11 +453,11 @@ class VCU:
         ts = self.cycle_source() if self.cycle_source is not None else 0.0
         obs.complete(mnemonic, "microcode", ts=ts, dur=total, tid="vcu", vl=vl)
 
-    @property
+    @cached_property
     def num_controllers(self) -> int:
         return math.ceil(self.num_chains / self.CHAINS_PER_CONTROLLER)
 
-    @property
+    @cached_property
     def distribution_cycles(self) -> int:
         """Pipelined H-tree latency from the global unit to controllers.
 

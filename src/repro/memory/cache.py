@@ -1,16 +1,19 @@
 """A set-associative, write-back, write-allocate cache with MESI states.
 
-Replacement is true LRU within each set. Lines carry a MESI coherence
-state; a single-cache configuration simply never leaves the E/M/I corner
-of the protocol. The coherent bus (``coherence.py``) drives the
-state transitions for multicore configurations.
+Replacement is true LRU within each set: a set is an insertion-ordered
+dict, least recently used line first, so a hit and an eviction cost O(1)
+whatever the associativity. Lines carry a MESI coherence state; a
+single-cache configuration simply never leaves the E/M/I corner of the
+protocol. The coherent bus (``coherence.py``) drives the state
+transitions for multicore configurations.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
 
 from repro.common.errors import ConfigError
 
@@ -43,12 +46,14 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
+_INVALID = MESIState.INVALID
+
+
 @dataclass
 class _Line:
     tag: int
     state: MESIState
     dirty: bool
-    lru: int
 
 
 class Cache:
@@ -82,8 +87,11 @@ class Cache:
         self.name = name
         self.num_sets = size_bytes // (assoc * line_bytes)
         self.stats = CacheStats()
-        self._sets: Dict[int, Dict[int, _Line]] = {}
-        self._tick = 0
+        #: set index -> tag -> line, least recently used first.
+        self._sets: Dict[int, "OrderedDict[int, _Line]"] = {}
+        #: Sets that may hold INVALID lines (only ``set_state`` makes
+        #: them); a fill sweeps just these.
+        self._stale: Set[int] = set()
         #: Line address of the victim evicted by the most recent fill
         #: (dirty or clean), or None. Consumed by victim-cache hooks.
         self.last_victim: Optional[int] = None
@@ -91,14 +99,14 @@ class Cache:
     # ------------------------------------------------------------------
 
     def _locate(self, addr: int) -> Tuple[int, int]:
-        line_addr = addr // self.line_bytes
-        return line_addr % self.num_sets, line_addr // self.num_sets
+        tag, set_idx = divmod(addr // self.line_bytes, self.num_sets)
+        return set_idx, tag
 
     def lookup(self, addr: int) -> Optional[MESIState]:
         """Peek a line's state without touching LRU (snoop path)."""
         set_idx, tag = self._locate(addr)
         line = self._sets.get(set_idx, {}).get(tag)
-        return line.state if line and line.state != MESIState.INVALID else None
+        return line.state if line and line.state is not _INVALID else None
 
     def access(self, addr: int, is_write: bool) -> Tuple[bool, Optional[int]]:
         """Access one address; fill on miss.
@@ -108,34 +116,37 @@ class Cache:
             line address written back when a dirty victim was evicted,
             else ``None``.
         """
-        self._tick += 1
         set_idx, tag = self._locate(addr)
-        lines = self._sets.setdefault(set_idx, {})
+        lines = self._sets.get(set_idx)
+        if lines is None:
+            lines = self._sets[set_idx] = OrderedDict()
         line = lines.get(tag)
-        if line is not None and line.state != MESIState.INVALID:
+        if line is not None and line.state is not _INVALID:
             self.stats.hits += 1
-            line.lru = self._tick
+            lines.move_to_end(tag)
             if is_write:
                 line.dirty = True
                 line.state = MESIState.MODIFIED
             return True, None
 
         self.stats.misses += 1
-        writeback = self._fill(set_idx, tag, is_write)
+        writeback = self._fill(lines, set_idx, tag, is_write)
         return False, writeback
 
-    def _fill(self, set_idx: int, tag: int, is_write: bool) -> Optional[int]:
+    def _fill(
+        self, lines: "OrderedDict[int, _Line]", set_idx: int, tag: int,
+        is_write: bool,
+    ) -> Optional[int]:
         """Insert a line, evicting the LRU way if the set is full."""
-        lines = self._sets.setdefault(set_idx, {})
-        # Reuse an INVALID slot if one exists.
-        invalid = [t for t, l in lines.items() if l.state == MESIState.INVALID]
-        for t in invalid:
-            del lines[t]
+        if set_idx in self._stale:
+            # Reuse INVALID slots (dropping them keeps the LRU order).
+            self._stale.discard(set_idx)
+            for t in [t for t, l in lines.items() if l.state is _INVALID]:
+                del lines[t]
         writeback = None
         self.last_victim = None
         if len(lines) >= self.assoc:
-            victim_tag = min(lines, key=lambda t: lines[t].lru)
-            victim = lines.pop(victim_tag)
+            victim_tag, victim = lines.popitem(last=False)
             self.stats.evictions += 1
             victim_addr = (victim_tag * self.num_sets + set_idx) * self.line_bytes
             self.last_victim = victim_addr
@@ -143,7 +154,7 @@ class Cache:
                 self.stats.writebacks += 1
                 writeback = victim_addr
         state = MESIState.MODIFIED if is_write else MESIState.EXCLUSIVE
-        lines[tag] = _Line(tag=tag, state=state, dirty=is_write, lru=self._tick)
+        lines[tag] = _Line(tag=tag, state=state, dirty=is_write)
         return writeback
 
     # ------------------------------------------------------------------
@@ -156,9 +167,10 @@ class Cache:
         line = self._sets.get(set_idx, {}).get(tag)
         if line is None:
             return
-        if state == MESIState.INVALID:
+        if state is _INVALID:
             self.stats.invalidations_received += 1
             line.dirty = False
+            self._stale.add(set_idx)
         line.state = state
 
     def flush(self) -> int:
@@ -166,7 +178,7 @@ class Cache:
         count = 0
         for lines in self._sets.values():
             for line in lines.values():
-                if line.dirty and line.state != MESIState.INVALID:
+                if line.dirty and line.state is not _INVALID:
                     count += 1
                     line.dirty = False
                     if line.state == MESIState.MODIFIED:
@@ -181,5 +193,5 @@ class Cache:
             1
             for lines in self._sets.values()
             for line in lines.values()
-            if line.state != MESIState.INVALID
+            if line.state is not _INVALID
         )

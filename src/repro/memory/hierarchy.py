@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.common.errors import ConfigError
 from repro.common.units import KIB, MIB
@@ -144,12 +144,6 @@ class CacheHierarchy:
         cycles += max(1, round(fill_s * self.config.frequency_hz))
         self._account(cycles)
         return cycles
-
-    def access_many(
-        self, addrs: Sequence[int], kind: AccessType = AccessType.LOAD
-    ) -> int:
-        """Access a sequence of addresses; returns summed latency."""
-        return sum(self.access(int(a), kind) for a in addrs)
 
     def _account(self, cycles: int) -> None:
         self.total_cycles += cycles

@@ -29,9 +29,31 @@ _DATA = 0  # dimension-major (SoA): dim d's values at base + d*points*4
 
 
 def _golden_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """L1-nearest centroid per point (ties to the lower index)."""
-    dists = np.abs(points[:, None, :] - centroids[None, :, :]).sum(axis=2)
-    return dists.argmin(axis=1)
+    """L1-nearest centroid per point (ties to the lower index).
+
+    ``points`` is dimension-major, shape ``(d, n)``. One pass per
+    centroid keeps a running best distance in O(n) memory; a strict
+    ``<`` leaves ties with the lower index, as ``argmin`` over all k
+    distances would.
+    """
+    n = points.shape[1]
+    assign = np.zeros(n, dtype=np.int64)
+    best = np.empty(n, dtype=np.int64)
+    dist = np.empty(n, dtype=np.int64)
+    term = np.empty(n, dtype=np.int64)
+    for c, centroid in enumerate(centroids):
+        dist.fill(0)
+        for row, value in zip(points, centroid):
+            np.subtract(row, value, out=term)
+            np.abs(term, out=term)
+            dist += term
+        if c == 0:
+            best[:] = dist
+        else:
+            closer = dist < best
+            assign[closer] = c
+            np.minimum(best, dist, out=best)
+    return assign
 
 
 class KMeans(Workload):
@@ -61,14 +83,15 @@ class KMeans(Workload):
 
     def golden(self) -> np.ndarray:
         """Run the reference clustering; returns final assignments."""
+        points = np.ascontiguousarray(self.data.T)  # dimension-major
         centroids = self.initial_centroids.astype(np.int64).copy()
         assign = np.zeros(self.points, dtype=np.int64)
         for _ in range(self.iterations):
-            assign = _golden_assign(self.data, centroids)
+            assign = _golden_assign(points, centroids)
             for c in range(self.k):
-                members = self.data[assign == c]
-                if len(members):
-                    centroids[c] = members.sum(axis=0) // len(members)
+                members = points[:, assign == c]
+                if members.shape[1]:
+                    centroids[c] = members.sum(axis=1) // members.shape[1]
         return assign
 
     # ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.errors import CapacityError, ConfigError
 from repro.engine.system import CAPE131K, CAPE32K, CAPEConfig, CAPESystem
+from repro.isa.interpreter import Machine
 
 
 def test_presets_match_paper_capacities():
@@ -175,3 +176,29 @@ def test_invalid_vl_rejected(tiny_cape):
         tiny_cape.vsetvl(-1)
     with pytest.raises(ConfigError):
         tiny_cape.set_vstart(10**9)
+
+
+def test_reset_leaves_cp_caches_cold():
+    """A job's scalar memory cost is a function of the job alone: after
+    reset() the CP's caches are as cold as on a fresh system."""
+    source = """
+        li a0, 4096
+        li a1, 7
+        sw a1, 0(a0)
+        lw a2, 0(a0)
+        sw a1, 512(a0)
+        lw a3, 512(a0)
+        sw a1, 1024(a0)
+        lw a4, 1024(a0)
+        li t1, 64
+        vsetvli t0, t1, e32
+        vmv.v.x v1, a1
+        vadd.vv v2, v1, v1
+        ecall
+    """
+    cape = CAPESystem(CAPEConfig(name="nano", num_chains=8))  # 256 lanes
+    Machine(source, cape=cape).run()
+    fresh = (cape.stats.cycles, cape.stats.scalar_exposed_cycles)
+    cape.reset()
+    Machine(source, cape=cape).run()
+    assert (cape.stats.cycles, cape.stats.scalar_exposed_cycles) == fresh

@@ -12,17 +12,32 @@ def make_cape():
     return CAPESystem(CAPEConfig(name="t", num_chains=8))  # 256 lanes
 
 
-@settings(max_examples=25, deadline=None)
+#: Python-int references of the binary intrinsics, before the 2**SEW wrap.
+PY_BINARY = {
+    "vadd": lambda x, y, s: x + y,
+    "vsub": lambda x, y, s: x - y,
+    "vmul": lambda x, y, s: x * y,
+    "vand": lambda x, y, s: x & y,
+    "vor": lambda x, y, s: x | y,
+    "vxor": lambda x, y, s: x ^ y,
+    "vadd_vx": lambda x, y, s: x + s,
+    "vrsub_vx": lambda x, y, s: s - x,
+}
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=64),
     st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=64),
     st.lists(st.integers(0, 1), min_size=2, max_size=64),
-    st.sampled_from(["vadd", "vsub", "vmul", "vand", "vor", "vxor"]),
+    st.sampled_from(sorted(PY_BINARY)),
+    st.sampled_from([8, 16, 32]),
+    st.integers(-(2**31), 2**31 - 1),
 )
-def test_masked_binary_ops_preserve_inactive(a, b, m, op):
+def test_masked_binary_ops_preserve_inactive(a, b, m, op, sew, scalar):
     n = min(len(a), len(b), len(m))
     cape = make_cape()
-    cape.vsetvl(n)
+    cape.vsetvl(n, sew=sew)
     av = np.array(a[:n], dtype=np.int64)
     bv = np.array(b[:n], dtype=np.int64)
     mv = np.array(m[:n], dtype=np.int64)
@@ -30,17 +45,63 @@ def test_masked_binary_ops_preserve_inactive(a, b, m, op):
     cape.vregs[2, :n] = bv
     cape.vregs[0, :n] = mv
     cape.vregs[7, :n] = 42
-    getattr(cape, op)(7, 1, 2, mask=0)
-    py_op = {
-        "vadd": lambda x, y: (x + y) % (1 << 32),
-        "vsub": lambda x, y: (x - y) % (1 << 32),
-        "vmul": lambda x, y: (x * y) % (1 << 32),
-        "vand": lambda x, y: x & y,
-        "vor": lambda x, y: x | y,
-        "vxor": lambda x, y: x ^ y,
-    }[op]
-    expected = np.where(mv == 1, py_op(av, bv), 42)
-    assert cape.read_vreg(7).tolist() == expected.tolist()
+    if op.endswith("_vx"):
+        getattr(cape, op)(7, 1, scalar, mask=0)
+    else:
+        getattr(cape, op)(7, 1, 2, mask=0)
+    expected = [
+        PY_BINARY[op](x, y, scalar) % (1 << sew) if on else 42
+        for x, y, on in zip(a[:n], b[:n], m[:n])
+    ]
+    assert cape.read_vreg(7).tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=64,
+    ),
+    st.sampled_from([8, 16, 32]),
+    st.integers(-(2**31), 2**31 - 1),
+    st.data(),
+)
+def test_compares_shifts_and_redsum_match_python_ints(pairs, sew, scalar, data):
+    """Rows are written at SEW 32 and read at ``sew``, so narrow widths
+    also see bits above the element width."""
+    n = len(pairs)
+    a = [x for x, _ in pairs]
+    b = [y for _, y in pairs]
+    cape = make_cape()
+    cape.memory.write_words(0x1000, np.array(a, dtype=np.int64))
+    cape.memory.write_words(0x2000, np.array(b, dtype=np.int64))
+    cape.vsetvl(n, sew=32)
+    cape.vle(1, 0x1000)
+    cape.vle(2, 0x2000)
+    cape.vsetvl(n, sew=sew)
+    wrap = 1 << sew
+    sign = 1 << (sew - 1)
+
+    def signed(x):
+        return (x ^ sign) - sign
+
+    def run(method, *args):
+        getattr(cape, method)(3, *args)
+        return cape.read_vreg(3).tolist()
+
+    assert run("vmslt", 1, 2) == [int(signed(x) < signed(y)) for x, y in pairs]
+    assert run("vmsltu", 1, 2) == [int(x < y) for x, y in pairs]
+    assert run("vmseq", 1, 2) == [int(x == y) for x, y in pairs]
+    assert run("vmseq", 1, 1) == [1] * n
+    assert run("vmseq_vx", 1, scalar) == [int(x == scalar % wrap) for x in a]
+    assert run("vmseq_vx", 1, a[0]) == [int(x == a[0] % wrap) for x in a]
+    shamt = data.draw(st.integers(0, sew - 1), label="shamt")
+    assert run("vsll_vi", 1, shamt) == [(x << shamt) % wrap for x in a]
+    assert run("vsra_vi", 1, shamt) == [
+        (signed(x) >> shamt) % wrap for x in a
+    ]
+    assert cape.vredsum(2) == sum(signed(y) for y in b)
+    assert cape.vredsum(2, signed=False) == sum(b)
 
 
 @settings(max_examples=25, deadline=None)

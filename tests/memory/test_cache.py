@@ -131,3 +131,120 @@ def test_rereferenced_address_always_hits_immediately(addrs):
         cache.access(addr, False)
         hit, _ = cache.access(addr, False)
         assert hit
+
+
+class _MinTickCache:
+    """Oracle: the min-tick LRU the ordered-dict sets replaced.
+
+    Every line carries the tick of its last touch; a fill first drops
+    the set's INVALID lines, then evicts the way with the smallest tick.
+    """
+
+    def __init__(self, size_bytes, assoc, line_bytes):
+        self.assoc, self.line_bytes = assoc, line_bytes
+        self.num_sets = size_bytes // (assoc * line_bytes)
+        self.stats = {"hits": 0, "misses": 0, "evictions": 0,
+                      "writebacks": 0, "invalidations_received": 0}
+        self.sets = {}  # set -> tag -> [state, dirty, lru]
+        self.tick = 0
+        self.last_victim = None
+
+    def _locate(self, addr):
+        line_addr = addr // self.line_bytes
+        return line_addr % self.num_sets, line_addr // self.num_sets
+
+    def lookup(self, addr):
+        set_idx, tag = self._locate(addr)
+        line = self.sets.get(set_idx, {}).get(tag)
+        if line and line[0] != MESIState.INVALID:
+            return line[0]
+        return None
+
+    def access(self, addr, is_write):
+        self.tick += 1
+        set_idx, tag = self._locate(addr)
+        lines = self.sets.setdefault(set_idx, {})
+        line = lines.get(tag)
+        if line is not None and line[0] != MESIState.INVALID:
+            self.stats["hits"] += 1
+            line[2] = self.tick
+            if is_write:
+                line[0], line[1] = MESIState.MODIFIED, True
+            return True, None
+        self.stats["misses"] += 1
+        for t in [t for t, l in lines.items() if l[0] == MESIState.INVALID]:
+            del lines[t]
+        writeback = None
+        self.last_victim = None
+        if len(lines) >= self.assoc:
+            victim_tag = min(lines, key=lambda t: lines[t][2])
+            victim = lines.pop(victim_tag)
+            self.stats["evictions"] += 1
+            victim_addr = (victim_tag * self.num_sets + set_idx) * self.line_bytes
+            self.last_victim = victim_addr
+            if victim[1]:
+                self.stats["writebacks"] += 1
+                writeback = victim_addr
+        state = MESIState.MODIFIED if is_write else MESIState.EXCLUSIVE
+        lines[tag] = [state, is_write, self.tick]
+        return False, writeback
+
+    def set_state(self, addr, state):
+        set_idx, tag = self._locate(addr)
+        line = self.sets.get(set_idx, {}).get(tag)
+        if line is None:
+            return
+        if state == MESIState.INVALID:
+            self.stats["invalidations_received"] += 1
+            line[1] = False
+        line[0] = state
+
+    def flush(self):
+        count = 0
+        for lines in self.sets.values():
+            for line in lines.values():
+                if line[1] and line[0] != MESIState.INVALID:
+                    count += 1
+                    line[1] = False
+                    if line[0] == MESIState.MODIFIED:
+                        line[0] = MESIState.EXCLUSIVE
+        self.stats["writebacks"] += count
+        return count
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(1, 16), (2, 16), (4, 16), (2, 64), (4, 32), (1, 64)]),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_lru_matches_min_tick_oracle(geometry, num_sets, data):
+    assoc, line_bytes = geometry
+    size = num_sets * assoc * line_bytes
+    # Twice as many distinct lines as the cache holds, so hits, LRU
+    # refreshes, invalidations of resident lines and evictions interleave.
+    span = 2 * size
+    addrs = st.integers(0, span - 1)
+    steps = data.draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("access"), addrs, st.booleans()),
+            st.tuples(st.just("invalidate"), addrs, st.none()),
+            st.tuples(st.just("flush"), st.none(), st.none()),
+        ),
+        min_size=30, max_size=100,
+    ))
+    cache = Cache(size, assoc=assoc, line_bytes=line_bytes)
+    oracle = _MinTickCache(size, assoc, line_bytes)
+    for kind, addr, is_write in steps:
+        if kind == "access":
+            assert cache.access(addr, is_write) == oracle.access(addr, is_write)
+            assert cache.last_victim == oracle.last_victim
+        elif kind == "invalidate":
+            cache.set_state(addr, MESIState.INVALID)
+            oracle.set_state(addr, MESIState.INVALID)
+        else:
+            assert cache.flush() == oracle.flush()
+        stats = cache.stats
+        assert {name: getattr(stats, name) for name in oracle.stats} == oracle.stats
+        for probe in range(0, span, line_bytes):
+            assert cache.lookup(probe) == oracle.lookup(probe)

@@ -15,6 +15,7 @@ from repro.workloads.phoenix import (
     StringMatch,
     WordCount,
 )
+from repro.workloads.phoenix.kmeans import _golden_assign
 
 SMALL = CAPEConfig(name="test", num_chains=128)  # 4,096 lanes
 
@@ -30,6 +31,20 @@ TEST_ARGS = {
     "strmatch": dict(n=8192),
 }
 
+#: (cycles, energy_j, vector_instructions, scalar_exposed_cycles) of each
+#: app at TEST_ARGS on SMALL. Host-side rewrites of the register file, the
+#: CP cache model or the reference must leave every figure bit-identical.
+PINNED = {
+    "matmul": (37008.5, 3.617510399999998e-06, 72, 56.5),
+    "pca": (71197.5, 2.400055999999999e-06, 55, 57.5),
+    "lreg": (13361.0, 6.0682880000000005e-06, 8, 0.0),
+    "hist": (11760.0, 9.99423999999999e-07, 512, 377.0),
+    "kmeans": (17540.0, 1.9234250000000027e-06, 208, 0.0),
+    "wrdcnt": (37849.039999999986, 1.1444224e-06, 128, 33899.03999999999),
+    "revidx": (28088.0, 1.1139072000000001e-06, 96, 24810.0),
+    "strmatch": (13689.199999999997, 1.0528768e-06, 32, 11755.199999999997),
+}
+
 
 @pytest.mark.parametrize("name", list(PHOENIX_APPS))
 def test_cape_runs_verify_against_golden(name):
@@ -37,6 +52,19 @@ def test_cape_runs_verify_against_golden(name):
     result = wl.run_cape(CAPESystem(SMALL))
     assert result.checked
     assert result.cycles > 0
+
+
+@pytest.mark.parametrize("name", list(PHOENIX_APPS))
+def test_modeled_costs_are_pinned(name):
+    cape = CAPESystem(SMALL)
+    PHOENIX_APPS[name](**TEST_ARGS[name]).run_cape(cape)
+    stats = cape.stats
+    assert (
+        stats.cycles,
+        stats.energy_j,
+        stats.vector_instructions,
+        stats.scalar_exposed_cycles,
+    ) == PINNED[name]
 
 
 @pytest.mark.parametrize("name", list(PHOENIX_APPS))
@@ -83,6 +111,25 @@ def test_histogram_covers_all_pixels():
 def test_kmeans_assignments_match_golden():
     wl = KMeans(points=1500, dims=3, k=3, iterations=2)
     wl.run_cape(CAPESystem(SMALL))  # verifies assignments internally
+
+
+def test_kmeans_reference_breaks_ties_to_the_lower_index():
+    """Equidistant centroids: the reference keeps the lowest index, like
+    the (n, k, d) broadcast it replaced."""
+    rng = np.random.default_rng(7)
+    points = rng.integers(0, 64, size=(500, 3)).astype(np.int64)
+    # Mirror pairs around each point's neighbourhood: centroids 0/1 and
+    # 2/3 sit at equal L1 distance from every point on the axis between
+    # them, and 4 duplicates 1 outright.
+    centroids = np.array(
+        [[16, 32, 32], [48, 32, 32], [32, 16, 32], [32, 48, 32], [48, 32, 32]],
+        dtype=np.int64,
+    )
+    broadcast = np.abs(points[:, None, :] - centroids[None, :, :]).sum(axis=2)
+    expected = broadcast.argmin(axis=1)
+    ties = (broadcast == broadcast.min(axis=1, keepdims=True)).sum(axis=1) > 1
+    assert ties.sum() > 50  # the case under test actually occurs
+    assert np.array_equal(_golden_assign(points.T.copy(), centroids), expected)
 
 
 def test_kmeans_capacity_distinguishes_designs():
