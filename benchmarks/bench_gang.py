@@ -4,8 +4,8 @@ A homogeneous batch of compute-heavy bit-plane jobs is pushed through a
 :class:`~repro.runtime.pool.DevicePool` of K same-shape devices twice —
 ``gang=False`` (each device walks its own mirror) and ``gang=True``
 (each launch wave becomes one stacked :class:`~repro.gang.GangReplay`
-whose every plan step is a single batched numpy op over all K member
-column blocks). The jobs share their program *structure* (no per-job
+whose every plan step is one int op over packed planes spanning all K
+member column blocks). The jobs share their program *structure* (no per-job
 scalars — a scalar lands in the plan key and would split the gang), so
 every wave gangs at full width.
 

@@ -30,6 +30,52 @@ for mnemonic in ("vadd.vv", "vmul.vv", "vmslt.vv", "vredsum.vs"):
 print("reference == bitplane on", "vadd.vv vmul.vv vmslt.vv vredsum.vs")
 EOF
 
+echo "== lowered replay smoke (odd width) =="
+python - <<'EOF'
+import numpy as np
+
+from repro.csb.chain import Chain
+from repro.engine.bitexec import run_microcode
+from repro.plan import compile_chain_program
+from repro.plan.recorder import NUM_ROWS
+
+# Packed-plane replay at a width that is not a multiple of 8: each plan
+# replays lowered on a 37-column bit-plane chain under a partial window,
+# and through the generic per-primitive path on a reference chain that
+# holds the same bits and tags. Both must end identical, charge for
+# charge (docs/PERFORMANCE.md, "Packed planes").
+S, C, VSTART, VL = 32, 37, 5, 31
+rng = np.random.default_rng(37)
+bits = rng.integers(0, 2, (S, NUM_ROWS, C), dtype=np.uint8)
+tags = rng.integers(0, 2, (S, C), dtype=np.uint8)
+cases = (
+    ("vadd.vv", 2, None), ("vmul.vv", 2, None),
+    ("vmslt.vv", 2, None), ("vsll.vi", None, 3),
+)
+for mnemonic, vs2, scalar in cases:
+    plan = compile_chain_program(
+        S, lambda rec: run_microcode(
+            rec, mnemonic, 3, 1, vs2, scalar, None, 32, False
+        ),
+    )
+    chains = {}
+    for backend in ("bitplane", "reference"):
+        chain = Chain(S, C, backend=backend)
+        for sub, view in enumerate(chain.subarrays):
+            view.bits[:] = bits[sub]
+            view.tags = tags[sub]
+        chain.set_active_window(VSTART, VL - VSTART)
+        plan.replay(chain)
+        chains[backend] = chain
+    fast, ref = chains["bitplane"], chains["reference"]
+    for got, want in zip(fast.subarrays, ref.subarrays):
+        assert np.array_equal(got.bits, want.bits), mnemonic
+        assert np.array_equal(got.tags, want.tags), mnemonic
+    assert fast.stats.counts == ref.stats.counts, mnemonic
+print(f"lowered == generic replay at {C} columns, window [{VSTART}, {VL}):",
+      " ".join(m for m, _, _ in cases))
+EOF
+
 echo "== observability smoke =="
 python - <<'EOF'
 import json

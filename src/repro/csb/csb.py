@@ -31,6 +31,7 @@ from repro.circuits.microops import Microop
 from repro.common.bitutils import bits_to_ints, ints_to_bits
 from repro.common.errors import CapacityError, ConfigError
 from repro.csb.backend import BackendLike
+from repro.csb.bitplane import BitplaneBackend
 from repro.csb.chain import NUM_VREGS, Chain, MetaRow
 from repro.csb.counter import MicroopStats
 from repro.csb.reduction import ReductionTree
@@ -85,8 +86,6 @@ class CSB:
             )
         self.ganged: Optional[Chain] = None
         if self.backend_name == "bitplane":
-            from repro.csb.bitplane import BitplaneBackend
-
             base = BitplaneBackend(
                 num_subarrays, num_rows, num_chains * num_cols
             )
@@ -285,20 +284,34 @@ class CSB:
         (one SEARCH + one REDUCE microop, the bit-parallel flavour of
         Figure 6) and pop-counts each chain's columns separately, so the
         partials feed the same global reduction tree as the per-chain
-        path.
+        path. On a plain bit-plane backend the echo searches touch only
+        the tags, so the whole walk is one pass over the ``width``
+        planes; a fault-wrapped backend searches bit by bit so its
+        scheduled tag flips land where they would.
         """
         width = self.num_subarrays if width is None else width
         ganged = self.ganged
-        active = ganged.active_columns.astype(bool)
-        partials = np.zeros(self.num_chains, dtype=np.int64)
-        for bit in reversed(range(width)):
-            tags = ganged.backend.search(bit, {vreg: 1})
-            hits = (tags.astype(bool) & active).reshape(
-                self.num_cols, self.num_chains
-            )
+        backend = ganged.backend
+        if type(backend) is BitplaneBackend:
+            planes = backend.bits[:width, vreg, :]
+            backend.tags[:width] = planes
+            hits = (planes & ganged.active_columns).reshape(
+                width, self.num_cols, self.num_chains
+            ).sum(axis=1, dtype=np.int64)
+            weights = np.int64(1) << np.arange(width, dtype=np.int64)
+            partials = weights @ hits
+        else:
+            active = ganged.active_columns.astype(bool)
+            partials = np.zeros(self.num_chains, dtype=np.int64)
+            for bit in reversed(range(width)):
+                tags = backend.search(bit, {vreg: 1})
+                hits = (tags.astype(bool) & active).reshape(
+                    self.num_cols, self.num_chains
+                )
+                partials = (partials << 1) + hits.sum(axis=0)
+        for _ in range(width):
             self.stats.record(Microop.SEARCH, bit_parallel=True)
             self.stats.record(Microop.REDUCE, bit_parallel=True)
-            partials = (partials << 1) + hits.sum(axis=0)
         return [int(p) for p in partials]
 
     def _check_vreg(self, vreg: int) -> None:

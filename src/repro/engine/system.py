@@ -581,7 +581,7 @@ class CAPESystem:
                 f"shift amount {shamt} outside [0, {self.sew})"
             )
         sl = self.active_slice
-        result = op(self.vregs[vs1, sl], int(shamt))
+        result = op(self._source(vs1, sl), int(shamt))
         result &= self._mask
         self.vregs[vd, sl] = result
         self._written_vregs.add(vd)
@@ -608,7 +608,7 @@ class CAPESystem:
     def _minmax(self, mnemonic, vd, vs1, vs2, signed, smaller) -> None:
         sl = self.active_slice
         bits = self.sew
-        a, b = self.vregs[vs1, sl], self.vregs[vs2, sl]
+        a, b = self._source(vs1, sl), self._source(vs2, sl)
         if signed:
             a, b = to_signed(a, bits), to_signed(b, bits)
         out = np.minimum(a, b) if smaller else np.maximum(a, b)
@@ -621,7 +621,7 @@ class CAPESystem:
     def vmsne(self, vd: int, vs1: int, vs2: int) -> None:
         """``vmsne.vv`` — inequality mask."""
         sl = self.active_slice
-        self.vregs[vd, sl] = self.vregs[vs1, sl] != self.vregs[vs2, sl]
+        self.vregs[vd, sl] = self._source(vs1, sl) != self._source(vs2, sl)
         self._written_vregs.add(vd)
         cycles = self.vcu.dispatch("vmsne.vv", self.vl - self.vstart)
         self._charge_compute(cycles)
@@ -653,7 +653,7 @@ class CAPESystem:
         """``vmseq.vx`` — mask of elements equal to a scalar."""
         sl = self.active_slice
         s = to_unsigned(np.int64(scalar), self.sew)
-        self.vregs[vd, sl] = self.vregs[vs1, sl] == s
+        self.vregs[vd, sl] = self._source(vs1, sl) == s
         self._written_vregs.add(vd)
         cycles = self.vcu.dispatch("vmseq.vx", self.vl - self.vstart)
         self._charge_compute(cycles)
@@ -662,7 +662,7 @@ class CAPESystem:
     def vmseq(self, vd: int, vs1: int, vs2: int) -> None:
         """``vmseq.vv``."""
         sl = self.active_slice
-        self.vregs[vd, sl] = self.vregs[vs1, sl] == self.vregs[vs2, sl]
+        self.vregs[vd, sl] = self._source(vs1, sl) == self._source(vs2, sl)
         self._written_vregs.add(vd)
         cycles = self.vcu.dispatch("vmseq.vv", self.vl - self.vstart)
         self._charge_compute(cycles)
@@ -675,7 +675,7 @@ class CAPESystem:
         # the two signed copies: to_signed(x) is just (x ^ sign) - sign.
         sign = 1 << (self.sew - 1)
         self.vregs[vd, sl] = (
-            (self.vregs[vs1, sl] ^ sign) < (self.vregs[vs2, sl] ^ sign)
+            (self._source(vs1, sl) ^ sign) < (self._source(vs2, sl) ^ sign)
         )
         self._written_vregs.add(vd)
         cycles = self.vcu.dispatch("vmslt.vv", self.vl - self.vstart)
@@ -685,7 +685,7 @@ class CAPESystem:
     def vmsltu(self, vd: int, vs1: int, vs2: int) -> None:
         """``vmsltu.vv`` — unsigned less-than mask."""
         sl = self.active_slice
-        self.vregs[vd, sl] = self.vregs[vs1, sl] < self.vregs[vs2, sl]
+        self.vregs[vd, sl] = self._source(vs1, sl) < self._source(vs2, sl)
         self._written_vregs.add(vd)
         cycles = self.vcu.dispatch("vmsltu.vv", self.vl - self.vstart)
         self._charge_compute(cycles)
@@ -715,7 +715,7 @@ class CAPESystem:
         roughly 8x faster than an element-wise add (Section V-G).
         """
         sl = self.active_slice
-        vals = self.vregs[vs1, sl]
+        vals = self._source(vs1, sl)
         if signed:
             # sum(to_signed(v)) without the signed copy (see vmslt).
             sign = 1 << (self.sew - 1)
@@ -1136,10 +1136,10 @@ class CAPESystem:
             obs.counter("plan.superplan.instructions").inc(
                 plan.num_instructions
             )
-            # Two monotone series rather than a "saved" delta: LUT
-            # pack/gather splitting can make a fused trace *longer*
-            # than its inputs when nothing is reused (counters must
-            # never decrease).
+            # Two monotone series rather than a "saved" delta: the
+            # instruction-boundary kernels can make a fused trace
+            # *longer* than its inputs when CSE drops nothing
+            # (counters must never decrease).
             obs.counter("plan.superplan.kernels_in").inc(plan.kernels_in)
             obs.counter("plan.superplan.kernels_out").inc(plan.kernels_out)
 
@@ -1281,6 +1281,20 @@ class CAPESystem:
 
     def _read_active(self, vs: int) -> np.ndarray:
         return self.vregs[vs, self.active_slice].copy()
+
+    def _source(self, vs: int, sl: slice) -> np.ndarray:
+        """Source row ``vs`` over ``sl`` as a SEW-bit element.
+
+        A row written at a wider SEW keeps its upper bits, which the
+        microcode (walking only the low SEW bit-slices) never reads; an
+        intrinsic whose result depends on them reads the low SEW bits
+        only. Rows written at full width hold no higher bits, so the
+        full-width path returns the row untouched.
+        """
+        row = self.vregs[vs, sl]
+        if self.sew < self.config.element_bits:
+            return row & self._mask
+        return row
 
     def _charge_compute(self, cycles: float) -> None:
         added = self.cp.vector_issue(cycles)

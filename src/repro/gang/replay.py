@@ -8,9 +8,10 @@ VMU interleave makes fused column ``e`` hold element ``e``, a member
 block is just that device's ganged backend laid side by side with its
 peers: the conceptual ``(devices, planes, cols)`` stack flattened along
 the column axis. Every lowered plan kernel is already width-agnostic
-(plans are shared across device widths since PR 5), so one kernel
-invocation over ``K*C`` columns **is** the batched per-step numpy op —
-searches, updates, and LUT gathers sweep all K devices at once.
+(plans are shared across device widths), so one kernel over ``K*C``-bit
+packed planes (``repro.plan.packed``) **is** the batched per-step op —
+searches, updates, and lookup-table expressions sweep all K devices in
+one int operation.
 
 Per-member state enters through two narrow doors:
 
@@ -50,7 +51,7 @@ from repro.common.errors import ConfigError
 from repro.csb.bitplane import BitplaneBackend
 from repro.csb.reduction import ReductionTree
 from repro.engine.bitexec import MASK_RESULTS
-from repro.plan.plan import _Ctx, _op_rmw
+from repro.plan.packed import pack_bits, run_program
 from repro.plan.recorder import NUM_ROWS
 
 __all__ = ["GangMember", "GangReplay"]
@@ -68,26 +69,6 @@ class GangMember:
         self.charges: Counter = Counter()
         self.ejected = False
         self.eject_reason: Optional[str] = None
-
-
-class _GangCtx:
-    """The :class:`~repro.plan.plan._Ctx` shape over the stacked backend.
-
-    ``chain`` is ``None``: the only lowered kernel that touches it
-    (``_op_rmw``) is intercepted and driven straight at the backend with
-    per-member charge accounting.
-    """
-
-    __slots__ = _Ctx.__slots__
-
-    def __init__(self, backend, active_u8, env) -> None:
-        self.bits = backend.bits
-        self.tags = backend.tags
-        self.env = env
-        self.active_u8 = active_u8
-        self.active_inv = active_u8 ^ 1
-        self.chain = None
-        self.C = backend.num_cols
 
 
 class GangReplay:
@@ -132,6 +113,7 @@ class GangReplay:
         self._full_mask = (np.int64(1) << self.S) - np.int64(1)
         self._active_key: Optional[Tuple] = None
         self._active_u8: Optional[np.ndarray] = None
+        self._active_int = 0
         #: (vd, value_mask, windows) of the op awaiting its sync check.
         self._pending = None
 
@@ -150,6 +132,7 @@ class GangReplay:
             active[k * self.C + vstart: k * self.C + vl] = 1
         self._active_key = windows
         self._active_u8 = active
+        self._active_int = pack_bits(active)
         return active
 
     # -- ejection -------------------------------------------------------
@@ -189,12 +172,11 @@ class GangReplay:
         _, key, plan, _vl, _vstart = rows[0]
         windows = tuple((entry[3], entry[4]) for entry in rows)
         active = self._active(windows)
-        ctx = _GangCtx(self.backend, active, [None] * plan._num_tokens)
-        for fn, payload in plan._lowered:
-            if fn is _op_rmw:
-                self._gang_rmw(payload, ctx, windows)
-            else:
-                fn(payload, ctx)
+
+        def rmw(vd, vs1, fn, width):
+            self._gang_rmw(vd, vs1, fn, width, active, windows)
+
+        run_program(plan.program, self.backend, self._active_int, rmw)
         if plan.charges:
             for member in self.members:
                 if not member.ejected:
@@ -206,11 +188,10 @@ class GangReplay:
         )
         self._pending = (key[4], value_mask, windows)
 
-    def _gang_rmw(self, payload, ctx, windows) -> None:
-        vd, vs1, fn, width = payload
+    def _gang_rmw(self, vd, vs1, fn, width, active, windows) -> None:
         width = self.S if width is None else width
         mask = (1 << width) - 1
-        self.backend.map_register(vd, vs1, fn, mask, active=ctx.active_u8)
+        self.backend.map_register(vd, vs1, fn, mask, active=active)
         for k, (vl, vstart) in enumerate(windows):
             n = vl - vstart
             member = self.members[k]
@@ -240,17 +221,26 @@ class GangReplay:
             if not self.members[k].ejected and bad[self.member_slice(k)].any():
                 self._eject(k, f"op divergence on v{vd}")
 
+    def _echo_planes(self, vreg: int, width: int) -> np.ndarray:
+        """Bit planes ``0..width-1`` of ``vreg``, echoed through the tags.
+
+        The state the per-bit echo searches of the reduction walk leave
+        behind (each bit-slice's tags latch its plane), in one copy.
+        """
+        planes = self.backend.bits[:width, vreg, :]
+        self.backend.tags[:width] = planes
+        return planes
+
     def _replay_redsum(self, rows) -> None:
         _, vs1, width, _vl, _vstart, _exp = rows[0]
         windows = tuple((entry[3], entry[4]) for entry in rows)
-        active = self._active(windows).astype(bool)
-        partials = np.zeros((self.K, self.num_chains), dtype=np.int64)
-        for bit in reversed(range(width)):
-            tags = self.backend.search(bit, {vs1: 1})
-            hits = (tags.astype(bool) & active).reshape(
-                self.K, self.cols_per_chain, self.num_chains
-            )
-            partials = (partials << 1) + hits.sum(axis=1)
+        active = self._active(windows)
+        hits = (self._echo_planes(vs1, width) & active).reshape(
+            width, self.K, self.cols_per_chain, self.num_chains
+        ).sum(axis=2, dtype=np.int64)
+        # Per member and chain: sum over bits of popcount << bit.
+        weights = np.int64(1) << np.arange(width, dtype=np.int64)
+        partials = np.tensordot(weights, hits, axes=1)
         for k, entry in enumerate(rows):
             member = self.members[k]
             if member.ejected:
@@ -266,11 +256,10 @@ class GangReplay:
         vm = rows[0][1]
         windows = tuple((entry[2], entry[3]) for entry in rows)
         active = self._active(windows)
-        tags = self.backend.search(0, {vm: 1})
-        masked = tags & active
+        counts = (self._echo_planes(vm, 1)[0] & active).reshape(
+            self.K, self.C
+        ).sum(axis=1)
         for k, entry in enumerate(rows):
             member = self.members[k]
-            if member.ejected:
-                continue
-            if int(masked[self.member_slice(k)].sum()) != entry[4]:
+            if not member.ejected and int(counts[k]) != entry[4]:
                 self._eject(k, "popcount divergence")

@@ -1,4 +1,4 @@
-"""Compiled microcode plans: record once, replay as batched kernels.
+"""Compiled microcode plans: record once, replay as packed-plane kernels.
 
 A :class:`CompiledPlan` is the immutable result of running a microcode
 body (an associative algorithm, or the sequencer-FSM walk of a truth
@@ -6,12 +6,11 @@ table) against a :class:`~repro.plan.recorder.RecordingChain`. It holds
 
 * the flat step stream (the exact chain-level microoperation sequence),
 * the stream's static microop charges (pre-summed per flavour), and
-* a *lowered* program for the bit-plane backend: steps pre-translated
-  into direct kernels over the backend's fused ``bits``/``tags``
-  matrices, with runs of accumulating searches over the same subarray
-  batched into a single lookup-table kernel (pack the driven row planes
-  into an index, one table gather replaces up to ``MAX_SEARCH_ROWS``-row
-  search cascades).
+* a *lowered* :class:`~repro.plan.packed.Program` for the bit-plane
+  backend: steps pre-translated into int kernels over packed bit planes
+  (one Python int per ``(subarray, row)`` plane and per tag row), with
+  runs of accumulating searches over the same subarray compiled into one
+  bitwise expression of their truth table (up to ``MAX_LUT_ROWS`` rows).
 
 Replay has two flavours with identical architectural effects:
 
@@ -19,10 +18,11 @@ Replay has two flavours with identical architectural effects:
   :class:`~repro.csb.chain.Chain` API. Bit-exact and charge-exact by
   construction; used for the reference backend, fault-wrapped backends,
   and traced runs (``stats.keep_trace`` needs the interleaved order).
-* **lowered** — run the pre-translated kernels straight on a
-  :class:`~repro.csb.bitplane.BitplaneBackend`, then apply the static
-  charges in bulk. Same state transitions, same microop totals, same
-  observer counters — just far fewer Python dispatches.
+* **lowered** — :func:`~repro.plan.packed.run_program` packs the planes
+  the program touches, runs the kernels, writes back what they wrote,
+  then the static charges are applied in bulk. Same state transitions,
+  same microop totals, same observer counters — just far fewer Python
+  dispatches, each one a few int operations.
 
 Plans are pure: they capture no chain state, only structure, so one plan
 serves every device whose chains share the subarray count (column count
@@ -33,14 +33,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.csb.bitplane import BitplaneBackend
+from repro.plan import packed
 from repro.plan.recorder import RecordingChain, Token
-
-#: Largest row-union a batched search group may pack into one lookup
-#: table (2^10 = 1 KiB tables; real microcode unions stay at <= 4 rows).
-MAX_LUT_ROWS = 10
 
 
 def compile_chain_program(num_subarrays: int, body) -> "CompiledPlan":
@@ -74,229 +69,6 @@ def _mark_consumed(spec, consumed) -> None:
             _mark_consumed(item, consumed)
 
 
-class _Ctx:
-    """Per-replay context handed to every lowered kernel."""
-
-    __slots__ = (
-        "bits", "tags", "env", "active_u8", "active_inv", "chain", "C",
-    )
-
-    def __init__(self, chain, env) -> None:
-        backend = chain.backend
-        self.bits = backend.bits
-        self.tags = backend.tags
-        self.env = env
-        self.active_u8 = chain.active_columns
-        self.active_inv = chain.active_columns ^ 1
-        self.chain = chain
-        self.C = backend.num_cols
-
-
-# ---------------------------------------------------------------------------
-# Lowered kernels. Each takes (payload, ctx) and mutates the backend
-# state exactly like the corresponding Chain method (minus accounting,
-# which the plan applies in bulk). Masked writes are expressed as
-# in-place ``|=`` / ``&=`` over the 0/1 planes — writing value v under
-# select s is ``plane |= s`` (v=1) or ``plane &= ~s`` (v=0) — because a
-# masked ``np.copyto`` on the strided plane views costs ~40x more.
-# ---------------------------------------------------------------------------
-
-def _match(ctx: _Ctx, sub: int, items) -> np.ndarray:
-    bits = ctx.bits
-    if not items:
-        return np.ones(ctx.C, dtype=np.uint8)
-    # Seed the accumulator from the first term (``^ 1`` already yields a
-    # fresh array; ``copy`` keeps the in-place ``&=`` off the live plane)
-    # instead of allocating an all-ones array and AND-ing into it.
-    row, want = items[0]
-    plane = bits[sub, row]
-    match = plane.copy() if want else plane ^ 1
-    for row, want in items[1:]:
-        plane = bits[sub, row]
-        match &= plane if want else plane ^ 1
-    return match
-
-
-def _op_search(payload, ctx: _Ctx) -> None:
-    sub, items, accumulate, out = payload
-    match = _match(ctx, sub, items)
-    tags = ctx.tags[sub]
-    if accumulate:
-        tags |= match
-    else:
-        tags[:] = match
-    if out is not None:
-        ctx.env[out] = tags.copy()
-
-
-def _op_search_next(payload, ctx: _Ctx) -> None:
-    sub, nxt, items, accumulate, out = payload
-    match = _match(ctx, sub, items)
-    tags = ctx.tags[nxt]
-    if accumulate:
-        tags |= match
-    else:
-        tags[:] = match
-    if out is not None:
-        ctx.env[out] = match
-
-
-def _op_search_bp(payload, ctx: _Ctx) -> None:
-    terms, accumulate, out = payload
-    bits = ctx.bits
-
-    def term_planes(kind, row, want):
-        planes = bits[:, row, :]
-        if kind == 1:
-            return planes
-        if kind == 0:
-            return planes ^ 1
-        return np.where(
-            want == 1, planes, np.where(want == 0, planes ^ 1, np.uint8(1))
-        )
-
-    if terms:
-        # Seed from the first term; only the ``kind == 1`` raw-plane view
-        # needs a copy before the in-place ``&=``.
-        kind, row, want = terms[0]
-        first = term_planes(kind, row, want)
-        match = first.copy() if kind == 1 else first
-        for kind, row, want in terms[1:]:
-            match &= term_planes(kind, row, want)
-    else:
-        match = np.ones((ctx.tags.shape[0], ctx.C), dtype=np.uint8)
-    if accumulate:
-        ctx.tags |= match
-    else:
-        ctx.tags[:] = match
-    if out is not None:
-        ctx.env[out] = ctx.tags.copy()
-
-
-def _op_search_lut(payload, ctx: _Ctx) -> None:
-    sub, dest, rows, lut = payload
-    bits = ctx.bits
-    acc = bits[sub, rows[0]].astype(np.int16)
-    for k in range(1, len(rows)):
-        acc |= bits[sub, rows[k]].astype(np.int16) << k
-    ctx.tags[dest][:] = lut[acc]
-
-
-def _op_update(payload, ctx: _Ctx) -> None:
-    sub, row, value = payload
-    sel = ctx.tags[sub] & ctx.active_u8
-    if value:
-        ctx.bits[sub, row] |= sel
-    else:
-        ctx.bits[sub, row] &= sel ^ 1
-
-
-def _op_update_prop(payload, ctx: _Ctx) -> None:
-    sub, nxt, row, value, next_row, next_value = payload
-    here = ctx.tags[sub] & ctx.active_u8
-    there = ctx.tags[nxt] & ctx.active_u8
-    if value:
-        ctx.bits[sub, row] |= here
-    else:
-        ctx.bits[sub, row] &= here ^ 1
-    if next_value:
-        ctx.bits[nxt, next_row] |= there
-    else:
-        ctx.bits[nxt, next_row] &= there ^ 1
-
-
-def _op_update_next(payload, ctx: _Ctx) -> None:
-    nxt, row, value = payload
-    sel = ctx.tags[nxt] & ctx.active_u8
-    if value:
-        ctx.bits[nxt, row] |= sel
-    else:
-        ctx.bits[nxt, row] &= sel ^ 1
-
-
-def _op_update_row_full(payload, ctx: _Ctx) -> None:
-    sub, row, value = payload
-    if value:
-        ctx.bits[sub, row] |= ctx.active_u8
-    else:
-        ctx.bits[sub, row] &= ctx.active_inv
-
-
-def _op_update_bp(payload, ctx: _Ctx) -> None:
-    row, value, use_tags = payload
-    plane = ctx.bits[:, row, :]
-    if use_tags:
-        sel = ctx.tags & ctx.active_u8
-        if value:
-            plane |= sel
-        else:
-            plane &= sel ^ 1
-    elif value:
-        plane |= ctx.active_u8
-    else:
-        plane &= ctx.active_inv
-
-
-def _op_update_bp_select(payload, ctx: _Ctx) -> None:
-    row, value, select = payload
-    sel = ctx.env[select.index] if type(select) is Token else select
-    sel = sel & ctx.active_u8
-    if value:
-        ctx.bits[:, row, :] |= sel
-    else:
-        ctx.bits[:, row, :] &= sel ^ 1
-
-
-def _op_update_bp_values(payload, ctx: _Ctx) -> None:
-    row, data, use_tags = payload
-    plane = ctx.bits[:, row, :]
-    if use_tags:
-        sel = ctx.tags & ctx.active_u8
-        plane &= sel ^ 1
-        plane |= data & sel
-    else:
-        plane &= ctx.active_inv
-        plane |= data & ctx.active_u8
-
-
-def _op_set_tags(payload, ctx: _Ctx) -> None:
-    sub, tags = payload
-    value = ctx.env[tags.index] if type(tags) is Token else tags
-    ctx.tags[sub][:] = np.asarray(value, dtype=np.uint8) & 1
-
-
-def _op_clear_tags(payload, ctx: _Ctx) -> None:
-    ctx.tags[:] = 0
-
-
-def _op_combine_and(payload, ctx: _Ctx) -> None:
-    limit, out = payload
-    if limit:
-        ctx.env[out] = np.bitwise_and.reduce(ctx.tags[:limit], axis=0)
-    else:
-        ctx.env[out] = np.ones(ctx.C, dtype=np.uint8)
-
-
-def _op_combine_or(payload, ctx: _Ctx) -> None:
-    limit, out = payload
-    if limit:
-        ctx.env[out] = np.bitwise_or.reduce(ctx.tags[:limit], axis=0)
-    else:
-        ctx.env[out] = np.zeros(ctx.C, dtype=np.uint8)
-
-
-def _op_redsum_step(payload, ctx: _Ctx) -> None:
-    sub, row, out = payload
-    tags = ctx.tags[sub]
-    tags[:] = ctx.bits[sub, row]
-    ctx.env[out] = int((tags & ctx.active_u8).sum())
-
-
-def _op_rmw(payload, ctx: _Ctx) -> None:
-    vd, vs1, fn, width = payload
-    ctx.chain.rmw_register(vd, vs1, fn, width)
-
-
 class CompiledPlan:
     """An immutable, replayable microcode program.
 
@@ -319,8 +91,10 @@ class CompiledPlan:
                 if type(arg) is Token:
                     consumed.add(arg.index)
         _mark_consumed(result_spec, consumed)
-        self._consumed = consumed
-        self._lowered = self._lower()
+        #: The lowered packed-plane program (see :mod:`repro.plan.packed`).
+        self.program = packed.lower(
+            self.steps, consumed, self.num_subarrays, self._num_tokens
+        )
 
     # -- introspection --------------------------------------------------
 
@@ -331,140 +105,13 @@ class CompiledPlan:
     @property
     def num_kernels(self) -> int:
         """Lowered kernel count (≤ ``num_steps`` thanks to batching)."""
-        return len(self._lowered)
+        return len(self.program.kernels)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CompiledPlan(subarrays={self.num_subarrays}, "
             f"steps={self.num_steps}, kernels={self.num_kernels})"
         )
-
-    # -- lowering -------------------------------------------------------
-
-    def _lower(self) -> List[Tuple]:
-        """Translate the step stream into bit-plane kernels, batching
-        consecutive accumulate-search runs into lookup-table gathers."""
-        program: List[Tuple] = []
-        group: List[Tuple[int, dict]] = []   # (src_sub, key) of the run
-        group_dest = group_src = None
-
-        def flush() -> None:
-            nonlocal group, group_dest, group_src
-            if not group:
-                return
-            if len(group) == 1:
-                sub, key = group[0]
-                items = tuple(key.items())
-                if group_dest == sub:
-                    program.append(
-                        (_op_search, (sub, items, False, None))
-                    )
-                else:
-                    program.append(
-                        (_op_search_next, (sub, group_dest, items, False, None))
-                    )
-            else:
-                rows = sorted({row for _sub, key in group for row in key})
-                lut = np.zeros(1 << len(rows), dtype=np.uint8)
-                index = np.arange(lut.size)
-                for _sub, key in group:
-                    mask_bits = want_bits = 0
-                    for k, row in enumerate(rows):
-                        if row in key:
-                            mask_bits |= 1 << k
-                            want_bits |= key[row] << k
-                    lut[(index & mask_bits) == want_bits] = 1
-                program.append(
-                    (_op_search_lut,
-                     (group_src, group_dest, tuple(rows), lut))
-                )
-            group = []
-            group_dest = group_src = None
-
-        for method, args, out in self.steps:
-            out = out if (out is not None and out in self._consumed) else None
-            if method in ("search", "search_accumulate_next"):
-                sub, key, accumulate = args
-                dest = (
-                    sub if method == "search"
-                    else (sub + 1) % self.num_subarrays
-                )
-                if out is None:
-                    if group and accumulate and sub == group_src \
-                            and dest == group_dest \
-                            and len({row for _s, k in group for row in k}
-                                    | set(key)) <= MAX_LUT_ROWS:
-                        group.append((sub, key))
-                        continue
-                    flush()
-                    if not accumulate:
-                        group = [(sub, key)]
-                        group_src, group_dest = sub, dest
-                        continue
-                flush()
-                items = tuple(key.items())
-                if method == "search":
-                    program.append((_op_search, (sub, items, accumulate, out)))
-                else:
-                    program.append(
-                        (_op_search_next, (sub, dest, items, accumulate, out))
-                    )
-                continue
-            flush()
-            if method == "search_bit_parallel":
-                keys, accumulate = args
-                rows = sorted({row for key in keys for row in key})
-                terms = []
-                for row in rows:
-                    wants = [key.get(row, -1) for key in keys]
-                    if all(w == 1 for w in wants):
-                        terms.append((1, row, None))
-                    elif all(w == 0 for w in wants):
-                        terms.append((0, row, None))
-                    else:
-                        terms.append(
-                            (-1, row, np.array(wants, dtype=np.int8)[:, None])
-                        )
-                program.append((_op_search_bp, (tuple(terms), accumulate, out)))
-            elif method == "update":
-                program.append((_op_update, args))
-            elif method == "update_prop":
-                sub, row, value, next_row, next_value = args
-                nxt = (sub + 1) % self.num_subarrays
-                program.append(
-                    (_op_update_prop,
-                     (sub, nxt, row, value, next_row, next_value))
-                )
-            elif method == "update_next":
-                sub, next_row, value = args
-                nxt = (sub + 1) % self.num_subarrays
-                program.append((_op_update_next, (nxt, next_row, value)))
-            elif method == "update_row_full":
-                program.append((_op_update_row_full, args))
-            elif method == "update_bit_parallel":
-                program.append((_op_update_bp, args))
-            elif method == "update_bit_parallel_select":
-                program.append((_op_update_bp_select, args))
-            elif method == "update_bit_parallel_values":
-                row, values, use_tags = args
-                data = (np.asarray(values, dtype=np.uint8) & 1)[:, None]
-                program.append((_op_update_bp_values, (row, data, use_tags)))
-            elif method == "set_tags":
-                program.append((_op_set_tags, args))
-            elif method == "clear_tags":
-                program.append((_op_clear_tags, None))
-            elif method == "combine_tags_serial":
-                program.append((_op_combine_and, (args[0], out)))
-            elif method == "combine_tags_serial_or":
-                program.append((_op_combine_or, (args[0], out)))
-            elif method == "redsum_step":
-                program.append((_op_redsum_step, (*args, out)))
-            elif method == "rmw_register":
-                program.append((_op_rmw, args))
-            else:  # pragma: no cover - recorder and plan must stay in sync
-                raise AssertionError(f"unloweable step {method!r}")
-        flush()
-        return program
 
     # -- replay ---------------------------------------------------------
 
@@ -478,15 +125,16 @@ class CompiledPlan:
         the chain API) and only when the stats recorder is not keeping a
         microop trace (bulk charging would reorder the trace).
         """
-        env: List = [None] * self._num_tokens
         stats = chain.stats
         if type(chain.backend) is BitplaneBackend and not stats.keep_trace:
-            ctx = _Ctx(chain, env)
-            for fn, payload in self._lowered:
-                fn(payload, ctx)
+            env = packed.run_program(
+                self.program, chain.backend,
+                packed.pack_bits(chain.active_columns), chain.rmw_register,
+            )
             for (op, bit_parallel), n in self.charges.items():
                 stats.record(op, bit_parallel, n)
             return _resolve(self.result_spec, env)
+        env: List = [None] * self._num_tokens
         for method, args, out in self.steps:
             bound = tuple(
                 env[arg.index] if type(arg) is Token else arg for arg in args

@@ -6,22 +6,21 @@ PR 5's :class:`~repro.plan.plan.CompiledPlan` amortises the FSM walk of
 fresh pass over each plan's kernels. A :class:`Superplan` records a whole
 kernel's instruction sequence (collected by
 ``CAPESystem.superplan_scope``) and fuses the per-instruction lowered
-programs into a single kernel stream with three optimisations:
+programs into a single kernel stream with two optimisations:
 
 * **window hoisting** — the active window is programmed once per fused
   segment instead of once per instruction (``vsetvl``/``vstart`` changes
   are flush points, so the window is loop-invariant by construction);
-* **search/LUT-gather CSE** — a search or LUT gather whose driven bit
+* **search/LUT CSE** — a search or lookup-table kernel whose driven bit
   planes and destination tags are untouched since an identical earlier
-  step would recompute the tags it already produced, and is dropped
-  (loop-invariant searches hoist out of bit-serial walks this way);
-* **pack reuse** — LUT gathers over the same ``(subarray, rows)`` pack
-  share the packed index vector until one of the packed planes is
-  written, turning most gathers into a single table lookup;
-* **LUT stacking** — a final peephole collapses each ``pack; gather...``
-  run over one slot into a single kernel whose stacked ``(k, 256)`` LUT
-  matrix resolves all adjacent lookups with one ``take`` (byte-identical
-  to the unfused sequence; see :func:`_peephole_luts`).
+  kernel would recompute the tags it already produced, and is dropped
+  (loop-invariant searches hoist out of bit-serial walks this way).
+
+Every member's lowered kernels — packed-plane int kernels, with each
+accumulating search group compiled into one bitwise expression of its
+truth table (``repro.plan.packed``) — are concatenated into one
+:class:`~repro.plan.packed.Program`, so the fused stream packs each
+touched row once per flush and writes back only what it wrote.
 
 Cycle/energy charging is untouched (it is functional-side, per
 instruction); the fused stream's static microop charges are the *sum* of
@@ -43,32 +42,11 @@ faulty per-primitive paths are untouched (``docs/PERFORMANCE.md``).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.plan.plan import (
-    CompiledPlan,
-    _Ctx,
-    _op_clear_tags,
-    _op_combine_and,
-    _op_combine_or,
-    _op_redsum_step,
-    _op_rmw,
-    _op_search,
-    _op_search_bp,
-    _op_search_lut,
-    _op_search_next,
-    _op_set_tags,
-    _op_update,
-    _op_update_bp,
-    _op_update_bp_select,
-    _op_update_bp_values,
-    _op_update_next,
-    _op_update_prop,
-    _op_update_row_full,
-)
+from repro.plan import packed
+from repro.plan.plan import CompiledPlan
 
 __all__ = [
     "SUPERPLAN_MODES",
@@ -102,160 +80,31 @@ def superplan_key(num_subarrays: int, sew: int, op_keys: Sequence) -> tuple:
     return ("superplan", num_subarrays, sew, tuple(op_keys))
 
 
-class _SuperCtx(_Ctx):
-    """Replay context with a pack-slot store for shared LUT indices."""
-
-    __slots__ = ("packs",)
-
-
-# ---------------------------------------------------------------------------
-# Fused-only kernels
-# ---------------------------------------------------------------------------
-
-
-def _op_new_env(payload, ctx) -> None:
-    """Instruction boundary: fresh token environment for the next plan."""
-    ctx.env = [None] * payload
-
-
-def _op_lut_pack(payload, ctx) -> None:
-    """Pack the driven row planes into a shared index vector.
-
-    ``weights @ planes`` sums ``plane[k] << k`` over the gathered row
-    matrix in one call — measurably faster than a shift/or loop on the
-    narrow per-subarray planes.
-    """
-    slot, sub, rows_arr, weights = payload
-    ctx.packs[slot] = weights @ ctx.bits[sub, rows_arr]
-
-
-def _op_lut_gather(payload, ctx) -> None:
-    """Table lookup over a previously packed index vector."""
-    slot, dest, lut = payload
-    ctx.tags[dest][:] = lut[ctx.packs[slot]]
-
-
-def _op_lut_pack_gather(payload, ctx) -> None:
-    """Pack a row set and gather every adjacent lookup in one step.
-
-    The peephole form of ``pack; gather; gather; ...`` over one slot:
-    the packed vector is still stored (a later non-adjacent gather may
-    reuse the slot) and the stacked LUT matrix resolves all adjacent
-    lookups with a single ``take``.
-    """
-    slot, sub, rows_arr, weights, dests, stacked = payload
-    acc = weights @ ctx.bits[sub, rows_arr]
-    ctx.packs[slot] = acc
-    rows_out = stacked.take(acc, axis=1)
-    tags = ctx.tags
-    for i in range(len(dests)):
-        tags[dests[i]][:] = rows_out[i]
-
-
-def _op_lut_gather_multi(payload, ctx) -> None:
-    """Adjacent gathers over one already-packed slot, single ``take``."""
-    slot, dests, stacked = payload
-    rows_out = stacked.take(ctx.packs[slot], axis=1)
-    tags = ctx.tags
-    for i in range(len(dests)):
-        tags[dests[i]][:] = rows_out[i]
-
-
-# ---------------------------------------------------------------------------
-# Fusion-time effect tracking
-# ---------------------------------------------------------------------------
-#
-# The optimiser walks the concatenated kernel streams once, maintaining
-# version counters for every bit plane (sub, row) and tag row it has
-# seen written. A candidate step may be dropped (or its pack reused)
-# only when every plane it reads and the tags it writes are at the same
-# version as when the identical step last ran — i.e. re-running it would
-# be a byte-identical no-op. ``rmw_register`` routes through the live
-# chain and is treated as a full barrier.
-
-
 class _Versions:
-    """Write-version counters for bit planes and tag rows."""
+    """Write-version counters for packed-plane slots and tag rows.
 
-    def __init__(self, num_subarrays: int) -> None:
-        self.num_subarrays = num_subarrays
+    A candidate kernel may be dropped only when every plane it reads and
+    the tags it writes are at the same version as when the identical
+    kernel last ran — i.e. re-running it would be a no-op.
+    """
+
+    def __init__(self) -> None:
         self._clock = 0
-        self.bits: Dict[Tuple[int, int], int] = {}
+        self.planes: Dict[int, int] = {}
         self.tags: Dict[int, int] = {}
-        self._tags_all = 0
 
-    def tick(self) -> int:
+    def write(self, planes, tags) -> None:
         self._clock += 1
-        return self._clock
+        for i in planes:
+            self.planes[i] = self._clock
+        for sub in tags:
+            self.tags[sub] = self._clock
 
-    def write_bits(self, sub: int, row: int) -> None:
-        self.bits[(sub, row)] = self.tick()
+    def read(self, planes) -> int:
+        return max((self.planes.get(i, 0) for i in planes), default=0)
 
-    def write_bits_row(self, row: int) -> None:
-        t = self.tick()
-        for sub in range(self.num_subarrays):
-            self.bits[(sub, row)] = t
-
-    def write_tags(self, sub: int) -> None:
-        self.tags[sub] = self.tick()
-
-    def write_tags_all(self) -> None:
-        self._tags_all = self.tick()
-        self.tags.clear()
-
-    def barrier(self) -> None:
-        t = self.tick()
-        for key in self.bits:
-            self.bits[key] = t
-        self._tags_all = t
-        self.tags.clear()
-
-    def bits_ver(self, sub: int, row: int) -> int:
-        return self.bits.get((sub, row), 0)
-
-    def tags_ver(self, sub: int) -> int:
-        return max(self.tags.get(sub, 0), self._tags_all)
-
-
-def _apply_effects(fn, payload, vers: _Versions) -> None:
-    """Record a kernel's writes into the version counters."""
-    if fn in (_op_search, _op_search_lut):
-        vers.write_tags(payload[0] if fn is _op_search else payload[1])
-    elif fn is _op_search_next:
-        vers.write_tags(payload[1])
-    elif fn in (_op_search_bp, _op_clear_tags):
-        vers.write_tags_all()
-    elif fn is _op_update:
-        vers.write_bits(payload[0], payload[1])
-    elif fn is _op_update_prop:
-        sub, nxt, row, _v, next_row, _nv = payload
-        vers.write_bits(sub, row)
-        vers.write_bits(nxt, next_row)
-    elif fn is _op_update_next:
-        vers.write_bits(payload[0], payload[1])
-    elif fn is _op_update_row_full:
-        vers.write_bits(payload[0], payload[1])
-    elif fn in (_op_update_bp, _op_update_bp_select, _op_update_bp_values):
-        vers.write_bits_row(payload[0])
-    elif fn is _op_set_tags:
-        vers.write_tags(payload[0])
-    elif fn is _op_redsum_step:
-        vers.write_tags(payload[0])
-    elif fn is _op_rmw:
-        vers.barrier()
-    # _op_combine_and/_op_combine_or/_op_lut_gather read-only on state.
-
-
-def _search_reads(fn, payload, vers: _Versions) -> int:
-    """Newest version among the planes a search-like kernel reads."""
-    if fn is _op_search or fn is _op_search_next:
-        sub = payload[0]
-        items = payload[2] if fn is _op_search_next else payload[1]
-        return max((vers.bits_ver(sub, row) for row, _w in items), default=0)
-    if fn is _op_search_lut:
-        sub, _dest, rows, _lut = payload
-        return max((vers.bits_ver(sub, row) for row in rows), default=0)
-    raise AssertionError(fn)
+    def tag(self, sub: int) -> int:
+        return self.tags.get(sub, 0)
 
 
 class Superplan:
@@ -274,7 +123,6 @@ class Superplan:
         "program",
         "charges",
         "writes",
-        "num_packs",
         "num_instructions",
         "kernels_in",
         "kernels_out",
@@ -284,22 +132,20 @@ class Superplan:
         self,
         key,
         num_subarrays: int,
-        program: List[Tuple],
+        kernels: List[Tuple],
         charges: Counter,
         writes: Tuple[Tuple[int, bool], ...],
-        num_packs: int,
         num_instructions: int,
         kernels_in: int,
     ) -> None:
         self.key = key
         self.num_subarrays = num_subarrays
-        self.program = tuple(program)
+        self.program = packed.Program(kernels, num_subarrays, 0)
         self.charges = dict(charges)
         self.writes = writes
-        self.num_packs = num_packs
         self.num_instructions = num_instructions
         self.kernels_in = kernels_in
-        self.kernels_out = len(program)
+        self.kernels_out = len(kernels)
 
     def replay(self, chain) -> None:
         """Run the fused stream on a live ganged chain, then bulk-charge.
@@ -309,10 +155,10 @@ class Superplan:
         trace (the same precondition as the lowered per-instruction
         path); validation and mirror re-sync are the caller's job.
         """
-        ctx = _SuperCtx(chain, [])
-        ctx.packs = [None] * self.num_packs
-        for fn, payload in self.program:
-            fn(payload, ctx)
+        packed.run_program(
+            self.program, chain.backend,
+            packed.pack_bits(chain.active_columns), chain.rmw_register,
+        )
         stats = chain.stats
         for (op, bit_parallel), n in self.charges.items():
             stats.record(op, bit_parallel, n)
@@ -320,8 +166,7 @@ class Superplan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Superplan({self.num_instructions} instrs, "
-            f"{self.kernels_in}->{self.kernels_out} kernels, "
-            f"{self.num_packs} packs)"
+            f"{self.kernels_in}->{self.kernels_out} kernels)"
         )
 
 
@@ -335,17 +180,14 @@ def fuse_plans(
     ``entries`` is the recorded sequence: ``(mnemonic, vd, is_mask,
     plan)`` per instruction in dispatch order. Charges are summed over
     the *unoptimised* streams so microop totals match per-instruction
-    replay exactly; CSE and pack reuse only drop redundant kernels.
+    replay exactly; CSE only drops redundant kernels.
     """
-    program: List[Tuple] = []
+    kernels: List[Tuple] = []
     charges: Counter = Counter()
-    vers = _Versions(num_subarrays)
-    #: (fn, hashable payload) -> (read version at emit, dest-tags version
-    #: just after emit) for droppable search-like kernels.
+    versions = _Versions()
+    #: (fn, payload) -> (read version at emit, dest-tags version just
+    #: after emit) for droppable search-like kernels.
     seen: Dict[tuple, Tuple[int, int]] = {}
-    #: (sub, rows) -> (slot, read version at pack time).
-    packs: Dict[Tuple[int, tuple], Tuple[int, int]] = {}
-    num_packs = 0
     kernels_in = 0
 
     writes: List[Tuple[int, bool]] = []
@@ -361,113 +203,29 @@ def fuse_plans(
     for _mnemonic, _vd, _is_mask, plan in entries:
         for (op, bit_parallel), n in plan.charges.items():
             charges[(op, bit_parallel)] += n
-        if plan._num_tokens:
-            program.append((_op_new_env, plan._num_tokens))
-        for fn, payload in plan._lowered:
+        if plan.program.num_tokens:
+            kernels.append(packed.new_env(plan.program.num_tokens))
+        for kernel in plan.program.kernels:
             kernels_in += 1
-            if fn is _op_search_lut:
-                sub, dest, rows, lut = payload
-                gate = (sub, dest, rows, lut.tobytes())
-                reads = _search_reads(fn, payload, vers)
-                prior = seen.get(gate)
-                if prior is not None and prior == (reads, vers.tags_ver(dest)):
-                    continue  # byte-identical no-op: drop
-                pack_key = (sub, rows)
-                slot_info = packs.get(pack_key)
-                if slot_info is not None and slot_info[1] == reads:
-                    slot = slot_info[0]
-                else:
-                    slot = num_packs
-                    num_packs += 1
-                    packs[pack_key] = (slot, reads)
-                    program.append((_op_lut_pack, (slot, sub, rows)))
-                program.append((_op_lut_gather, (slot, dest, lut)))
-                vers.write_tags(dest)
-                seen[gate] = (reads, vers.tags_ver(dest))
-                continue
-            if fn in (_op_search, _op_search_next):
-                out = payload[-1]
-                if out is None:
-                    dest = payload[0] if fn is _op_search else payload[1]
-                    gate = (fn, payload)
-                    reads = _search_reads(fn, payload, vers)
-                    prior = seen.get(gate)
-                    if prior is not None and prior == (
-                        reads, vers.tags_ver(dest)
-                    ):
-                        continue
-                    program.append((fn, payload))
-                    vers.write_tags(dest)
-                    seen[gate] = (reads, vers.tags_ver(dest))
-                    continue
-            program.append((fn, payload))
-            _apply_effects(fn, payload, vers)
+            reads, plane_writes, _tag_reads, tag_writes = packed.effects(
+                *kernel, num_subarrays
+            )
+            dest = packed.droppable_dest(*kernel)
+            if dest is not None:
+                read_version = versions.read(reads)
+                if seen.get(kernel) == (read_version, versions.tag(dest)):
+                    continue  # a recomputation of unchanged tags: drop
+            kernels.append(kernel)
+            versions.write(plane_writes, tag_writes)
+            if dest is not None:
+                seen[kernel] = (read_version, versions.tag(dest))
 
     return Superplan(
         key,
         num_subarrays,
-        _peephole_luts(program),
+        kernels,
         charges,
         tuple(writes),
-        num_packs,
         len(entries),
         kernels_in,
     )
-
-
-def _peephole_luts(program: List[Tuple]) -> List[Tuple]:
-    """Collapse adjacent same-slot LUT steps into stacked-LUT kernels.
-
-    ``pack; gather*`` becomes one :func:`_op_lut_pack_gather` and a run
-    of gathers over an already-packed slot becomes one
-    :func:`_op_lut_gather_multi` — the per-256-entry LUTs are stacked
-    into a ``(k, 256)`` matrix resolved by a single fancy index. Gathers
-    read only the pack slot and write only their destination tag rows,
-    and the fused form applies the same writes in the same order, so
-    this is byte-identical to the unfused sequence. The packed vector is
-    still stored for non-adjacent reuse of the slot.
-    """
-    def pack_arrays(rows):
-        rows_arr = np.array(rows, dtype=np.intp)
-        weights = (1 << np.arange(len(rows))).astype(np.int16)
-        return rows_arr, weights
-
-    fused: List[Tuple] = []
-    i = 0
-    n = len(program)
-    while i < n:
-        fn, payload = program[i]
-        if fn is _op_lut_pack or fn is _op_lut_gather:
-            slot = payload[0]
-            j = i + 1 if fn is _op_lut_pack else i
-            gathers = []
-            while (
-                j < n
-                and program[j][0] is _op_lut_gather
-                and program[j][1][0] == slot
-            ):
-                gathers.append(program[j][1])
-                j += 1
-            if len(gathers) > (1 if fn is _op_lut_gather else 0):
-                stacked = np.stack([g[2] for g in gathers])
-                dests = tuple(g[1] for g in gathers)
-                if fn is _op_lut_pack:
-                    _slot, sub, rows = payload
-                    rows_arr, weights = pack_arrays(rows)
-                    fused.append((
-                        _op_lut_pack_gather,
-                        (slot, sub, rows_arr, weights, dests, stacked),
-                    ))
-                else:
-                    fused.append((_op_lut_gather_multi, (slot, dests, stacked)))
-                i = j
-                continue
-        if fn is _op_lut_pack:
-            _slot, sub, rows = payload
-            rows_arr, weights = pack_arrays(rows)
-            fused.append((_op_lut_pack, (slot, sub, rows_arr, weights)))
-            i += 1
-            continue
-        fused.append((fn, payload))
-        i += 1
-    return fused

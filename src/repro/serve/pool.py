@@ -223,9 +223,10 @@ class ServePool(DevicePool):
         # them.
         self._memory_bytes = pool_kwargs.get("memory_bytes")
         self._accounting = pool_kwargs.get("accounting", "paper")
-        self._backend = pool_kwargs.get("backend")
+        self._backend = pool_kwargs.pop("backend", None)
         # The parent's systems are bookkeeping mirrors that never
-        # execute a job: no fault injectors (the workers own the
+        # execute a job: no bit-level mirror (the backend goes to the
+        # workers only), no fault injectors (the workers own the
         # injector state), no plan cache, no superplans (those live in
         # the workers via WorkerOptions); plan affinity *does* apply
         # here — placement is a parent-side decision.

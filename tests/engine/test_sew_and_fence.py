@@ -52,6 +52,53 @@ def test_logic_ops_unaffected_by_sew(tiny_cape):
     assert cost8 == cost32
 
 
+@pytest.mark.parametrize("sew", [8, 16])
+def test_narrow_sew_reads_only_the_low_bits_on_the_mirror(sew):
+    """Rows loaded at e32 keep bits above a narrower SEW. The microcode
+    walks only the low SEW bit-slices, so every intrinsic must read the
+    low SEW bits too — the bit-plane mirror cross-validates each one."""
+    wrap, sign = 1 << sew, 1 << (sew - 1)
+    a = [0x1FF, 0x0FF, 0x3_0080, 0x1_7FFF, 0x5_0001, 0xABCD_1234, 7, 0]
+    b = [0x0FF, 0x1FF, 0x0_0080, 0x2_8000, 0x3_0001, 0x1234_ABCD, 9, 0]
+    cape = CAPESystem(CAPEConfig(name="narrow", num_chains=2),
+                      backend="bitplane")
+    n = len(a)
+    cape.memory.write_words(0x1000, np.array(a, dtype=np.int64))
+    cape.memory.write_words(0x2000, np.array(b, dtype=np.int64))
+    cape.vsetvl(n, sew=32)
+    cape.vle(1, 0x1000)
+    cape.vle(2, 0x2000)
+    cape.set_sew(sew)
+    lo_a, lo_b = [x % wrap for x in a], [y % wrap for y in b]
+
+    def signed(x):
+        return (x ^ sign) - sign
+
+    def run(method, *args):
+        getattr(cape, method)(3, *args)
+        return cape.read_vreg(3).tolist()
+
+    assert run("vmseq", 1, 2) == [int(x == y) for x, y in zip(lo_a, lo_b)]
+    assert run("vmsne", 1, 2) == [int(x != y) for x, y in zip(lo_a, lo_b)]
+    assert run("vmseq_vx", 1, 0xFF) == [int(x == 0xFF) for x in lo_a]
+    assert run("vmslt", 1, 2) == [
+        int(signed(x) < signed(y)) for x, y in zip(lo_a, lo_b)
+    ]
+    assert run("vmsltu", 1, 2) == [int(x < y) for x, y in zip(lo_a, lo_b)]
+    assert run("vmin", 1, 2) == [
+        min(signed(x), signed(y)) % wrap for x, y in zip(lo_a, lo_b)
+    ]
+    assert run("vmax", 1, 2) == [
+        max(signed(x), signed(y)) % wrap for x, y in zip(lo_a, lo_b)
+    ]
+    assert run("vminu", 1, 2) == [min(x, y) for x, y in zip(lo_a, lo_b)]
+    assert run("vmaxu", 1, 2) == [max(x, y) for x, y in zip(lo_a, lo_b)]
+    assert run("vsrl_vi", 1, 3) == [x >> 3 for x in lo_a]
+    assert run("vsra_vi", 1, 3) == [(signed(x) >> 3) % wrap for x in lo_a]
+    assert cape.vredsum(1) == sum(signed(x) for x in lo_a)
+    assert cape.vredsum(1, signed=False) == sum(lo_a)
+
+
 def test_unsupported_sew_rejected(tiny_cape):
     with pytest.raises(ConfigError):
         tiny_cape.set_sew(12)

@@ -67,8 +67,9 @@ def test_masked_binary_ops_preserve_inactive(a, b, m, op, sew, scalar):
     st.data(),
 )
 def test_compares_shifts_and_redsum_match_python_ints(pairs, sew, scalar, data):
-    """Rows are written at SEW 32 and read at ``sew``, so narrow widths
-    also see bits above the element width."""
+    """Rows are written at SEW 32 and read at ``sew``: narrow widths
+    read only the low ``sew`` bits of each element, as the microcode
+    does."""
     n = len(pairs)
     a = [x for x, _ in pairs]
     b = [y for _, y in pairs]
@@ -81,6 +82,9 @@ def test_compares_shifts_and_redsum_match_python_ints(pairs, sew, scalar, data):
     cape.vsetvl(n, sew=sew)
     wrap = 1 << sew
     sign = 1 << (sew - 1)
+    lo_pairs = [(x % wrap, y % wrap) for x, y in pairs]
+    lo_a = [x for x, _ in lo_pairs]
+    lo_b = [y for _, y in lo_pairs]
 
     def signed(x):
         return (x ^ sign) - sign
@@ -89,19 +93,24 @@ def test_compares_shifts_and_redsum_match_python_ints(pairs, sew, scalar, data):
         getattr(cape, method)(3, *args)
         return cape.read_vreg(3).tolist()
 
-    assert run("vmslt", 1, 2) == [int(signed(x) < signed(y)) for x, y in pairs]
-    assert run("vmsltu", 1, 2) == [int(x < y) for x, y in pairs]
-    assert run("vmseq", 1, 2) == [int(x == y) for x, y in pairs]
+    assert run("vmslt", 1, 2) == [
+        int(signed(x) < signed(y)) for x, y in lo_pairs
+    ]
+    assert run("vmsltu", 1, 2) == [int(x < y) for x, y in lo_pairs]
+    assert run("vmseq", 1, 2) == [int(x == y) for x, y in lo_pairs]
     assert run("vmseq", 1, 1) == [1] * n
-    assert run("vmseq_vx", 1, scalar) == [int(x == scalar % wrap) for x in a]
-    assert run("vmseq_vx", 1, a[0]) == [int(x == a[0] % wrap) for x in a]
+    assert run("vmseq_vx", 1, scalar) == [
+        int(x == scalar % wrap) for x in lo_a
+    ]
+    assert run("vmseq_vx", 1, a[0]) == [int(x == a[0] % wrap) for x in lo_a]
     shamt = data.draw(st.integers(0, sew - 1), label="shamt")
     assert run("vsll_vi", 1, shamt) == [(x << shamt) % wrap for x in a]
+    assert run("vsrl_vi", 1, shamt) == [x >> shamt for x in lo_a]
     assert run("vsra_vi", 1, shamt) == [
-        (signed(x) >> shamt) % wrap for x in a
+        (signed(x) >> shamt) % wrap for x in lo_a
     ]
-    assert cape.vredsum(2) == sum(signed(y) for y in b)
-    assert cape.vredsum(2, signed=False) == sum(b)
+    assert cape.vredsum(2) == sum(signed(y) for y in lo_b)
+    assert cape.vredsum(2, signed=False) == sum(lo_b)
 
 
 @settings(max_examples=25, deadline=None)

@@ -148,6 +148,50 @@ def test_heterogeneous_vl_members_share_one_gang():
     assert all(o.gang_size == 4 for o in outcomes)
 
 
+def test_three_member_gang_replays_shifts_between_masked_ops():
+    """The shifts' element rewrite runs as a barrier inside stacked
+    replay (write the packed planes back, rewrite through the stacked
+    backend under the gang-wide window, re-pack): three members of
+    different lengths, masked ops on both sides of it."""
+
+    def body_for(vl, seed):
+        def body(system):
+            rng = np.random.default_rng(seed)
+            system.vsetvl(vl)
+            _load(system, 1, rng.integers(0, 1 << 20, vl), 0)
+            _load(system, 2, rng.integers(0, 1 << 20, vl), 1)
+            _load(system, 6, rng.integers(0, 2, vl), 2)
+            system.vadd(3, 1, 2, mask=6)
+            system.vsll_vi(4, 3, 5)
+            system.vxor(5, 4, 1, mask=6)
+            system.vsrl_vi(3, 5, 2)
+            system.vmseq(7, 3, 2)
+            return (
+                int(system.vredsum(5, signed=False)),
+                int(system.vmask_popcount(7)),
+            )
+
+        return body
+
+    def entries():
+        return [
+            (CAPESystem(NANO, backend="bitplane", observer=Observer()),
+             Job(f"m{k}", body_for(vl, seed), Footprint(lanes=vl)))
+            for k, (vl, seed) in enumerate([(256, 21), (77, 22), (3, 23)])
+        ]
+
+    seq = entries()
+    for system, job in seq:
+        system.reset()
+        job.result = job.execute(system)
+    gang = entries()
+    outcomes = run_ganged(gang)
+    assert snapshot(gang) == snapshot(seq)
+    assert [(o.ganged, o.ejected, o.gang_size) for o in outcomes] == [
+        (True, False, 3)
+    ] * 3
+
+
 def test_structurally_different_jobs_split_into_groups():
     # Two program shapes in one batch: each gangs with its own kind.
     entries = build_entries([("vadd", False)], [(64, 1), (64, 2)])

@@ -163,6 +163,25 @@ class TestPlanCache:
         assert totals["total"]["hits"] >= len(specs)
         assert all(j.result.error is None for j in jobs)
 
+    def test_bitplane_mirror_lives_only_in_the_workers(self):
+        """The parent's devices only do bookkeeping, so they build no
+        bit-level mirror; the served jobs still run on the workers'."""
+        specs = [
+            JobSpec(f"d{i}", "dot",
+                    {"x": np.arange(8) + i, "y": np.arange(8)}, lanes=8)
+            for i in range(4)
+        ]
+        pool, jobs, _ = run_served(
+            specs, [TINY, TINY], workers=2, backend="bitplane"
+        )
+        assert [d.system.backend for d in pool.devices] == [None, None]
+        # Only the mirror compiles plans: the workers ran it.
+        assert pool.plan_cache_totals()["total"]["compiles"] > 0
+        for spec, job in zip(specs, jobs):
+            assert job.result.error is None
+            x, y = spec.payload["x"], spec.payload["y"]
+            assert job.result.output == int((x * y).sum())
+
 
 class TestHealing:
     def test_worker_kill_completes_all_jobs_identically(self):

@@ -372,12 +372,16 @@ class TestGatewayResilience:
     def test_storm_completes_all_jobs_bit_identical(self, gang, backend):
         specs = dot_specs(16)
         want = sequential_outputs(specs)
+        # Each worker's first job carries its fault: the first dispatch
+        # round gives every device one job, while later jobs go to
+        # whichever device frees first, so a fault keyed on a later job
+        # may never fire on a loaded host.
         plan = FaultPlan(
             faults=(
-                SlowWorker(delay_s=0.15, at_jobs=(2,), worker=0),
-                ReplyDrop(at_job=2, worker=1),
-                ReplyGarble(at_job=2, worker=2),
-                WorkerHang(at_job=3, worker=3),
+                SlowWorker(delay_s=0.15, at_jobs=(1,), worker=0),
+                ReplyDrop(at_job=1, worker=1),
+                ReplyGarble(at_job=1, worker=2),
+                WorkerHang(at_job=1, worker=3),
             ),
         )
 
@@ -406,8 +410,13 @@ class TestGatewayResilience:
                 WorkerHang(at_job=3, worker=1),
             ),
         )
+        # Hang detection runs before hedging in each gateway tick, so a
+        # parent-side stall longer than the hang timeout would condemn
+        # the hung worker before its frame is hedged. A timeout no
+        # scheduler stall reaches leaves the 50 ms hedge as the only way
+        # the hung request completes.
         resilience = ResilienceConfig(
-            heartbeat_interval_s=0.02, hang_timeout_s=0.4,
+            heartbeat_interval_s=0.02, hang_timeout_s=2.0,
             hedge=True, hedge_after_s=0.05,
         )
 
