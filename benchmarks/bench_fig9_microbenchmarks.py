@@ -130,126 +130,67 @@ class _WallClockProfile:
         )
 
 
-def _timed_suite(plan_cache, num_chains, sew, repeats, superplan=False):
-    """Best-of-N wall time plus one per-kernel profiled pass.
+def _mode_profile(num_chains, sew, **mode):
+    """One wall-clock-profiled pass and one observed pass of a mode.
 
-    Returns ``(best_seconds, checksum, per_kernel_seconds, microops)``.
-    The timing passes run under the null observer; one extra pass with a
-    live observer reads the ``csb.microops`` total, which must be
-    identical with the plan cache on and off — and with whole-kernel
-    superplans on and off.
+    Returns ``(checksum, per_kernel_seconds, microops)``. The observed
+    pass reads the ``csb.microops`` total, which must be identical with
+    the plan cache on and off — and with whole-kernel superplans on and
+    off.
     """
     from repro.eval.microprofile import run_fig9_kernels
     from repro.obs import Observer
 
-    best, checksum = None, None
-    for _ in range(repeats):
-        elapsed, checksum = run_fig9_kernels(
-            "bitplane", num_chains=num_chains, sew=sew,
-            plan_cache=plan_cache, superplan=superplan,
-        )
-        best = elapsed if best is None else min(best, elapsed)
     wall = _WallClockProfile()
-    run_fig9_kernels(
-        "bitplane", num_chains=num_chains, sew=sew,
-        plan_cache=plan_cache, superplan=superplan, profile=wall,
+    _, checksum = run_fig9_kernels(
+        "bitplane", num_chains=num_chains, sew=sew, profile=wall, **mode
     )
     observer = Observer()
     _, obs_checksum = run_fig9_kernels(
-        "bitplane", num_chains=num_chains, sew=sew,
-        plan_cache=plan_cache, superplan=superplan, observer=observer,
+        "bitplane", num_chains=num_chains, sew=sew, observer=observer,
+        **mode,
     )
     assert obs_checksum == checksum
-    return best, checksum, wall.seconds, observer.metrics.total("csb.microops")
+    return checksum, wall.seconds, observer.metrics.total("csb.microops")
 
 
-def _parallel_pool_compare(num_chains, sew, jobs_per_device=3, devices=4):
-    """Wall-time a job batch at ``parallelism=1`` vs ``parallelism=4``.
+def _paired_times(num_chains, sew, pairs, slow, fast):
+    """Time two modes as alternating ``(slow, fast)`` pairs.
 
-    Each job runs the compute core of the fig9 suite as bit-plane
-    microcode; outputs must match bit-for-bit across the two modes. The
-    host speedup is recorded, not asserted — it depends on the host core
-    count (``host_cpus`` in the payload; a single-core host can at best
-    break even) and how much of each job numpy spends outside the GIL.
+    Host speed drifts over seconds, so both passes of a pair run back to
+    back in this one process, under the null observer, and the figure of
+    merit is the median of the per-pair ratios — not the ratio of two
+    best-of-N minima taken at different times. Returns the per-pass
+    seconds of each mode, the per-pair ratios ``slow / fast``, and the
+    set of checksums every pass produced.
     """
-    import os
+    from repro.eval.microprofile import run_fig9_kernels
 
-    import numpy as np
-
-    from repro.engine.system import CAPEConfig
-    from repro.runtime.job import Footprint, Job
-    from repro.runtime.pool import DevicePool
-
-    config = CAPEConfig("fig9-bit", num_chains=num_chains)
-
-    def body(system, seed, rounds=4):
-        n = system.config.max_vl
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, 1 << sew, n, dtype=np.int64)
-        b = rng.integers(0, 1 << sew, n, dtype=np.int64)
-        base_a, base_b = 0x10000, 0x80000
-        system.vmu.map_range(base_a, 4 * n)
-        system.vmu.map_range(base_b, 4 * n)
-        system.vmu.store(base_a, a)
-        system.vmu.store(base_b, b)
-        system.vsetvl(n, sew=sew)
-        system.vle(1, base_a)
-        system.vle(2, base_b)
-        total = 0
-        for _ in range(rounds):
-            system.vadd(3, 1, 2)
-            system.vmul(4, 1, 2)
-            system.vadd(5, 4, 3)
-            total += int(system.read_vreg(5).sum())
-        return total
-
-    def make_jobs():
-        return [
-            Job(
-                f"fig9-{i}",
-                lambda system, seed=100 + i: body(system, seed),
-                Footprint(lanes=config.max_vl, resident=True),
-                backend="bitplane",
+    slow_s, fast_s, checksums = [], [], set()
+    for _ in range(pairs):
+        for mode, times in ((slow, slow_s), (fast, fast_s)):
+            elapsed, checksum = run_fig9_kernels(
+                "bitplane", num_chains=num_chains, sew=sew, **mode
             )
-            for i in range(jobs_per_device * devices)
-        ]
-
-    results = {}
-    timings = {}
-    for parallelism in (1, devices):
-        pool = DevicePool(
-            (config,) * devices,
-            memory_bytes=1 << 24,
-            parallelism=parallelism,
-        )
-        jobs = [pool.submit(job) for job in make_jobs()]
-        start = time.perf_counter()
-        pool.run()
-        timings[parallelism] = time.perf_counter() - start
-        results[parallelism] = [j.result.output for j in jobs]
-    assert results[1] == results[devices], "parallel outputs diverged"
-    return {
-        "jobs": jobs_per_device * devices,
-        "devices": devices,
-        "parallelism": devices,
-        "host_cpus": os.cpu_count(),
-        "sequential_seconds": round(timings[1], 4),
-        "parallel_seconds": round(timings[devices], 4),
-        "speedup": round(timings[1] / timings[devices], 2),
-        "outputs_identical": True,
-    }
+            times.append(elapsed)
+            checksums.add(checksum)
+    ratios = [s / f for s, f in zip(slow_s, fast_s)]
+    return slow_s, fast_s, ratios, checksums
 
 
-def run_plan_cache_compare(num_chains=64, sew=8, repeats=3):
+def run_plan_cache_compare(num_chains=64, sew=8, pairs=5):
     """Time the bit-plane fig9 suite with the plan cache on vs off.
 
     Returns the ``BENCH_5.json`` payload: warm plan-cache wall time vs
-    the per-dispatch FSM walk, per-kernel seconds for both, the speedup
-    against ``BENCH_2.json``'s recorded bit-plane time, and a parallel
-    device-pool comparison. Results and ``csb.microops`` totals must be
+    the per-dispatch FSM walk (medians over ``pairs`` alternating
+    off/on pairs, the speedup the median per-pair ratio), per-kernel
+    seconds for both, and the speedup against ``BENCH_2.json``'s
+    recorded bit-plane time. Results and ``csb.microops`` totals must be
     identical in every mode — the plan cache is purely a host-speed
     optimisation.
     """
+    from statistics import median
+
     from repro.api import plan_cache_snapshot
     from repro.plan import GLOBAL_PLAN_CACHE
 
@@ -258,46 +199,53 @@ def run_plan_cache_compare(num_chains=64, sew=8, repeats=3):
     GLOBAL_PLAN_CACHE.clear()
     _bit_level_suite("bitplane", num_chains=num_chains, sew=sew)
 
-    on_s, on_ck, on_kernels, on_uops = _timed_suite(
-        True, num_chains, sew, repeats
+    off_s, on_s, ratios, checksums = _paired_times(
+        num_chains, sew, pairs, {"plan_cache": False}, {"plan_cache": True}
     )
-    off_s, off_ck, off_kernels, off_uops = _timed_suite(
-        False, num_chains, sew, repeats
+    on_ck, on_kernels, on_uops = _mode_profile(
+        num_chains, sew, plan_cache=True
+    )
+    off_ck, off_kernels, off_uops = _mode_profile(
+        num_chains, sew, plan_cache=False
     )
 
     payload = {
         "benchmark": "fig9 kernels as bit-plane microcode — plan cache "
         "on (warm) vs off (per-dispatch FSM walk)",
         "config": {"num_chains": num_chains, "sew": sew},
-        "plan_cache_on_seconds": round(on_s, 4),
-        "plan_cache_off_seconds": round(off_s, 4),
-        "speedup_on_vs_off": round(off_s / on_s, 2),
+        "pairs": pairs,
+        "plan_cache_on_seconds": round(median(on_s), 4),
+        "plan_cache_off_seconds": round(median(off_s), 4),
+        "speedup_on_vs_off": round(median(ratios), 2),
         "per_kernel_seconds": {"on": on_kernels, "off": off_kernels},
-        "checksum_identical": on_ck == off_ck,
+        "checksum_identical": checksums == {on_ck} == {off_ck},
         "microops_identical": on_uops == off_uops,
         "plan_cache": plan_cache_snapshot(),
-        "parallel_pool": _parallel_pool_compare(num_chains, sew),
     }
     if BENCH_JSON.exists():
         baseline = json.loads(BENCH_JSON.read_text())
         if baseline.get("config") == {"num_chains": num_chains, "sew": sew}:
             payload["baseline_bitplane_seconds"] = baseline["bitplane_seconds"]
             payload["speedup_vs_bench2"] = round(
-                baseline["bitplane_seconds"] / on_s, 2
+                baseline["bitplane_seconds"] / median(on_s), 2
             )
     return payload
 
 
-def run_superplan_compare(num_chains=64, sew=8, repeats=3):
+def run_superplan_compare(num_chains=64, sew=8, pairs=5):
     """Time the warm bit-plane fig9 suite per-instruction vs superplan.
 
     Both modes run against a warm :data:`GLOBAL_PLAN_CACHE`; the only
     difference is whether the kernel set's mirror microcode replays one
     cached :class:`~repro.plan.CompiledPlan` per instruction or as fused
-    whole-kernel :class:`~repro.plan.Superplan` traces. Returns the
-    ``BENCH_8.json`` payload — checksum and ``csb.microops`` totals must
-    be identical; only the host wall time is allowed to move.
+    whole-kernel :class:`~repro.plan.Superplan` traces. Times are
+    medians over ``pairs`` alternating per-instruction/superplan pairs,
+    the speedup the median per-pair ratio. Returns the ``BENCH_8.json``
+    payload — checksum and ``csb.microops`` totals must be identical;
+    only the host wall time is allowed to move.
     """
+    from statistics import median
+
     from repro.api import plan_cache_snapshot
     from repro.plan import GLOBAL_PLAN_CACHE
 
@@ -311,24 +259,28 @@ def run_superplan_compare(num_chains=64, sew=8, repeats=3):
         "bitplane", num_chains=num_chains, sew=sew, superplan=True
     )
 
-    per_s, per_ck, per_kernels, per_uops = _timed_suite(
-        True, num_chains, sew, repeats, superplan=False
+    per_s, sp_s, ratios, checksums = _paired_times(
+        num_chains, sew, pairs, {"superplan": False}, {"superplan": True}
     )
-    sp_s, sp_ck, sp_kernels, sp_uops = _timed_suite(
-        True, num_chains, sew, repeats, superplan=True
+    per_ck, per_kernels, per_uops = _mode_profile(
+        num_chains, sew, superplan=False
+    )
+    sp_ck, sp_kernels, sp_uops = _mode_profile(
+        num_chains, sew, superplan=True
     )
 
     payload = {
         "benchmark": "fig9 kernels as bit-plane microcode — warm "
         "per-instruction plan replay vs whole-kernel superplan replay",
         "config": {"num_chains": num_chains, "sew": sew},
-        "per_instruction_seconds": round(per_s, 4),
-        "superplan_seconds": round(sp_s, 4),
-        "speedup_superplan": round(per_s / sp_s, 2),
+        "pairs": pairs,
+        "per_instruction_seconds": round(median(per_s), 4),
+        "superplan_seconds": round(median(sp_s), 4),
+        "speedup_superplan": round(median(ratios), 2),
         "per_kernel_seconds": {
             "per_instruction": per_kernels, "superplan": sp_kernels,
         },
-        "checksum_identical": per_ck == sp_ck,
+        "checksum_identical": checksums == {per_ck} == {sp_ck},
         "microops_identical": per_uops == sp_uops,
         "plan_cache": plan_cache_snapshot(),
     }

@@ -2,7 +2,8 @@
 
 A homogeneous batch of compute-heavy bit-plane jobs is pushed through a
 :class:`~repro.runtime.pool.DevicePool` of K same-shape devices twice —
-``gang=False`` (each device walks its own mirror) and ``gang=True``
+``ExecConfig(gang=False)`` (each device walks its own mirror) and
+``ExecConfig(gang=True)``
 (each launch wave becomes one stacked :class:`~repro.gang.GangReplay`
 whose every plan step is one int op over packed planes spanning all K
 member column blocks). The jobs share their program *structure* (no per-job
@@ -30,6 +31,7 @@ import numpy as np
 from repro.engine.system import CAPEConfig
 from repro.gang import GangReplay
 from repro.obs import Observer
+from repro.runtime import ExecConfig
 from repro.runtime.job import Footprint, Job
 from repro.runtime.pool import DevicePool
 
@@ -64,9 +66,12 @@ def make_jobs(n, vl=256):
     return jobs
 
 
-def run_pool(num_jobs, devices, gang, observer=None):
+def drive_pool(num_jobs, devices, gang, observer=None):
+    # Superplans off, as BENCH_7 measured: the comparison is gang vs
+    # per-device replay of the same per-instruction plans.
     pool = DevicePool(
-        (NANO,) * devices, backend="bitplane", gang=gang, observer=observer
+        (NANO,) * devices, backend="bitplane", observer=observer,
+        exec=ExecConfig(gang=gang, superplan=False),
     )
     jobs = make_jobs(num_jobs)
     for job in jobs:
@@ -82,7 +87,7 @@ def measure(num_jobs, devices, gang, repeats=3):
     best = None
     for _ in range(repeats):
         obs = Observer()
-        jobs, report, wall = run_pool(num_jobs, devices, gang, observer=obs)
+        jobs, report, wall = drive_pool(num_jobs, devices, gang, observer=obs)
         if best is None or wall < best[2]:
             microops = {
                 key: value
@@ -106,7 +111,7 @@ def ejection_run(num_jobs, devices):
     obs = Observer()
     GangReplay.chaos_hook = hook
     try:
-        jobs, report, _ = run_pool(num_jobs, devices, True, observer=obs)
+        jobs, report, _ = drive_pool(num_jobs, devices, True, observer=obs)
     finally:
         GangReplay.chaos_hook = None
     assert fired["count"] == 1, "chaos hook never fired"
@@ -115,7 +120,7 @@ def ejection_run(num_jobs, devices):
 
 def run_benchmark(num_jobs=32, devices=16, repeats=3):
     # Warm the process-global plan cache so both modes replay plans.
-    run_pool(devices, devices, False)
+    drive_pool(devices, devices, False)
 
     seq_jobs, seq_report, seq_wall, seq_microops, _ = measure(
         num_jobs, devices, False, repeats

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.engine.system import CAPEConfig
 from repro.faults import FaultPlan
+from repro.runtime import ExecConfig
 from repro.serve import Gateway, JobSpec, ResilienceConfig, ServeConfig
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_9.json"
@@ -94,13 +95,13 @@ def run_mode(specs, fault_plan, resilience, worker_timeout):
     async def main():
         cfg = ServeConfig(
             configs=(TINY,) * WORKERS,
-            workers=WORKERS,
             max_queue=max(64, len(specs)),
             worker_timeout=worker_timeout,
             fault_plan=fault_plan,
             resilience=resilience,
         )
-        async with Gateway(cfg) as gateway:
+        exec_config = ExecConfig(workers=WORKERS)
+        async with Gateway(cfg, exec=exec_config) as gateway:
             start = time.perf_counter()
             results = await asyncio.gather(
                 *(gateway.submit_retrying(s, attempts=50) for s in specs)

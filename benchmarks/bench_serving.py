@@ -8,10 +8,8 @@ in-process :class:`DevicePool` on an identical job mix:
 * the asyncio :class:`Gateway` at 1/2/4 workers — request throughput
   (req/s) and p50/p99 wall latency under a concurrent open-loop client.
 
-Writes ``BENCH_6.json``. BENCH_5 established that worker *threads* run
-at 0.85x sequential on a 1-CPU host (GIL + numpy-bound workers);
-process sharding is the fix, but it can only show a speedup when the
-host has cores to shard across. The scaling ratio is therefore
+Writes ``BENCH_6.json``. Process sharding can only show a speedup when
+the host has cores to shard across. The scaling ratio is therefore
 *recorded* alongside ``cpu_count`` — asserted nowhere — and the
 correctness claims (checksums identical, all requests served) are
 asserted always.
@@ -21,8 +19,8 @@ measurement, or via pytest for a smaller smoke-sized version.
 
 **BENCH_10 — the wire sweep.** A second benchmark sweeps request
 payload size (small/medium/large int64 arrays) through the gateway
-under both data planes: ``wire="pickle"`` (everything inline on the
-pipe) and ``wire="shm"`` plus a micro-batching window (payloads cross
+under both data planes: ``ExecConfig(wire="pickle")`` (everything
+inline on the pipe) and ``wire="shm"`` plus a micro-batching window (payloads cross
 as shared-memory descriptors, each dispatch round rides one frame).
 Every result is checked against a numpy-computed expectation, so the
 speedup claim and the bit-identity claim come from the same run.
@@ -136,8 +134,8 @@ def checksum(outputs):
 
 def exec_for(workers=1):
     """One ExecConfig drives every tier: worker count for the process
-    shards, superplans fused on the bit-plane mirrors."""
-    return ExecConfig(workers=workers, superplan="auto")
+    shards, everything else at its default."""
+    return ExecConfig(workers=workers)
 
 
 def run_sequential(specs, configs):
@@ -249,10 +247,7 @@ def run_wire_mode(specs, expected, mode, window_s, workers=2):
             default_quota=TenantQuota(max_pending=bound),
         )
         wire_exec = ExecConfig(
-            workers=workers,
-            superplan="auto",
-            wire=mode,
-            batch_window_s=window_s,
+            workers=workers, wire=mode, batch_window_s=window_s
         )
         async with Gateway(cfg, exec=wire_exec) as gateway:
             start = time.perf_counter()

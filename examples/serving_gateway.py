@@ -29,6 +29,7 @@ import numpy as np
 from repro.api import (
     AdmissionError,
     CAPE32K,
+    ExecConfig,
     FaultPlan,
     Gateway,
     JobSpec,
@@ -93,18 +94,18 @@ async def main(args):
         fault_plan = FaultPlan(faults=(WorkerKill(at_job=3, worker=0),))
     config = ServeConfig(
         configs=(CAPE32K,) * 4,
-        workers=args.workers,
         max_queue=12,
         quotas={
             "interactive": TenantQuota(max_pending=4, max_lanes=50_000),
             "batch": TenantQuota(max_pending=16),
         },
         fault_plan=fault_plan,
-        # Workers fuse each kernel's microcode into one cached superplan
-        # where eligible; fault-plan targets keep the per-primitive path.
-        superplan="auto",
     )
-    async with Gateway(config) as gateway:
+    # The execution shape: worker processes, and (by default) workers
+    # fuse each kernel's microcode into one cached superplan where
+    # eligible; fault-plan targets keep the per-primitive path.
+    exec_config = ExecConfig(workers=args.workers)
+    async with Gateway(config, exec=exec_config) as gateway:
         batch = asyncio.create_task(
             well_behaved(gateway, make_specs("batch", 12))
         )

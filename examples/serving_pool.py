@@ -173,15 +173,15 @@ def chaos_plan(seed: int) -> FaultPlan:
     return FaultPlan(faults=tuple(faults), seed=seed)
 
 
-def run_pool(policy: str, observer: Observer = None, fault_plan=None):
+def serve_stream(policy: str, observer: Observer = None, fault_plan=None):
     healing = dict(failure_threshold=2) if fault_plan is not None else {}
-    # One ExecConfig carries the execution knobs; scheduling policy,
-    # observability, and fault plans stay per-call arguments. Superplans
-    # in "auto" fuse kernels on clean bit-plane devices and quietly stand
-    # down wherever the fault storm attaches an injector.
+    # The default ExecConfig carries the execution shape; scheduling
+    # policy, observability, and fault plans stay per-call arguments.
+    # Superplans fuse kernels on clean bit-plane devices and quietly
+    # stand down wherever the fault storm attaches an injector.
     pool = DevicePool(
         POOL, policy=policy, observer=observer, fault_plan=fault_plan,
-        exec=ExecConfig(superplan="auto"),
+        exec=ExecConfig(),
         **healing,
     )
     pool.submit_stream(make_jobs(), interarrival_cycles=INTERARRIVAL)
@@ -231,7 +231,7 @@ def main():
     plan = chaos_plan(args.chaos) if args.chaos is not None else None
 
     observer = Observer()
-    pool, report = run_pool("sjf", observer=observer, fault_plan=plan)
+    pool, report = serve_stream("sjf", observer=observer, fault_plan=plan)
     title = "CAPE device pool — 22 jobs, 2x CAPE32k + 1x CAPE131k, SJF"
     if plan is not None:
         title += f" — chaos seed {args.chaos:#x}"
@@ -271,7 +271,7 @@ def main():
     job_spans = sum(1 for _ in observer.tracer.spans("runtime"))
     print(f"  runtime timeline: {job_spans} spans (jobs + program scopes)")
 
-    _, fifo = run_pool("fifo")
+    _, fifo = serve_stream("fifo")
     print()
     print(
         f"policy comparison: mean turnaround fifo "

@@ -107,32 +107,25 @@ EOF
 
 echo "== perf smoke (plan cache) =="
 python - <<'EOF'
-from repro.eval.microprofile import run_fig9_kernels
-from repro.obs import Observer
+import sys
 
-# Warm the shared plan cache, then time replay vs the per-dispatch FSM
-# walk. The plan cache must be purely a host-speed win: identical
-# checksum, identical csb.microops, and at least 1.5x faster warm.
-run_fig9_kernels("bitplane")
-on_s, on_ck = min(
-    (run_fig9_kernels("bitplane") for _ in range(3)), key=lambda r: r[0]
-)
-off_s, off_ck = min(
-    (run_fig9_kernels("bitplane", plan_cache=False) for _ in range(3)),
-    key=lambda r: r[0],
-)
-assert on_ck == off_ck, (on_ck, off_ck)
-uops = {}
-for mode in (True, False):
-    obs = Observer()
-    run_fig9_kernels("bitplane", observer=obs, plan_cache=mode)
-    uops[mode] = obs.metrics.total("csb.microops")
-assert uops[True] == uops[False], uops
-speedup = off_s / on_s
-assert speedup >= 1.5, f"plan cache speedup {speedup:.2f}x < 1.5x"
-print(f"plan cache: {on_s:.4f}s warm vs {off_s:.4f}s FSM walk "
-      f"({speedup:.1f}x), checksum {on_ck} and "
-      f"{uops[True]:.0f} microops identical")
+sys.path.insert(0, "benchmarks")
+from bench_fig9_microbenchmarks import run_plan_cache_compare
+
+# The BENCH_5 measurement, live: warm plan-cache replay vs the
+# per-dispatch FSM walk, timed as alternating off/on pairs in this one
+# process. The plan cache must be purely a host-speed win: identical
+# checksum, identical csb.microops, and a median per-pair speedup of at
+# least 1.5x.
+payload = run_plan_cache_compare()
+assert payload["checksum_identical"], payload
+assert payload["microops_identical"], payload
+speedup = payload["speedup_on_vs_off"]
+assert speedup >= 1.5, f"plan cache speedup {speedup}x < 1.5x"
+print(f"plan cache: {payload['plan_cache_on_seconds']}s warm vs "
+      f"{payload['plan_cache_off_seconds']}s FSM walk (median of "
+      f"{payload['pairs']} pairs, {speedup}x), checksum and microops "
+      f"identical")
 EOF
 
 echo "== perf smoke (superplan) =="
@@ -147,33 +140,33 @@ from bench_fig9_microbenchmarks import run_superplan_compare
 from repro.api import ExecConfig, JobSpec, plan_cache_snapshot, submit
 
 # The BENCH_8 measurement, live: warm per-instruction plan replay vs
-# whole-kernel superplan replay of the fig9 suite. The superplan must
-# be purely a host-speed win — identical checksum, identical
-# csb.microops — and at least 1.5x faster warm (the committed
-# BENCH_8.json records >= 2x; the smoke bar leaves headroom for a
-# loaded host).
+# whole-kernel superplan replay of the fig9 suite, timed as alternating
+# pairs in this one process. The superplan must be purely a host-speed
+# win — identical checksum, identical csb.microops — and a median
+# per-pair speedup of at least 1.5x (the committed BENCH_8.json records
+# >= 2x; the smoke bar leaves headroom for a loaded host).
 payload = run_superplan_compare()
 assert payload["checksum_identical"], payload
 assert payload["microops_identical"], payload
 speedup = payload["speedup_superplan"]
 assert speedup >= 1.5, f"superplan speedup {speedup}x < 1.5x"
 
-# The unified surface reaches the same machinery: one ExecConfig opts a
-# submit() call into superplans, and the one stats surface shows the
-# fused traces.
+# The unified surface reaches the same machinery: submit() fuses under
+# the default ExecConfig, and the one stats surface shows the fused
+# traces.
+assert ExecConfig().superplan
 result = submit(
     JobSpec("sp-dot", "dot", {"x": np.arange(16), "y": np.arange(16)},
             lanes=16),
-    exec=ExecConfig(superplan=True),
     backend="bitplane",
 )
 assert result.output == int((np.arange(16) * np.arange(16)).sum())
 snap = plan_cache_snapshot()
 assert snap["superplans"] >= 1, snap
 print(f"superplan: {payload['superplan_seconds']}s fused vs "
-      f"{payload['per_instruction_seconds']}s per-instruction "
-      f"({speedup}x warm), checksum+microops identical; "
-      f"{snap['superplans']} superplans cached")
+      f"{payload['per_instruction_seconds']}s per-instruction (median of "
+      f"{payload['pairs']} pairs, {speedup}x warm), checksum+microops "
+      f"identical; {snap['superplans']} superplans cached")
 EOF
 
 echo "== fault-injection smoke =="
@@ -245,7 +238,7 @@ import asyncio
 import numpy as np
 
 from repro.engine.system import CAPEConfig
-from repro.runtime import DevicePool
+from repro.runtime import DevicePool, ExecConfig
 from repro.serve import Gateway, JobSpec, ServeConfig
 
 NANO = CAPEConfig(name="nano", num_chains=8)  # 256 lanes
@@ -277,10 +270,8 @@ seq = {j.name: j.result.output for j in seq_jobs}
 
 
 async def main():
-    cfg = ServeConfig(
-        configs=(NANO, NANO), workers=2, memory_bytes=1 << 22
-    )
-    async with Gateway(cfg) as gateway:
+    cfg = ServeConfig(configs=(NANO, NANO), memory_bytes=1 << 22)
+    async with Gateway(cfg, exec=ExecConfig(workers=2)) as gateway:
         return await asyncio.gather(
             *(gateway.submit_retrying(s) for s in make_specs())
         )
@@ -362,6 +353,7 @@ import numpy as np
 
 from repro.engine.system import CAPEConfig
 from repro.obs import Observer
+from repro.runtime import ExecConfig
 from repro.runtime.job import Footprint, Job
 from repro.runtime.pool import DevicePool
 
@@ -392,9 +384,11 @@ def make_jobs():
 
 
 def run(gang):
+    # Superplans off on both sides: the bar compares stacked replay
+    # with per-device replay of the same per-instruction plans.
     obs = Observer()
-    pool = DevicePool((NANO,) * 8, backend="bitplane", gang=gang,
-                      observer=obs)
+    pool = DevicePool((NANO,) * 8, backend="bitplane", observer=obs,
+                      exec=ExecConfig(gang=gang, superplan=False))
     jobs = make_jobs()
     for job in jobs:
         pool.submit(job)

@@ -14,17 +14,16 @@ Three levels of entry:
   :class:`ServePool` (``pool=<pool instance>``), or a fresh asyncio
   :class:`Gateway` (``pool=ServeConfig(...)``) — returning
   :class:`JobResult`\\ s everywhere. Execution shape (plan cache,
-  threads, workers, gang mode) rides in one :class:`ExecConfig`.
+  workers, gang and superplan modes, wire, batching window) rides in
+  one :class:`ExecConfig`, the ``exec=`` of every surface.
 * :class:`Device` — a CAPE system plus its memory and an assembler-aware
   ``run`` method; pick a design point (:data:`CAPE32K` /
   :data:`CAPE131K`) and optionally a bit-level execution backend.
 * the re-exported building blocks (:class:`CAPESystem`, :class:`Job`,
   :class:`DevicePool`, the error taxonomy) for everything else.
 
-The older per-surface entry points — :func:`run`, :func:`run_pool`,
-:func:`serve` — remain as thin deprecated shims over the same machinery
-(they emit :class:`DeprecationWarning`; new code should use
-:func:`submit`, or :meth:`Device.run` for ad-hoc assembly programs).
+Ad-hoc assembly programs run through :meth:`Device.run`, or through
+:func:`submit` with the ``"program"`` kernel.
 
 Execution backends
 ------------------
@@ -85,7 +84,6 @@ from typing import Any, Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.assoc.emulator import AssociativeEmulator, golden
-from repro.common.deprecation import warn_once_per_site
 from repro.common.errors import (
     AdmissionError,
     CapacityError,
@@ -138,13 +136,7 @@ from repro.obs import (
     Tracer,
 )
 from repro.gang import GANG_MODES, GangOutcome, run_ganged
-from repro.plan import (
-    GLOBAL_PLAN_CACHE,
-    SUPERPLAN_MODES,
-    CompiledPlan,
-    PlanCache,
-    Superplan,
-)
+from repro.plan import GLOBAL_PLAN_CACHE, CompiledPlan, PlanCache, Superplan
 from repro.runtime import (
     DevicePool,
     ExecConfig,
@@ -153,7 +145,6 @@ from repro.runtime import (
     JobResult,
     SegmentedJob,
     TelemetryReport,
-    ThreadParallelismWarning,
 )
 from repro.serve import (
     CircuitBreaker,
@@ -227,13 +218,11 @@ __all__ = [
     "SlowWorker",
     "SpillCorruptionError",
     "StuckBit",
-    "SUPERPLAN_MODES",
     "Subarray",
     "Superplan",
     "TagFlip",
     "TelemetryReport",
     "TenantQuota",
-    "ThreadParallelismWarning",
     "Tracer",
     "TransferFault",
     "TransportSchedule",
@@ -246,10 +235,7 @@ __all__ = [
     "golden",
     "plan_cache_snapshot",
     "register_kernel",
-    "run",
     "run_ganged",
-    "run_pool",
-    "serve",
     "submit",
 ]
 
@@ -260,8 +246,7 @@ def plan_cache_snapshot(cache: Optional[PlanCache] = None) -> dict:
     The single stats surface for every tier: benchmarks, the serving
     workers' reply payloads, and ad-hoc scripts all read the same
     :meth:`PlanCache.snapshot` dict — ``entries`` / ``superplans`` /
-    ``hits`` / ``misses`` / ``compiles`` / ``compile_ns`` /
-    ``affinity_hits`` / ``affinity_misses``. Defaults to the
+    ``hits`` / ``misses`` / ``compiles`` / ``compile_ns``. Defaults to the
     process-wide :data:`GLOBAL_PLAN_CACHE`; pass a private
     :class:`PlanCache` to read that one instead.
     """
@@ -270,7 +255,7 @@ def plan_cache_snapshot(cache: Optional[PlanCache] = None) -> dict:
 
 @dataclass
 class RunResult:
-    """Outcome of :meth:`Device.run` / :func:`run`.
+    """Outcome of :meth:`Device.run`.
 
     The interesting fields up front — ``values`` (the scalar register
     file at halt), ``cycles``, ``stats`` (the run's
@@ -332,12 +317,11 @@ class Device:
             dispatch, or pass a private :class:`PlanCache`. Purely a
             host-speed knob; cycle/energy accounting is identical
             (``docs/PERFORMANCE.md``).
-        superplan: whole-kernel superplan mode (``True`` / ``False`` /
-            ``"auto"``): inside a :meth:`CAPESystem.superplan_scope`,
-            eligible mirror microcode is fused into one cached
-            whole-kernel trace and replayed in a single pass. Also a
-            pure host-speed knob — results, cycles, and microop totals
-            are bit-identical either way (``docs/PERFORMANCE.md``).
+        superplan: inside a :meth:`CAPESystem.superplan_scope`, fuse
+            eligible mirror microcode into one cached whole-kernel
+            trace and replay it in a single pass. Also a pure
+            host-speed knob — results, cycles, and microop totals are
+            bit-identical either way (``docs/PERFORMANCE.md``).
     """
 
     def __init__(
@@ -477,7 +461,7 @@ def submit(
     specs: Union[JobSpec, Sequence[JobSpec]],
     *,
     pool: Union[None, DevicePool, ServeConfig] = None,
-    exec: Optional[ExecConfig] = None,
+    exec: ExecConfig = ExecConfig(),
     config: CAPEConfig = CAPE32K,
     backend: Optional[str] = None,
     observer: Optional[Observer] = None,
@@ -488,24 +472,25 @@ def submit(
     One entry point spans every execution surface; ``pool=`` selects it:
 
     * ``None`` — a fresh single :class:`Device` of ``config`` (and
-      optional ``backend``) executes the specs sequentially.
+      optional ``backend``) executes the specs sequentially, with the
+      ``plan_cache`` and ``superplan`` of ``exec``.
     * a :class:`DevicePool` or :class:`ServePool` *instance* — the specs
       are submitted (spaced by ``interarrival_cycles``) and the pool is
       drained. The pool's own construction fixed its execution shape,
-      so ``exec=`` / ``config`` / ``backend`` / ``observer`` must not
-      also be given.
-    * a :class:`ServeConfig` — a fresh asyncio :class:`Gateway` serves
-      the specs (the :func:`serve` path); ``exec=`` may override its
-      ``workers`` / ``gang`` / ``wire`` / ``batch_window_s``.
+      so a non-default ``exec`` and ``config`` / ``backend`` /
+      ``observer`` must not also be given. Submitting again to the same
+      pool continues its clock against warm devices and plan caches.
+    * a :class:`ServeConfig` — a fresh asyncio :class:`Gateway` with
+      execution shape ``exec`` serves the specs.
 
-    ``exec`` is the one :class:`ExecConfig` for plan-cache, thread,
-    worker, gang, and serving data-plane knobs (``wire`` picks the
+    ``exec`` is the one :class:`ExecConfig` for plan-cache, worker,
+    gang, superplan, and serving data-plane knobs (``wire`` picks the
     shared-memory vs pickle payload path, ``batch_window_s`` the
     gateway's micro-batching window — docs/SERVING.md). Returns a
     single :class:`JobResult` when ``specs`` is a single
     :class:`JobSpec`, else a list in submission order. Jobs that need
-    the legacy callable form can be bridged with
-    :meth:`JobSpec.from_job` / :meth:`Job.from_spec`.
+    the callable form can be bridged with :meth:`JobSpec.from_job` /
+    :meth:`Job.from_spec`.
     """
     single = isinstance(specs, JobSpec)
     spec_list: List[JobSpec] = [specs] if single else list(specs)
@@ -515,19 +500,18 @@ def submit(
                 f"submit() takes JobSpec descriptions, got "
                 f"{type(spec).__name__} (wrap a Job with JobSpec.from_job)"
             )
+    if not isinstance(exec, ExecConfig):
+        raise ConfigError(
+            f"exec must be an ExecConfig, got {type(exec).__name__}"
+        )
 
     if pool is None:
-        from repro.runtime.execconfig import resolve_exec
-
-        knobs = resolve_exec(
-            exec, plan_cache=(True, True), superplan=(False, False)
-        )
         device = Device(
             config,
             backend=backend,
             observer=observer,
-            plan_cache=knobs["plan_cache"],
-            superplan=knobs["superplan"],
+            plan_cache=exec.plan_cache,
+            superplan=exec.superplan,
         )
         results = []
         for spec in spec_list:
@@ -539,7 +523,7 @@ def submit(
         rejected = [
             name
             for name, given in (
-                ("exec", exec is not None),
+                ("exec", exec != ExecConfig()),
                 ("config", config is not CAPE32K),
                 ("backend", backend is not None),
                 ("observer", observer is not None),
@@ -580,155 +564,3 @@ def submit(
             f"ServeConfig, got {type(pool).__name__}"
         )
     return results[0] if single else results
-
-
-def run(
-    program: str,
-    config: CAPEConfig = CAPE32K,
-    backend: Optional[str] = None,
-    memory_words: Optional[dict] = None,
-    observer: Optional[Observer] = None,
-    trace: bool = False,
-    plan_cache=True,
-) -> RunResult:
-    """Assemble and run a program on a fresh :class:`Device`.
-
-    .. deprecated:: PR 7
-        Use :func:`submit` with the ``"program"`` kernel
-        (``JobSpec(name, "program", {"source": ...})``) or
-        :meth:`Device.run` directly.
-
-    Args:
-        program: RISC-V assembly source (RV64I + RVV subset).
-        config: design point to instantiate.
-        backend: optional bit-level execution backend (see
-            :class:`Device`).
-        memory_words: optional ``{byte_address: array_of_words}``
-            initial memory image.
-        observer: optional :class:`Observer` threaded through the
-            device.
-        trace: attach a fresh observer for this run and return its
-            tracer on ``result.trace`` (see :meth:`Device.run`).
-        plan_cache: microcode plan cache knob (see :class:`Device`).
-
-    Returns:
-        A :class:`RunResult` (machine fields available by delegation).
-    """
-    warn_once_per_site(
-        "repro.api.run() is deprecated; use repro.api.submit() with the "
-        "'program' kernel, or Device.run() for ad-hoc assembly",
-    )
-    device = Device(config, backend=backend, observer=observer, plan_cache=plan_cache)
-    for addr, values in (memory_words or {}).items():
-        device.write_words(addr, values)
-    return device.run(program, trace=trace)
-
-
-def run_pool(
-    jobs: Sequence[Job],
-    configs: Sequence[CAPEConfig] = (CAPE32K,),
-    parallelism: int = 1,
-    plan_cache=True,
-    observer: Optional[Observer] = None,
-    interarrival_cycles: float = 0.0,
-    pool: Optional[DevicePool] = None,
-    **pool_kwargs: Any,
-) -> TelemetryReport:
-    """Run a batch of jobs on a :class:`DevicePool`.
-
-    ``parallelism`` sets the pool's worker-thread count: independent
-    devices' jobs execute concurrently (numpy's fused bit-plane kernels
-    release the GIL) while placement, results, and telemetry stay
-    bit-identical to the sequential loop — see ``docs/PERFORMANCE.md``.
-    Extra keyword arguments pass through to :class:`DevicePool`.
-
-    Pass ``pool=`` to reuse an existing pool (a :class:`DevicePool`, a
-    :class:`ServePool`, or anything with the same surface) instead of
-    building a fresh one: devices, plan caches, and health ledgers
-    carry over between calls, so a second batch runs against warm
-    state. ``configs``/``parallelism``/``plan_cache``/``observer`` and
-    ``pool_kwargs`` describe pool *construction* and are rejected
-    alongside ``pool=`` to rule out silent disagreement.
-
-    .. deprecated:: PR 7
-        Use :func:`submit` with ``pool=`` (an existing pool instance)
-        or construct a :class:`DevicePool` with an :class:`ExecConfig`.
-    """
-    warn_once_per_site(
-        "repro.api.run_pool() is deprecated; use repro.api.submit(specs, "
-        "pool=DevicePool(..., exec=ExecConfig(...)))",
-    )
-    if pool is not None:
-        if pool_kwargs or observer is not None:
-            raise ConfigError(
-                "pool= reuses an existing pool; construction arguments "
-                f"({', '.join([*pool_kwargs] + (['observer'] if observer is not None else []))}) "
-                "must be set when the pool is built"
-            )
-        base = pool.clock.now
-        for i, job in enumerate(jobs):
-            pool.submit(job, at_cycle=base + i * interarrival_cycles)
-        return pool.run()
-    pool = DevicePool(
-        configs,
-        observer=observer,
-        parallelism=parallelism,
-        plan_cache=plan_cache,
-        **pool_kwargs,
-    )
-    if interarrival_cycles:
-        pool.submit_stream(jobs, interarrival_cycles=interarrival_cycles)
-    else:
-        for job in jobs:
-            pool.submit(job)
-    return pool.run()
-
-
-def serve(
-    specs: Sequence[JobSpec],
-    configs: Sequence[CAPEConfig] = (CAPE32K, CAPE32K),
-    workers: int = 2,
-    observer: Optional[Observer] = None,
-    config: Optional[ServeConfig] = None,
-    **config_kwargs: Any,
-) -> list:
-    """Serve a batch of specs through a fresh asyncio :class:`Gateway`.
-
-    The synchronous convenience wrapper around the serving tier: boots
-    ``workers`` worker processes, submits every spec concurrently (as a
-    well-behaved client — honouring ``retry_after_s`` backpressure
-    hints), drains, shuts down, and returns the
-    :class:`ServeResult` list in submission order.
-
-    Pass a full :class:`ServeConfig` via ``config=`` for quota/fault
-    control, or individual :class:`ServeConfig` fields as keyword
-    arguments. Must be called from outside a running event loop; async
-    applications should use :class:`Gateway` directly.
-
-    .. deprecated:: PR 7
-        Use :func:`submit` with ``pool=ServeConfig(...)``.
-    """
-    warn_once_per_site(
-        "repro.api.serve() is deprecated; use repro.api.submit(specs, "
-        "pool=ServeConfig(...))",
-    )
-    import asyncio
-
-    if config is None:
-        config = ServeConfig(
-            configs=tuple(configs), workers=workers, **config_kwargs
-        )
-    elif config_kwargs:
-        raise ConfigError(
-            "pass either config= or individual ServeConfig fields, not both"
-        )
-
-    async def _main() -> list:
-        async with Gateway(config, observer=observer) as gateway:
-            return list(
-                await asyncio.gather(
-                    *(gateway.submit_retrying(spec) for spec in specs)
-                )
-            )
-
-    return asyncio.run(_main())

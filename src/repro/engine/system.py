@@ -45,11 +45,7 @@ from repro.engine.bitexec import (
 )
 from repro.csb.bitplane import BitplaneBackend
 from repro.plan import compile_chain_program
-from repro.plan.superplan import (
-    fuse_plans,
-    resolve_superplan_mode,
-    superplan_key,
-)
+from repro.plan.superplan import fuse_plans, superplan_key
 from repro.engine.cp import ControlProcessor
 from repro.engine.vcu import VCU, VCUStats
 from repro.engine.vmu import VMU, PageFault, VMUConfig, VMUStats
@@ -108,21 +104,6 @@ CAPE32K = CAPEConfig(name="CAPE32k", num_chains=1024)
 CAPE131K = CAPEConfig(name="CAPE131k", num_chains=4096)
 
 
-def __getattr__(name: str):
-    """Deprecated deep-import shim: ``CAPERunStats`` now lives in
-    :mod:`repro.obs.stats` (import it from :mod:`repro.api` or
-    :mod:`repro.obs`)."""
-    if name == "CAPERunStats":
-        from repro.common.deprecation import warn_once_per_site
-
-        warn_once_per_site(
-            "importing CAPERunStats from repro.engine.system is deprecated; "
-            "use repro.api (or repro.obs.stats)",
-        )
-        return _CAPERunStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class CAPESystem:
     """Executable CAPE system with an intrinsics-level API.
 
@@ -165,6 +146,10 @@ class CAPESystem:
             :class:`~repro.plan.PlanCache`. Plans are pure (identical
             results, cycles, and ``csb.microops``), so this is purely a
             host-speed knob.
+        superplan: inside a :meth:`superplan_scope`, defer eligible
+            mirror microcode into one fused cached trace (``True``) or
+            replay per instruction (``False``, the default). Also purely
+            a host-speed knob (docs/PERFORMANCE.md).
     """
 
     NUM_VREGS = 32
@@ -221,10 +206,10 @@ class CAPESystem:
         #: the register-file occupancy the runtime schedules against.
         self._written_vregs: set = set()
         self._plan_cache = plan_cache
-        #: Whole-kernel superplan mode (True / False / "auto"): inside a
-        #: :meth:`superplan_scope`, eligible intrinsics defer their
-        #: mirror microcode into one fused cached trace (docs/PERFORMANCE.md).
-        self.superplan = resolve_superplan_mode(superplan)
+        #: Whole-kernel superplans: inside a :meth:`superplan_scope`,
+        #: eligible intrinsics defer their mirror microcode into one
+        #: fused cached trace (docs/PERFORMANCE.md).
+        self.superplan = bool(superplan)
         self._sp_session: Optional[list] = None
         self._sp_window: Optional[tuple] = None
         #: vd -> functional row snapshot at its last deferred write.
@@ -1136,10 +1121,9 @@ class CAPESystem:
             obs.counter("plan.superplan.instructions").inc(
                 plan.num_instructions
             )
-            # Two monotone series rather than a "saved" delta: the
-            # instruction-boundary kernels can make a fused trace
-            # *longer* than its inputs when CSE drops nothing
-            # (counters must never decrease).
+            # Two monotone series rather than a delta: the
+            # instruction-boundary kernels make a fused trace longer
+            # than its inputs (counters must never decrease).
             obs.counter("plan.superplan.kernels_in").inc(plan.kernels_in)
             obs.counter("plan.superplan.kernels_out").inc(plan.kernels_out)
 

@@ -1,6 +1,6 @@
 """Serving evaluation: throughput/latency report for pool runs.
 
-Folds a :class:`~repro.runtime.telemetry.TelemetryReport` into the same
+Folds a :class:`~repro.runtime.TelemetryReport` into the same
 plain-text table format as the paper-figure benches — per-job latency
 breakdown, per-device utilization/occupancy, queue-depth histogram, and
 a throughput/latency headline — so a runtime experiment drops into the
@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, List
 
 from repro.eval.tables import format_table
 
-if TYPE_CHECKING:  # import cycle: repro.runtime.telemetry renders via eval
+if TYPE_CHECKING:  # import cycle: repro.runtime._telemetry renders via eval
     from repro.runtime._telemetry import TelemetryReport
 
 

@@ -5,10 +5,9 @@ jobs stack their bit-plane mirrors into one wide
 :class:`~repro.csb.bitplane.BitplaneBackend` and replay each compiled
 plan once with one int op per step over the stacked packed planes
 (``repro.plan.packed``) — amortising the per-dispatch Python overhead
-that threads (BENCH_5) and processes (BENCH_6) could not, so it wins
-even on one CPU. Results, cycles,
-energy, and microop totals stay bit-identical to sequential execution;
-a member that diverges mid-gang is ejected onto the sequential path
+that worker processes (BENCH_6) could not, so it wins even on one
+CPU. Results, cycles, energy, and microop totals stay bit-identical to
+sequential execution; a member that diverges mid-gang is ejected onto the sequential path
 (where the fault-healing ladder applies) without touching its peers.
 
 See :mod:`repro.gang.runner` for the orchestration contract,

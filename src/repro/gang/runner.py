@@ -1,8 +1,8 @@
 """Gang orchestration: eligibility, trace capture, grouping, dispatch.
 
 :func:`run_ganged` is the one entry point both execution tiers share —
-:class:`~repro.runtime.pool.DevicePool` calls it on the main thread for
-a launch batch, :mod:`repro.serve.worker` calls it inside a worker
+:class:`~repro.runtime.pool.DevicePool` calls it in process for each
+wave of its event loop, :mod:`repro.serve.worker` calls it inside a worker
 process for the members it owns. It takes ``(system, job)`` pairs,
 executes every job exactly once from the caller's point of view
 (setting ``job.result``), and reports per-job :class:`GangOutcome`\\ s.

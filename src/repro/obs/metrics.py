@@ -17,7 +17,6 @@ nouns for event counts.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -134,31 +133,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         #: family name -> (kind, {label key -> metric instance})
         self._families: Dict[str, Tuple[str, Dict[LabelKey, object]]] = {}
-        self._lock: Optional[threading.Lock] = None
-
-    def enable_thread_safety(self) -> None:
-        """Serialise series *creation* for multi-threaded publishers.
-
-        The parallel device pool calls this so concurrent workers can
-        get-or-create series without corrupting the family dicts. Handle
-        *updates* stay lock-free: each worker owns one device and every
-        device-side series carries a distinct ``device=`` label, so no
-        two threads increment the same handle concurrently (the
-        thread-safety contract in ``docs/PERFORMANCE.md``).
-        """
-        if self._lock is None:
-            self._lock = threading.Lock()
 
     # -- get-or-create handles -----------------------------------------
 
     def _get(self, kind: str, name: str, labels: Mapping[str, object]):
-        lock = self._lock
-        if lock is not None:
-            with lock:
-                return self._get_unlocked(kind, name, labels)
-        return self._get_unlocked(kind, name, labels)
-
-    def _get_unlocked(self, kind: str, name: str, labels: Mapping[str, object]):
         key = label_key(labels)
         family = self._families.get(name)
         if family is None:

@@ -20,17 +20,10 @@ from repro.plan.cache import (
 )
 from repro.plan.plan import CompiledPlan, compile_chain_program
 from repro.plan.recorder import RecordingChain, Token
-from repro.plan.superplan import (
-    SUPERPLAN_MODES,
-    Superplan,
-    fuse_plans,
-    resolve_superplan_mode,
-    superplan_key,
-)
+from repro.plan.superplan import Superplan, fuse_plans, superplan_key
 
 __all__ = [
     "GLOBAL_PLAN_CACHE",
-    "SUPERPLAN_MODES",
     "CompiledPlan",
     "PlanCache",
     "RecordingChain",
@@ -39,6 +32,5 @@ __all__ = [
     "compile_chain_program",
     "fuse_plans",
     "resolve_plan_cache",
-    "resolve_superplan_mode",
     "superplan_key",
 ]

@@ -8,8 +8,8 @@ is shared across every ``BitEngine``/``CAPESystem``/``DevicePool`` in the
 process: the second device to dispatch ``vadd.vv`` at SEW=32 reuses the
 plan the first one compiled.
 
-The cache is thread-safe (the parallel device pool compiles from worker
-threads). Compilation happens *outside* the lock — recording a microcode
+The cache is thread-safe, so systems driven from different threads may
+share it. Compilation happens *outside* the lock — recording a microcode
 walk can take microseconds and must not serialise unrelated lookups —
 with a first-wins re-check on insert so concurrent compilers of the same
 key converge on one plan object.
@@ -51,8 +51,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.compile_ns = 0
-        self.affinity_hits = 0
-        self.affinity_misses = 0
 
     def get_or_compile(
         self,
@@ -95,27 +93,12 @@ class PlanCache:
             observer.histogram("plan.cache.compile_ns").observe(elapsed_ns)
         return plan
 
-    def note_affinity(self, warm: bool) -> None:
-        """Count one plan-affinity placement decision against this cache.
-
-        The pools call this when affinity steers (or fails to steer) a
-        job toward warm state, so the counters ride the same snapshot
-        the serving workers already ship across the pipe.
-        """
-        with self._lock:
-            if warm:
-                self.affinity_hits += 1
-            else:
-                self.affinity_misses += 1
-
     def snapshot(self) -> dict:
         """The one plan-cache stats surface (picklable, cheap).
 
         Keys: ``entries`` / ``superplans`` (cached whole-kernel fusions
         among them), ``hits`` / ``misses`` (lookups), ``compiles`` and
-        ``compile_ns`` (actual builds and their wall time), and
-        ``affinity_hits`` / ``affinity_misses`` (plan-affinity placement
-        decisions recorded by the pools via :meth:`note_affinity`).
+        ``compile_ns`` (actual builds and their wall time).
         Serving workers ship this with every reply so the gateway can
         aggregate per-process cache behaviour without sharing memory;
         benchmarks and ``repro.api`` re-export it instead of reading
@@ -134,13 +117,7 @@ class PlanCache:
                 "misses": self.misses,
                 "compiles": self.misses,
                 "compile_ns": self.compile_ns,
-                "affinity_hits": self.affinity_hits,
-                "affinity_misses": self.affinity_misses,
             }
-
-    def stats(self) -> dict:
-        """Deprecated alias of :meth:`snapshot` (kept for old callers)."""
-        return self.snapshot()
 
     def __len__(self) -> int:
         with self._lock:
@@ -156,8 +133,6 @@ class PlanCache:
             self.hits = 0
             self.misses = 0
             self.compile_ns = 0
-            self.affinity_hits = 0
-            self.affinity_misses = 0
 
     def __repr__(self) -> str:
         return (

@@ -398,15 +398,6 @@ def effects(fn, p, num_subarrays: int) -> Tuple[tuple, tuple, tuple, tuple]:
     raise AssertionError(f"unknown kernel {fn!r}")  # pragma: no cover
 
 
-def droppable_dest(fn, p):
-    """Destination tag row of a token-free search or lookup-table kernel
-    — the only kernels a fused stream may drop as recomputations — else
-    ``None``."""
-    if fn is _k_lut or (fn is _k_search and p[5] is None):
-        return p[0]
-    return None
-
-
 def new_env(num_tokens: int) -> tuple:
     """Kernel opening a fresh token environment (instruction boundary)."""
     return (_k_new_env, num_tokens)

@@ -6,15 +6,10 @@ PR 5's :class:`~repro.plan.plan.CompiledPlan` amortises the FSM walk of
 fresh pass over each plan's kernels. A :class:`Superplan` records a whole
 kernel's instruction sequence (collected by
 ``CAPESystem.superplan_scope``) and fuses the per-instruction lowered
-programs into a single kernel stream with two optimisations:
-
-* **window hoisting** — the active window is programmed once per fused
-  segment instead of once per instruction (``vsetvl``/``vstart`` changes
-  are flush points, so the window is loop-invariant by construction);
-* **search/LUT CSE** — a search or lookup-table kernel whose driven bit
-  planes and destination tags are untouched since an identical earlier
-  kernel would recompute the tags it already produced, and is dropped
-  (loop-invariant searches hoist out of bit-serial walks this way).
+programs into a single kernel stream. The active window is programmed
+once per fused segment instead of once per instruction
+(``vsetvl``/``vstart`` changes are flush points, so the window is
+loop-invariant by construction).
 
 Every member's lowered kernels — packed-plane int kernels, with each
 accumulating search group compiled into one bitwise expression of its
@@ -24,17 +19,17 @@ touched row once per flush and writes back only what it wrote.
 
 Cycle/energy charging is untouched (it is functional-side, per
 instruction); the fused stream's static microop charges are the *sum* of
-the member plans' charges — CSE drops kernels, never charges — so
-``csb.microops`` totals stay bit-identical to per-instruction replay.
-Validation and mirror re-sync happen once per flushed register in the
-bit-plane domain (see ``CAPESystem._superplan_flush``), with exactly the
+the member plans' charges, so ``csb.microops`` totals stay bit-identical
+to per-instruction replay. Validation and mirror re-sync happen once per
+flushed register in the bit-plane domain (see
+``CAPESystem._superplan_flush``), with exactly the
 per-instruction predicate: modulo 2^SEW inside the active window (bit 0
 for mask producers), bit-for-bit outside it.
 
 Superplans are pure like their members: keyed by the instruction-key
 sequence (never column count or data), cached in the same
-:class:`~repro.plan.cache.PlanCache`, and safe to share across devices
-and threads. Eligibility mirrors gang execution — plain bit-plane
+:class:`~repro.plan.cache.PlanCache`, and safe to share across
+devices. Eligibility mirrors gang execution — plain bit-plane
 backend, no fault injector, no microop trace — so the reference and
 faulty per-primitive paths are untouched (``docs/PERFORMANCE.md``).
 """
@@ -44,29 +39,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
-from repro.common.errors import ConfigError
 from repro.plan import packed
 from repro.plan.plan import CompiledPlan
 
-__all__ = [
-    "SUPERPLAN_MODES",
-    "Superplan",
-    "fuse_plans",
-    "resolve_superplan_mode",
-    "superplan_key",
-]
-
-#: Valid values of every layer's ``superplan=`` knob (mirrors ``gang``).
-SUPERPLAN_MODES = (True, False, "auto")
-
-
-def resolve_superplan_mode(mode):
-    """Validate a ``superplan`` knob (``True`` / ``False`` / ``"auto"``)."""
-    if mode not in SUPERPLAN_MODES:
-        raise ConfigError(
-            f"superplan must be True, False, or 'auto', got {mode!r}"
-        )
-    return mode
+__all__ = ["Superplan", "fuse_plans", "superplan_key"]
 
 
 def superplan_key(num_subarrays: int, sew: int, op_keys: Sequence) -> tuple:
@@ -78,33 +54,6 @@ def superplan_key(num_subarrays: int, sew: int, op_keys: Sequence) -> tuple:
     and every ``vl`` the kernel runs at.
     """
     return ("superplan", num_subarrays, sew, tuple(op_keys))
-
-
-class _Versions:
-    """Write-version counters for packed-plane slots and tag rows.
-
-    A candidate kernel may be dropped only when every plane it reads and
-    the tags it writes are at the same version as when the identical
-    kernel last ran — i.e. re-running it would be a no-op.
-    """
-
-    def __init__(self) -> None:
-        self._clock = 0
-        self.planes: Dict[int, int] = {}
-        self.tags: Dict[int, int] = {}
-
-    def write(self, planes, tags) -> None:
-        self._clock += 1
-        for i in planes:
-            self.planes[i] = self._clock
-        for sub in tags:
-            self.tags[sub] = self._clock
-
-    def read(self, planes) -> int:
-        return max((self.planes.get(i, 0) for i in planes), default=0)
-
-    def tag(self, sub: int) -> int:
-        return self.tags.get(sub, 0)
 
 
 class Superplan:
@@ -175,19 +124,16 @@ def fuse_plans(
     num_subarrays: int,
     entries: Sequence[Tuple[str, int, bool, CompiledPlan]],
 ) -> Superplan:
-    """Fuse per-instruction plans into one optimised :class:`Superplan`.
+    """Fuse per-instruction plans into one :class:`Superplan`.
 
     ``entries`` is the recorded sequence: ``(mnemonic, vd, is_mask,
-    plan)`` per instruction in dispatch order. Charges are summed over
-    the *unoptimised* streams so microop totals match per-instruction
-    replay exactly; CSE only drops redundant kernels.
+    plan)`` per instruction in dispatch order. The members' kernels are
+    concatenated, each member opening a fresh token environment, and
+    their charges summed, so microop totals match per-instruction replay
+    exactly.
     """
     kernels: List[Tuple] = []
     charges: Counter = Counter()
-    versions = _Versions()
-    #: (fn, payload) -> (read version at emit, dest-tags version just
-    #: after emit) for droppable search-like kernels.
-    seen: Dict[tuple, Tuple[int, int]] = {}
     kernels_in = 0
 
     writes: List[Tuple[int, bool]] = []
@@ -205,20 +151,8 @@ def fuse_plans(
             charges[(op, bit_parallel)] += n
         if plan.program.num_tokens:
             kernels.append(packed.new_env(plan.program.num_tokens))
-        for kernel in plan.program.kernels:
-            kernels_in += 1
-            reads, plane_writes, _tag_reads, tag_writes = packed.effects(
-                *kernel, num_subarrays
-            )
-            dest = packed.droppable_dest(*kernel)
-            if dest is not None:
-                read_version = versions.read(reads)
-                if seen.get(kernel) == (read_version, versions.tag(dest)):
-                    continue  # a recomputation of unchanged tags: drop
-            kernels.append(kernel)
-            versions.write(plane_writes, tag_writes)
-            if dest is not None:
-                seen[kernel] = (read_version, versions.tag(dest))
+        kernels.extend(plan.program.kernels)
+        kernels_in += len(plan.program.kernels)
 
     return Superplan(
         key,

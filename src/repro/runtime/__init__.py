@@ -26,12 +26,7 @@ from repro.runtime.job import (
     JobState,
     SegmentedJob,
 )
-from repro.runtime.pool import (
-    DEFAULT_POOL,
-    Device,
-    DevicePool,
-    ThreadParallelismWarning,
-)
+from repro.runtime.pool import DEFAULT_POOL, Device, DevicePool
 from repro.runtime.scheduler import (
     POLICIES,
     BestFitPolicy,
@@ -73,7 +68,6 @@ __all__ = [
     "SimClock",
     "Telemetry",
     "TelemetryReport",
-    "ThreadParallelismWarning",
     "VectorContext",
     "make_policy",
 ]

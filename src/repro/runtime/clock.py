@@ -40,8 +40,8 @@ class SimClock:
     def next_time(self):
         """Timestamp of the earliest pending event, or ``None`` if idle.
 
-        Lets the pool's parallel driver drain all events sharing one
-        simulated timestamp as a batch without firing any of them early.
+        Lets the pool's wave loop drain all events sharing one simulated
+        timestamp as a batch without firing any of them early.
         """
         return self._heap[0][0] if self._heap else None
 

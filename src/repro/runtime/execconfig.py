@@ -1,36 +1,17 @@
-"""One execution-shape knob for every submission surface.
+"""The one execution-shape input of every submission surface.
 
-Before this module, execution shape was spread across per-surface
-keyword arguments: ``DevicePool(parallelism=..., plan_cache=...)``,
-``ServePool(workers=...)``, ``api.serve(config=ServeConfig(...))``.
-:class:`ExecConfig` folds them — plus the gang-execution mode — into a
-single frozen dataclass accepted everywhere jobs are submitted
-(:func:`repro.api.submit`, :class:`~repro.runtime.pool.DevicePool`,
-:class:`~repro.serve.pool.ServePool`,
-:class:`~repro.serve.gateway.Gateway`).
+:class:`ExecConfig` is the only place the execution shape is declared:
+:func:`repro.api.submit`, :class:`~repro.runtime.pool.DevicePool`,
+:class:`~repro.serve.pool.ServePool` and
+:class:`~repro.serve.gateway.Gateway` each take one as ``exec=`` and
+default to ``ExecConfig()``, so every surface shares one set of
+defaults.
 
-Each surface consumes the members that apply to it (a thread-parallel
-``DevicePool`` ignores ``workers``; a process-sharded ``ServePool``
-ignores ``parallelism``) — the unused members are carried, not
-rejected, so one ``ExecConfig`` can describe a workload as it moves
-between tiers.
-
-Precedence
-----------
-
-Legacy keyword arguments remain for compatibility, with one rule:
-
-* ``exec=None`` (default): the legacy keywords apply, with each
-  surface's historical defaults (``DevicePool`` keeps ``gang=False``).
-* ``exec=ExecConfig(...)``: the config wins outright. Passing a
-  *non-default* legacy keyword alongside it raises
-  :class:`~repro.common.errors.ConfigError` — silently preferring one
-  over the other is how configuration bugs hide.
-
-Note the deliberate default shift: ``ExecConfig().gang == "auto"``
-(gang whenever at least two jobs are eligible), while the legacy
-surfaces default to ``gang=False``. Opting into the new config is
-opting into gang execution.
+Each surface consumes the members that apply to it (a ``DevicePool``
+ignores ``workers`` and ``wire``; the worker-process tiers ignore
+``plan_cache``, because every worker owns its own cache) — the unused
+members are carried, not rejected, so one ``ExecConfig`` can describe a
+workload as it moves between tiers.
 """
 
 from __future__ import annotations
@@ -39,9 +20,8 @@ from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
 from repro.gang.runner import resolve_gang_mode
-from repro.plan.superplan import resolve_superplan_mode
 
-__all__ = ["ExecConfig", "resolve_exec"]
+__all__ = ["ExecConfig"]
 
 
 @dataclass(frozen=True)
@@ -53,27 +33,20 @@ class ExecConfig:
             process-wide cache, ``False``/``None`` to compile per
             dispatch, or an explicit
             :class:`~repro.plan.PlanCache`).
-        parallelism: worker threads for in-process pools
-            (:class:`~repro.runtime.pool.DevicePool`).
         workers: worker processes for the process-sharded serving tier
             (:class:`~repro.serve.pool.ServePool`, the gateway).
         gang: gang-execution mode — ``True`` gangs every eligible job,
             ``"auto"`` gangs when at least two jobs in a batch are
             eligible, ``False`` disables stacked replay (docs/GANG.md).
-            In the serving tier a batch is one worker's ``("runs",
-            ...)`` frame; framing and transport handling do not depend
-            on the mode.
-        superplan: whole-kernel superplan mode — ``True``/``"auto"``
-            fuse each job body's eligible mirror microcode into one
-            cached trace, ``False`` replays per instruction
-            (docs/PERFORMANCE.md). Same eligibility rules as gang
-            (plain bit-plane backend, no faults, no microop trace);
-            results, cycles, and microop totals are identical either
-            way.
-        plan_affinity: prefer devices/workers whose plan caches are
-            already warm for a job's superplan keys when breaking
-            placement ties. Tie-breaking only: with affinity off (the
-            default) placement is unchanged bit-for-bit.
+            A batch is one wave of the pool's event loop, or one
+            worker's ``("runs", ...)`` frame in the serving tier;
+            framing and transport handling do not depend on the mode.
+        superplan: fuse each job body's eligible mirror microcode into
+            one cached whole-kernel trace (``True``) or replay per
+            instruction (``False``) (docs/PERFORMANCE.md). Same
+            eligibility rules as gang (plain bit-plane backend, no
+            faults, no microop trace); results, cycles, and microop
+            totals are identical either way.
         wire: serving-tier data-plane mode — ``"auto"`` ships numpy
             payloads/results as shared-memory descriptors when the
             platform supports it, ``"shm"`` requires it, ``"pickle"``
@@ -86,21 +59,20 @@ class ExecConfig:
     """
 
     plan_cache: object = True
-    parallelism: int = 1
     workers: int = 2
     gang: object = "auto"
-    superplan: object = "auto"
-    plan_affinity: bool = False
+    superplan: bool = True
     wire: str = "auto"
     batch_window_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         resolve_gang_mode(self.gang)
-        resolve_superplan_mode(self.superplan)
+        if not isinstance(self.superplan, bool):
+            raise ConfigError(
+                f"superplan must be True or False, got {self.superplan!r}"
+            )
         # Inline literal check: importing repro.serve.shm here would
         # cycle (serve -> runtime.pool -> execconfig).
         if self.wire not in ("auto", "shm", "pickle"):
@@ -110,31 +82,3 @@ class ExecConfig:
             )
         if self.batch_window_s < 0:
             raise ConfigError("batch_window_s must be >= 0")
-
-
-def resolve_exec(exec_config: ExecConfig | None, **legacy):
-    """Merge an optional :class:`ExecConfig` with legacy keywords.
-
-    ``legacy`` maps each knob name to a ``(value, default)`` pair as the
-    calling surface received it. Returns ``{name: effective_value}``
-    for exactly the requested knobs.
-
-    Raises:
-        ConfigError: ``exec_config`` was given together with a legacy
-            keyword that differs from its surface default.
-    """
-    if exec_config is None:
-        return {name: value for name, (value, _default) in legacy.items()}
-    if not isinstance(exec_config, ExecConfig):
-        raise ConfigError(
-            f"exec must be an ExecConfig, got {type(exec_config).__name__}"
-        )
-    clash = sorted(
-        name for name, (value, default) in legacy.items() if value != default
-    )
-    if clash:
-        raise ConfigError(
-            f"pass {', '.join(clash)} inside ExecConfig, not alongside it "
-            f"(exec= was given, so the legacy keyword(s) would be ignored)"
-        )
-    return {name: getattr(exec_config, name) for name in legacy}

@@ -33,11 +33,7 @@ jobs instead of silently returning.
 
 from __future__ import annotations
 
-import os
-import threading
-import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Deque, Iterable, List, Optional, Sequence, Tuple
 
@@ -50,14 +46,12 @@ from repro.common.errors import (
 )
 from repro.engine.system import CAPE32K, CAPE131K, CAPEConfig, CAPESystem
 from repro.faults.injector import FaultInjector
-from repro.gang import resolve_gang_mode, run_ganged
+from repro.gang import run_ganged
 from repro.memory.mainmem import WordMemory
 from repro.obs.observer import NULL_OBSERVER
-from repro.plan import resolve_plan_cache
-from repro.plan.superplan import resolve_superplan_mode
 
 from repro.runtime.clock import SimClock
-from repro.runtime.execconfig import ExecConfig, resolve_exec
+from repro.runtime.execconfig import ExecConfig
 from repro.runtime.health import DeviceHealth, HealthState
 from repro.runtime.job import Job, JobState
 from repro.runtime.scheduler import Scheduler
@@ -66,41 +60,6 @@ from repro.runtime._telemetry import DeviceRecord, Telemetry, TelemetryReport
 #: Default pool shape: two small shards + one large for capacity-hungry
 #: jobs, mirroring the paper's two design points.
 DEFAULT_POOL = (CAPE32K, CAPE32K, CAPE131K)
-
-
-class ThreadParallelismWarning(RuntimeWarning):
-    """Thread parallelism was requested where threads cannot help."""
-
-
-#: One warning per process — the pool may be constructed hundreds of
-#: times in a sweep and the advice doesn't change.
-_thread_parallelism_warned = False
-
-
-def _warn_thread_parallelism(parallelism: int) -> None:
-    """Warn (once) that worker *threads* cannot beat sequential here.
-
-    BENCH_5 measured ``DevicePool(parallelism=4)`` at **0.85x**
-    sequential on a single-CPU host: the interpreter lock plus
-    numpy-bound workers leave nothing for extra threads to run, so the
-    batching overhead is pure loss. Process sharding (``repro.serve``)
-    is the escape hatch. Multi-core hosts are left alone — numpy
-    releases the GIL inside the fused bit-plane kernels, which is
-    where thread parallelism genuinely pays.
-    """
-    global _thread_parallelism_warned
-    if _thread_parallelism_warned or (os.cpu_count() or 1) > 1:
-        return
-    _thread_parallelism_warned = True
-    warnings.warn(
-        f"DevicePool(parallelism={parallelism}) uses worker *threads*, "
-        f"which cannot help on this {os.cpu_count() or 1}-CPU host "
-        f"(BENCH_5 measured 0.85x vs sequential: GIL + numpy-bound "
-        f"workers). Use the process-sharded serving tier instead — "
-        f"repro.serve.ServePool / repro.api.serve (docs/SERVING.md).",
-        ThreadParallelismWarning,
-        stacklevel=3,
-    )
 
 
 class Device:
@@ -117,14 +76,6 @@ class Device:
         self.lane_occupancies: List[float] = []
         self.health = DeviceHealth()
         self.injector: Optional[FaultInjector] = None
-        #: Superplan affinity keys (job kernel names) this device has
-        #: been placed for — a proxy for "its plan cache is warm here".
-        self.affinity_keys: set = set()
-        #: Serialises job execution on this device's system — the
-        #: parallel driver runs *different* devices concurrently, never
-        #: one device's jobs, so the injector/health ledger and the
-        #: device's CSB state see a single writer at a time.
-        self.lock = threading.Lock()
 
     @property
     def config(self) -> CAPEConfig:
@@ -185,39 +136,17 @@ class DevicePool:
             (doubles on each re-quarantine).
         retry_backoff_cycles: base delay before a failed job is
             re-queued (doubles per attempt).
-        parallelism: worker threads executing *independent devices'*
-            jobs concurrently (numpy releases the GIL inside the fused
-            bit-plane kernels). ``1`` (default) keeps the fully
-            sequential event loop. Simulated-clock order, placement, and
-            per-device job sequences are identical either way — see
-            ``docs/PERFORMANCE.md`` for the exact contract.
-        plan_cache: microcode plan-cache knob passed to every device's
-            system. ``True`` (default) shares the process-wide cache
-            across all devices — the second device to dispatch an
-            intrinsic reuses the first one's compiled plan.
-        gang: gang-execution mode (``True`` / ``False`` / ``"auto"``).
-            When enabled, each launch batch is handed to
-            :func:`repro.gang.run_ganged`: eligible bit-plane jobs with
-            matching plan-key streams replay their mirrors as one
-            stacked gang, ineligible or ejected jobs fall back to the
-            per-device path. Results, cycles, energy, and microop
-            totals are bit-identical either way — see ``docs/GANG.md``.
-        superplan: whole-kernel superplan mode (``True`` / ``False`` /
-            ``"auto"``) passed to every device's system: each job body
-            runs inside a superplan scope, fusing eligible mirror
-            microcode into one cached trace (docs/PERFORMANCE.md).
-            Results, cycles, and microop totals are bit-identical either
-            way.
-        plan_affinity: break placement ties toward devices whose plan
-            caches are warm for a job's kernel (spec-carrying jobs
-            only). Tie-breaking only — with the default ``False``,
-            placement is unchanged bit-for-bit; with it on, placement
-            is still deterministic.
-        exec: optional :class:`~repro.runtime.execconfig.ExecConfig`
-            bundling ``plan_cache`` / ``parallelism`` / ``gang`` /
-            ``superplan`` / ``plan_affinity``.
-            Mutually exclusive with non-default values of those
-            keywords (:class:`~repro.common.errors.ConfigError`).
+        exec: the :class:`~repro.runtime.execconfig.ExecConfig`
+            execution shape. Its ``plan_cache`` and ``superplan`` go to
+            every device's system (the default shares the process-wide
+            plan cache across all devices, and runs each job body inside
+            a superplan scope). Its ``gang`` mode is handed to
+            :func:`repro.gang.run_ganged` for every wave: eligible
+            bit-plane jobs with matching plan-key streams replay their
+            mirrors as one stacked gang, the rest run per device.
+            Results, cycles, energy, and microop totals are
+            bit-identical in every mode — see ``docs/GANG.md`` and
+            ``docs/PERFORMANCE.md``.
     """
 
     def __init__(
@@ -234,39 +163,15 @@ class DevicePool:
         failure_threshold: int = 3,
         quarantine_cycles: float = 50_000.0,
         retry_backoff_cycles: float = 1_000.0,
-        parallelism: int = 1,
-        plan_cache=True,
-        gang=False,
-        superplan=False,
-        plan_affinity=False,
-        exec: Optional[ExecConfig] = None,
+        exec: ExecConfig = ExecConfig(),
     ) -> None:
         if not configs:
             raise ConfigError("a pool needs at least one device")
-        knobs = resolve_exec(
-            exec,
-            plan_cache=(plan_cache, True),
-            parallelism=(parallelism, 1),
-            gang=(gang, False),
-            superplan=(superplan, False),
-            plan_affinity=(plan_affinity, False),
-        )
-        plan_cache = knobs["plan_cache"]
-        parallelism = knobs["parallelism"]
-        if parallelism < 1:
-            raise ConfigError("parallelism must be at least 1")
-        self.gang = resolve_gang_mode(knobs["gang"])
-        self.superplan = resolve_superplan_mode(knobs["superplan"])
-        #: Plan-affinity placement: prefer a warm device when breaking
-        #: best-fit ties. Off by default — placement is bit-identical to
-        #: the affinity-free pool unless explicitly enabled.
-        self.plan_affinity = bool(knobs["plan_affinity"])
-        #: Pool-side affinity ledger (placement decisions, not cache
-        #: lookups) — the serving pool reads these because its parent
-        #: process holds no plan cache to count into.
-        self._affinity_hits = 0
-        self._affinity_misses = 0
-        self._plan_cache_resolved = resolve_plan_cache(plan_cache)
+        if not isinstance(exec, ExecConfig):
+            raise ConfigError(
+                f"exec must be an ExecConfig, got {type(exec).__name__}"
+            )
+        self.exec = exec
         self.clock = SimClock()
         self.scheduler = Scheduler(policy)
         self.telemetry = Telemetry()
@@ -275,16 +180,9 @@ class DevicePool:
         self.fault_plan = fault_plan
         self.max_retries = max_retries
         self.retry_backoff_cycles = retry_backoff_cycles
-        self.parallelism = parallelism
-        if parallelism > 1:
-            _warn_thread_parallelism(parallelism)
-            if self.observer.enabled:
-                # Workers get-or-create device-labelled series concurrently.
-                self.observer.metrics.enable_thread_safety()
-        #: Launch batch under construction (parallel run only): jobs
-        #: started by the current timestamp's events, executed together
-        #: once the timestamp is fully drained. ``None`` = inline mode.
-        self._launching: Optional[List[Tuple[Device, Job]]] = None
+        #: The wave under construction: jobs started by the current
+        #: timestamp's events, executed together once it is drained.
+        self._launching: List[Tuple[Device, Job]] = []
         self.devices = []
         for i, config in enumerate(configs):
             system = CAPESystem(
@@ -296,8 +194,8 @@ class DevicePool:
                 ),
                 accounting=accounting,
                 backend=backend,
-                plan_cache=plan_cache,
-                superplan=self.superplan,
+                plan_cache=exec.plan_cache,
+                superplan=exec.superplan,
             )
             device = Device(i, system)
             device.health = DeviceHealth(
@@ -361,24 +259,6 @@ class DevicePool:
         candidates = [d for d in live if d.device_id not in exclude] or live
         fitting = [d for d in candidates if job.footprint.fits(d.config)]
         if fitting:
-            akey = self._affinity_key(job) if self.plan_affinity else None
-            if akey is not None:
-                # Same best-fit ordering, with cache warmth inserted as
-                # a tie-breaker between capacity and load: among equal
-                # capacities, a device already placed for this kernel
-                # replays superplans straight out of its warm cache.
-                chosen = min(
-                    fitting,
-                    key=lambda d: (
-                        d.config.max_vl,
-                        0 if akey in d.affinity_keys else 1,
-                        d.load,
-                        d.device_id,
-                    ),
-                )
-                self._note_affinity(akey in chosen.affinity_keys)
-                self._mark_affinity(chosen, akey)
-                return chosen
             return min(
                 fitting,
                 key=lambda d: (d.config.max_vl, d.load, d.device_id),
@@ -400,39 +280,6 @@ class DevicePool:
             requested_registers=job.footprint.vregs,
             available_registers=CAPESystem.NUM_VREGS,
         )
-
-    @staticmethod
-    def _affinity_key(job: Job):
-        """A job's superplan-affinity key, or ``None``.
-
-        Spec-carrying jobs use their kernel name — jobs of one kernel
-        replay the same superplan sequence, so a device that already ran
-        the kernel holds its fused plans warm. Ad-hoc callable jobs have
-        no stable identity and never steer placement.
-        """
-        spec = getattr(job, "spec", None)
-        return getattr(spec, "kernel", None)
-
-    def _note_affinity(self, warm: bool) -> None:
-        """Record one affinity placement decision (cache + observer)."""
-        if warm:
-            self._affinity_hits += 1
-        else:
-            self._affinity_misses += 1
-        cache = self._plan_cache_resolved
-        if cache is not None:
-            cache.note_affinity(warm)
-        if self.observer.enabled:
-            self.observer.counter(
-                "plan.affinity.placements",
-                outcome="warm" if warm else "cold",
-            ).inc()
-
-    def _mark_affinity(self, device: Device, akey) -> None:
-        """Mark a placement's warm scope — this one device here; the
-        serving pool widens it to every device of the owning worker
-        (their plan cache is per process, not per device)."""
-        device.affinity_keys.add(akey)
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -501,33 +348,16 @@ class DevicePool:
         job.start_cycle = self.clock.now
         job.device_id = device.device_id
         device.current = job
-        if self._launching is not None:
-            # Parallel run: defer execution until the current timestamp
-            # is fully drained, then run the batch across devices. The
-            # bookkeeping above already marks the device busy, so later
-            # events in this timestamp place work exactly as the
-            # sequential loop would.
-            self._launching.append((device, job))
-            return
-        self._run_job(device, job)
-        self._finish_start(device, job)
-
-    def _run_job(self, device: Device, job: Job) -> None:
-        """Execute a started job on its device (worker-thread safe).
-
-        The job executes functionally *now*; its cycle cost stretches
-        over simulated time, so completion lands at now + service. Only
-        this method runs off the main thread, and only under the
-        device's lock — everything it touches (the system, its CSB, the
-        injector, the device-labelled observer series) belongs to this
-        one device.
-        """
-        with device.lock:
-            device.system.reset()
-            job.result = job.execute(device.system)
+        # Execution waits until the current timestamp is fully drained
+        # and runs with the rest of its wave. The bookkeeping above
+        # already marks the device busy, so later events in this
+        # timestamp place work as if the job had run at once.
+        self._launching.append((device, job))
 
     def _finish_start(self, device: Device, job: Job) -> None:
-        """Main-thread bookkeeping after a started job has executed."""
+        """Bookkeeping after a started job has executed: its cycle cost
+        stretches over simulated time, so completion lands at
+        now + service."""
         result = job.result
         device.lane_occupancies.append(
             min(job.footprint.lanes, device.config.max_vl)
@@ -712,90 +542,21 @@ class DevicePool:
     def run(self, max_events: int = 1_000_000) -> TelemetryReport:
         """Drain the event loop and fold telemetry into a report.
 
+        The loop runs in waves. All events sharing the earliest
+        simulated timestamp fire in deterministic ``(time, seq)`` order;
+        job *starts* within that timestamp only record bookkeeping and
+        land on a launchpad. The wave of started jobs — at most one per
+        device (``device.current`` blocks a second dispatch) — then
+        executes through the execution tier, and post-run bookkeeping
+        replays in launchpad order. The tier is
+        :func:`repro.gang.run_ganged` in process here, and worker
+        processes in ``repro.serve``.
+
         Raises :class:`~repro.common.errors.PoolStalledError` naming the
         stuck jobs when the event budget is exhausted with events still
         pending, or when the loop drains with work still queued (every
         serviceable device quarantined or dead, parked jobs included) —
         never a silent partial return.
-        """
-        if self.parallelism > 1 or self.gang is not False:
-            # Gang execution needs the batched driver too: the launchpad
-            # is what turns a timestamp's starts into a gangable batch.
-            return self._run_parallel(max_events)
-        events = 0
-        while self.clock.tick():
-            events += 1
-            if events >= max_events and len(self.clock) > 0:
-                raise PoolStalledError(
-                    f"event budget of {max_events:,} exhausted with "
-                    f"{len(self.clock)} events pending",
-                    [j.name for j in self._stuck_jobs()],
-                )
-        stuck = self._stuck_jobs()
-        if stuck:
-            raise PoolStalledError(
-                "every serviceable device is quarantined or dead",
-                [j.name for j in stuck],
-            )
-        return self.report()
-
-    @contextmanager
-    def _execution_tier(self):
-        """Yield a ``execute(batch)`` callable for the batched driver.
-
-        The base tier is a bounded :class:`ThreadPoolExecutor`:
-        independent devices' jobs execute on worker threads under their
-        device locks (numpy releases the GIL inside the fused bit-plane
-        kernels). ``repro.serve.ServePool`` overrides this with a
-        process-sharded tier that ships each job to the worker process
-        owning its device — everything else about the event loop is
-        shared.
-        """
-        obs = self.observer
-        with ThreadPoolExecutor(
-            max_workers=self.parallelism, thread_name_prefix="cape-pool"
-        ) as executor:
-            if obs.enabled:
-                obs.metrics.gauge("pool.parallel.workers").set(self.parallelism)
-
-            def execute(batch) -> None:
-                if self.gang is not False:
-                    # Gang path: the whole batch runs on the main thread
-                    # — one stacked replay per eligible group, the
-                    # sequential fallback (ineligible or ejected jobs)
-                    # via the same locked per-device runner.
-                    run_ganged(
-                        [(device.system, job) for device, job in batch],
-                        mode=self.gang,
-                        observer=self.observer,
-                        run_job=lambda i: self._run_job(*batch[i]),
-                    )
-                    return
-                if len(batch) == 1:
-                    self._run_job(*batch[0])
-                    return
-                futures = [
-                    executor.submit(self._run_job, device, job)
-                    for device, job in batch
-                ]
-                for future in futures:
-                    future.result()
-
-            yield execute
-
-    def _run_parallel(self, max_events: int) -> TelemetryReport:
-        """Batched event loop: independent devices execute concurrently.
-
-        All events sharing the earliest simulated timestamp fire on the
-        main thread in the same deterministic (time, seq) order as the
-        sequential loop; job *starts* within that timestamp only record
-        bookkeeping and land on a launchpad. The batch of started jobs
-        then executes across the execution tier — at most one job per
-        device (``device.current`` blocks a second dispatch) — and
-        post-run bookkeeping replays on the main thread in launchpad
-        order. Placement decisions therefore match the sequential loop
-        exactly; the tier (worker threads here, worker processes in
-        ``repro.serve``) only supplies host concurrency.
         """
         obs = self.observer
         events = 0
@@ -804,7 +565,6 @@ class DevicePool:
                 t = self.clock.next_time
                 if t is None:
                     break
-                self._launching = []
                 # Callbacks may schedule more events at this same
                 # timestamp (e.g. a completion freeing a device that
                 # immediately dispatches) — keep draining until the
@@ -812,7 +572,7 @@ class DevicePool:
                 while self.clock.next_time == t:
                     self.clock.tick()
                     events += 1
-                batch, self._launching = self._launching, None
+                batch, self._launching = self._launching, []
                 if batch:
                     execute(batch)
                     for device, job in batch:
@@ -836,6 +596,25 @@ class DevicePool:
                 [j.name for j in stuck],
             )
         return self.report()
+
+    @contextmanager
+    def _execution_tier(self):
+        """Yield the ``execute(batch)`` callable :meth:`run` drives.
+
+        In process there is nothing to start or stop;
+        ``repro.serve.ServePool`` overrides this to boot the worker
+        processes around the loop.
+        """
+        yield self._execute_batch
+
+    def _execute_batch(self, batch) -> None:
+        """Execute one wave in process: one stacked replay per gangable
+        group, every other job on its own device."""
+        run_ganged(
+            [(device.system, job) for device, job in batch],
+            mode=self.exec.gang,
+            observer=self.observer,
+        )
 
     def _stuck_jobs(self) -> List[Job]:
         """Submitted jobs still queued/running (parked jobs are QUEUED)."""

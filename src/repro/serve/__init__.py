@@ -5,10 +5,9 @@ Two front doors over one worker substrate:
 * :class:`~repro.serve.pool.ServePool` — the deterministic batch tier.
   A :class:`~repro.runtime.pool.DevicePool` whose jobs execute inside
   worker *processes* (one process owns one or more devices) while all
-  bookkeeping — placement, scheduling, healing, telemetry — stays on
-  the main thread in simulated-clock order. Results are bit-identical
-  to sequential execution; the processes exist purely to beat the GIL
-  wall that capped worker *threads* at 0.85x (BENCH_5).
+  bookkeeping — placement, scheduling, healing, telemetry — stays in
+  the parent in simulated-clock order. Results are bit-identical to
+  in-process execution; the processes supply the host concurrency.
 * :class:`~repro.serve.gateway.Gateway` — the asyncio front door for
   live traffic: ``await submit(spec)``, per-tenant quotas through the
   :class:`~repro.runtime.job.Footprint` machinery, bounded queues that
@@ -19,7 +18,7 @@ Work crosses the process boundary as picklable
 :class:`~repro.serve.spec.JobSpec` descriptions naming a registered
 kernel — with numpy payloads and array results travelling as zero-copy
 shared-memory descriptors when the platform supports it
-(:mod:`repro.serve.shm`, the ``wire=`` knob) — and each dispatch round
+(:mod:`repro.serve.shm`, ``ExecConfig.wire``) — and each dispatch round
 coalesces into batched wire frames. The fault ledger crosses the
 boundary in both directions (worker-side injectors report device death
 in replies; a worker crash — injectable via

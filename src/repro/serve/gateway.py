@@ -48,7 +48,7 @@ FIFO reply order plus heartbeat progress marks, garbled replies from
 an unreadable payload; both re-queue the request like a worker-death
 orphan.
 
-**Data plane** (``ServeConfig.wire`` / ``batch_window_s``,
+**Data plane** (``ExecConfig.wire`` / ``batch_window_s``,
 docs/SERVING.md): numpy payloads and array results cross the worker
 boundary as shared-memory descriptors (:mod:`repro.serve.shm`) when
 the platform supports it, and each dispatch round rides one batched
@@ -80,6 +80,7 @@ from repro.common.errors import (
     WorkerUnresponsiveError,
 )
 from repro.engine.system import CAPE32K, CAPEConfig
+from repro.runtime.execconfig import ExecConfig
 from repro.serve.link import (
     WORKER_GONE,
     WorkerLink,
@@ -88,7 +89,7 @@ from repro.serve.link import (
 )
 from repro.serve.pool import default_mp_context
 from repro.serve.resilience import ResilienceConfig
-from repro.serve.shm import WIRE_MODES, HostWire, payload_nbytes
+from repro.serve.shm import HostWire, payload_nbytes
 from repro.serve.spec import JobSpec
 from repro.serve.worker import WorkerHandle, WorkerOptions
 
@@ -132,10 +133,13 @@ class TenantQuota:
 class ServeConfig:
     """Gateway construction knobs (one picklable bag).
 
+    The execution shape (worker count, gang and superplan modes, wire,
+    batching window) is not here: it is the gateway's ``exec=``
+    :class:`~repro.runtime.execconfig.ExecConfig`.
+
     Args:
         configs: device design points; device ``i`` is owned by worker
-            ``i % workers``.
-        workers: worker process count (clamped to the device count).
+            ``i % exec.workers``.
         max_queue: bound on requests queued + in flight; beyond it the
             gateway sheds load with ``retry_after_s``.
         default_quota: quota applied to tenants absent from ``quotas``.
@@ -158,31 +162,9 @@ class ServeConfig:
             (docs/SERVING.md).
         retry_after_s: floor of the backpressure hint; the advertised
             value scales with observed service time and queue depth.
-        gang: gang-execution mode (``True`` / ``False`` / ``"auto"``),
-            shipped to the workers: each per-worker ``("runs", ...)``
-            frame runs through :func:`repro.gang.run_ganged`, which
-            gangs what can be ganged (``docs/GANG.md``); ``False`` runs
-            every member sequentially. Framing, transport-fault
-            detection, hedging, and deadlines are the same in every
-            mode.
-        superplan: whole-kernel superplan mode (``True`` / ``False`` /
-            ``"auto"``), shipped to every worker's systems
-            (``docs/PERFORMANCE.md``). Results, cycles, and microop
-            totals are bit-identical either way.
-        wire: data-plane mode (``"auto"`` / ``"shm"`` / ``"pickle"``,
-            docs/SERVING.md). With shared memory, numpy payloads and
-            array results cross the worker boundary as zero-copy
-            segment descriptors instead of pickled bytes. Results,
-            placement, and telemetry are bit-identical in every mode.
-        batch_window_s: the micro-batching window. Every dispatch
-            round ships one ``("runs", ...)`` frame per worker; ``0``
-            (default) dispatches whatever is assignable at once, ``> 0``
-            lets an incomplete round wait up to this many wall seconds
-            for round-mates so its frames carry more members.
     """
 
     configs: Tuple[CAPEConfig, ...] = (CAPE32K, CAPE32K)
-    workers: int = 2
     max_queue: int = 256
     default_quota: TenantQuota = TenantQuota()
     quotas: Dict[str, TenantQuota] = field(default_factory=dict)
@@ -194,30 +176,13 @@ class ServeConfig:
     max_retries: int = 3
     worker_timeout: float = 120.0
     retry_after_s: float = 0.05
-    gang: object = False
-    superplan: object = False
     resilience: ResilienceConfig = ResilienceConfig()
-    wire: str = "auto"
-    batch_window_s: float = 0.0
 
     def __post_init__(self) -> None:
-        from repro.gang import resolve_gang_mode
-        from repro.plan.superplan import resolve_superplan_mode
-
         if not self.configs:
             raise ConfigError("a gateway needs at least one device")
-        if self.workers < 1:
-            raise ConfigError("a gateway needs at least one worker")
         if self.max_queue < 1:
             raise ConfigError("max_queue must be at least 1")
-        resolve_gang_mode(self.gang)
-        resolve_superplan_mode(self.superplan)
-        if self.wire not in WIRE_MODES:
-            raise ConfigError(
-                f"wire must be one of {WIRE_MODES}, got {self.wire!r}"
-            )
-        if self.batch_window_s < 0:
-            raise ConfigError("batch_window_s must be >= 0")
 
     def quota_for(self, tenant: str) -> TenantQuota:
         return self.quotas.get(tenant, self.default_quota)
@@ -373,44 +338,28 @@ class Gateway:
 
     Use as an async context manager::
 
-        async with Gateway(ServeConfig(workers=2)) as gw:
+        async with Gateway(ServeConfig(), exec=ExecConfig(workers=2)) as gw:
             result = await gw.submit(JobSpec("r0", "dot", {...}))
 
-    All state is owned by the event-loop thread; reader threads only
-    ever schedule callbacks onto the loop.
+    ``config`` holds the devices and the serving policy; ``exec`` is the
+    execution shape (``workers``, ``gang``, ``superplan``, ``wire``,
+    ``batch_window_s``; ``plan_cache`` does not apply, each worker owns
+    its cache). All state is owned by the event-loop thread; reader
+    threads only ever schedule callbacks onto the loop.
     """
 
     def __init__(
         self,
         config: ServeConfig = ServeConfig(),
         observer=None,
-        exec=None,
+        exec: ExecConfig = ExecConfig(),
     ):
-        if exec is not None:
-            # The unified ExecConfig overrides the serving-shape members
-            # of the ServeConfig; passing both non-defaulted is refused
-            # (same precedence contract as the pools).
-            from dataclasses import replace
-
-            from repro.runtime.execconfig import resolve_exec
-
-            knobs = resolve_exec(
-                exec,
-                workers=(config.workers, 2),
-                gang=(config.gang, False),
-                superplan=(config.superplan, False),
-                wire=(config.wire, "auto"),
-                batch_window_s=(config.batch_window_s, 0.0),
-            )
-            config = replace(
-                config,
-                workers=knobs["workers"],
-                gang=knobs["gang"],
-                superplan=knobs["superplan"],
-                wire=knobs["wire"],
-                batch_window_s=knobs["batch_window_s"],
+        if not isinstance(exec, ExecConfig):
+            raise ConfigError(
+                f"exec must be an ExecConfig, got {type(exec).__name__}"
             )
         self.config = config
+        self.exec = exec
         from repro.obs.observer import NULL_OBSERVER
 
         self.observer = observer if observer is not None else NULL_OBSERVER
@@ -465,19 +414,18 @@ class Gateway:
         self._started = True
         self._loop = asyncio.get_running_loop()
         cfg = self.config
-        num_workers = min(cfg.workers, len(cfg.configs))
+        num_workers = min(self.exec.workers, len(cfg.configs))
         options = WorkerOptions(
             memory_bytes=cfg.memory_bytes,
             accounting=cfg.accounting,
             backend=cfg.backend,
             warmup=cfg.warmup,
             fault_plan=cfg.fault_plan,
-            superplan=cfg.superplan,
-            gang=cfg.gang,
+            exec=self.exec,
             heartbeat_interval_s=cfg.resilience.heartbeat_interval_s,
         )
         ctx = default_mp_context()
-        self._host_wire = HostWire(cfg.wire, observer=self.observer)
+        self._host_wire = HostWire(self.exec.wire, observer=self.observer)
         self.wire_stats = self._host_wire.stats
         for device_id, config in enumerate(cfg.configs):
             self._worker_of[device_id] = device_id % num_workers
@@ -726,7 +674,7 @@ class Gateway:
         *packing* — placement is the same footprint-aware round-robin
         either way.
         """
-        window = self.config.batch_window_s
+        window = self.exec.batch_window_s
         if window > 0 and self._queue and not self._closing:
             free_live = sum(
                 1

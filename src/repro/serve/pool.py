@@ -3,14 +3,14 @@ processes for execution.
 
 :class:`ServePool` subclasses :class:`~repro.runtime.pool.DevicePool`
 and changes exactly one thing: the execution tier. The discrete-event
-loop, placement, scheduling policies, work stealing, retry/quarantine/
-probation healing, and telemetry all run unchanged on the main thread in
-the same deterministic ``(time, seq)`` event order as the sequential
-pool — so placement, results, and telemetry are **bit-identical to
-sequential execution** of the same job set under the same fault plan.
-What moves out of process is the part threads could never speed up on a
-GIL-bound host: the numpy-heavy ``job.execute`` itself, which now runs
-inside the worker process owning the job's device.
+wave loop, placement, scheduling policies, work stealing,
+retry/quarantine/probation healing, and telemetry all run unchanged in
+the parent in the same deterministic ``(time, seq)`` event order as the
+in-process pool — so placement, results, and telemetry are
+**bit-identical to in-process execution** of the same job set under the
+same fault plan. What moves out of process is the numpy-heavy
+``job.execute`` itself, which runs inside the worker process owning the
+job's device.
 
 Jobs must be :class:`~repro.serve.spec.ServeJob` instances (built from
 picklable :class:`~repro.serve.spec.JobSpec` descriptions) because only
@@ -44,11 +44,9 @@ from repro.common.errors import (
     WorkerTimeoutError,
 )
 from repro.engine.system import CAPEConfig
-from repro.gang import resolve_gang_mode
-from repro.runtime.execconfig import ExecConfig, resolve_exec
+from repro.runtime.execconfig import ExecConfig
 from repro.runtime.job import JobResult
 from repro.runtime.pool import DEFAULT_POOL, Device, DevicePool
-from repro.runtime._telemetry import TelemetryReport
 from repro.serve.link import (
     TransportTally,
     WorkerLink,
@@ -119,9 +117,9 @@ class ServePool(DevicePool):
     """A :class:`DevicePool` whose jobs execute in worker processes.
 
     Args:
-        configs: design points, one device per entry (as DevicePool).
-        workers: worker processes; device ``i`` is owned by worker
-            ``i % workers`` (clamped to the device count).
+        configs: design points, one device per entry (as DevicePool);
+            device ``i`` is owned by worker ``i % exec.workers``
+            (clamped to the device count).
         plan_cache_warmup: specs each worker executes once at boot on a
             throwaway system to warm its per-process plan cache.
         worker_timeout: wall seconds an individual dispatch may stay
@@ -135,88 +133,39 @@ class ServePool(DevicePool):
             stragglers with canonical (primary-wins) winner selection,
             and per-worker circuit breakers. Breakers never steer
             *primary* placement in this tier (placement must stay
-            bit-identical to sequential execution, and breaker state is
+            bit-identical to in-process execution, and breaker state is
             wall-clock); they gate hedge targets and feed
             ``serve.breaker.*`` metrics. Defaults to
             ``ResilienceConfig()`` (heartbeats on, hedging off).
         mp_context: a ``multiprocessing`` context; defaults to
             :func:`default_mp_context`.
-        gang: gang-execution mode (``True`` / ``False`` / ``"auto"``),
-            shipped to every worker via
-            :class:`~repro.serve.worker.WorkerOptions`. Each launch
-            batch rides one ``("runs", ...)`` frame per worker in every
-            mode; the worker runs the frame through
-            :func:`repro.gang.run_ganged` — stacked replay for eligible
-            groups, sequential otherwise (``False`` never gangs).
-            ``"auto"`` is evaluated per frame. See ``docs/GANG.md``.
-        superplan: whole-kernel superplan mode (``True`` / ``False`` /
-            ``"auto"``), shipped to every worker's systems via
-            :class:`~repro.serve.worker.WorkerOptions`
-            (docs/PERFORMANCE.md). Results, cycles, and microop totals
-            are bit-identical either way.
-        plan_affinity: break placement ties toward devices whose owning
-            worker has already run a job's kernel — a worker's plan
-            cache is per process, so every device it owns is equally
-            warm. Tie-breaking only; placement stays deterministic.
-        wire: the data-plane mode (``"auto"`` / ``"shm"`` /
-            ``"pickle"``). On the shm wire, numpy payloads, golden
-            vectors, and result arrays cross the worker boundary as
-            shared-memory descriptors instead of pickled bytes
-            (``repro.serve.shm``); ``"auto"`` picks shm when the
-            platform supports it. Results, placement, and telemetry are
-            bit-identical in every mode — the wire only changes how the
-            bytes travel.
-        exec: optional :class:`~repro.runtime.execconfig.ExecConfig`
-            bundling ``workers`` / ``gang`` / ``superplan`` /
-            ``plan_affinity`` / ``wire`` (its ``parallelism`` and
-            ``plan_cache`` members don't apply to this tier). Mutually
-            exclusive with non-default values of those keywords.
-        **pool_kwargs: everything :class:`DevicePool` accepts except
-            ``parallelism`` (meaningless here — concurrency comes from
-            the worker processes) and ``plan_cache`` (each worker runs
-            its own per-process cache; the bookkeeping process compiles
-            nothing).
+        exec: the :class:`~repro.runtime.execconfig.ExecConfig`
+            execution shape. ``workers`` sets the worker-process count;
+            ``gang`` and ``superplan`` ship to every worker via
+            :class:`~repro.serve.worker.WorkerOptions` (each wave rides
+            one ``("runs", ...)`` frame per worker, which the worker
+            runs through :func:`repro.gang.run_ganged`, docs/GANG.md);
+            ``wire`` picks the data plane: on the shm wire, numpy
+            payloads, golden vectors, and result arrays cross the worker
+            boundary as shared-memory descriptors instead of pickled
+            bytes (``repro.serve.shm``). ``plan_cache`` does not apply:
+            each worker owns its own per-process cache. Results,
+            placement, and telemetry are bit-identical in every mode.
+        **pool_kwargs: everything else :class:`DevicePool` accepts.
     """
 
     def __init__(
         self,
         configs: Sequence[CAPEConfig] = DEFAULT_POOL,
-        workers: int = 2,
         *,
         plan_cache_warmup: Sequence[JobSpec] = (),
         worker_timeout: float = 120.0,
         mp_context=None,
         fault_plan=None,
-        gang=False,
-        superplan=False,
-        plan_affinity=False,
-        wire: str = "auto",
         resilience: Optional[ResilienceConfig] = None,
-        exec: Optional[ExecConfig] = None,
+        exec: ExecConfig = ExecConfig(),
         **pool_kwargs,
     ) -> None:
-        knobs = resolve_exec(
-            exec,
-            workers=(workers, 2),
-            gang=(gang, False),
-            superplan=(superplan, False),
-            plan_affinity=(plan_affinity, False),
-            wire=(wire, "auto"),
-        )
-        workers = knobs["workers"]
-        gang = knobs["gang"]
-        superplan = knobs["superplan"]
-        plan_affinity = knobs["plan_affinity"]
-        wire = knobs["wire"]
-        if workers < 1:
-            raise ConfigError("a serve pool needs at least one worker")
-        for reserved in ("parallelism", "plan_cache"):
-            if reserved in pool_kwargs:
-                raise ConfigError(
-                    f"ServePool does not accept {reserved!r}: worker "
-                    f"processes supply the concurrency and own their "
-                    f"plan caches"
-                )
         # Device-construction knobs are forwarded to the workers so
         # their devices are built exactly like in-process ones; the
         # parent keeps its own copy because DevicePool doesn't retain
@@ -226,24 +175,12 @@ class ServePool(DevicePool):
         self._backend = pool_kwargs.pop("backend", None)
         # The parent's systems are bookkeeping mirrors that never
         # execute a job: no bit-level mirror (the backend goes to the
-        # workers only), no fault injectors (the workers own the
-        # injector state), no plan cache, no superplans (those live in
-        # the workers via WorkerOptions); plan affinity *does* apply
-        # here — placement is a parent-side decision.
-        super().__init__(
-            configs,
-            parallelism=1,
-            plan_cache=False,
-            plan_affinity=plan_affinity,
-            **pool_kwargs,
-        )
-        #: Superplan mode shipped to the workers' systems.
-        self.superplan = superplan
-        # The parent's systems never execute jobs, so this gang mode
-        # only steers the worker-side frames (WorkerOptions.gang).
-        self.gang = resolve_gang_mode(gang)
+        # workers only) and no fault injectors (the workers own the
+        # injector state), so their plan-cache and superplan settings
+        # are inert.
+        super().__init__(configs, exec=exec, **pool_kwargs)
         self.fault_plan = fault_plan
-        self.num_workers = min(workers, len(self.devices))
+        self.num_workers = min(exec.workers, len(self.devices))
         self.plan_cache_warmup = tuple(plan_cache_warmup)
         self.worker_timeout = worker_timeout
         #: Resilience policy: heartbeats/hang detection, hedged
@@ -275,8 +212,6 @@ class ServePool(DevicePool):
         #: Workers declared unresponsive (hang detection), a subset of
         #: ``_dead_worker_ids`` once routed around.
         self._unresponsive_worker_ids: set = set()
-        #: The requested data-plane mode (resolved per run).
-        self.wire = wire
         self._host_wire: Optional[HostWire] = None
         #: Data-plane accounting from the most recent run (the
         #: ``HostWire.stats`` dict, which survives wire shutdown).
@@ -307,7 +242,7 @@ class ServePool(DevicePool):
             if self._mp_context is not None
             else default_mp_context()
         )
-        self._host_wire = HostWire(self.wire, observer=self.observer)
+        self._host_wire = HostWire(self.exec.wire, observer=self.observer)
         self.wire_stats = self._host_wire.stats
         options = WorkerOptions(
             memory_bytes=self._memory_bytes,
@@ -315,8 +250,7 @@ class ServePool(DevicePool):
             backend=self._backend,
             warmup=self.plan_cache_warmup,
             fault_plan=self.fault_plan,
-            superplan=self.superplan,
-            gang=self.gang,
+            exec=self.exec,
             heartbeat_interval_s=self.resilience.heartbeat_interval_s,
         )
         for worker_id in range(self.num_workers):
@@ -391,14 +325,6 @@ class ServePool(DevicePool):
 
     def _device_dead(self, device: Device) -> bool:
         return device.device_id in self._dead_device_ids
-
-    def _mark_affinity(self, device: Device, akey) -> None:
-        """A worker's plan cache is per *process*: any device owned by
-        the placed device's worker is equally warm for this kernel."""
-        worker_id = self.worker_of[device.device_id]
-        for d in self.devices:
-            if self.worker_of[d.device_id] == worker_id:
-                d.affinity_keys.add(akey)
 
     def _crashed_result(self, worker_id: int) -> JobResult:
         return JobResult(
@@ -714,9 +640,9 @@ class ServePool(DevicePool):
 
         Pickle + syscall cost is amortised over the round instead of
         paid per request, and the worker gangs what its gang mode
-        allows. The inherited driver replays completions in launchpad
-        order afterwards, so grouping cannot perturb the bit-identical
-        placement/telemetry contract.
+        allows. The inherited wave loop replays completions in
+        launchpad order afterwards, so grouping cannot perturb the
+        bit-identical placement/telemetry contract.
         """
         by_worker: Dict[int, list] = {}
         for device, job in batch:
@@ -757,31 +683,15 @@ class ServePool(DevicePool):
         finally:
             self._stop_workers()
 
-    # ------------------------------------------------------------------
-    # Driving
-    # ------------------------------------------------------------------
-
-    def run(self, max_events: int = 1_000_000) -> TelemetryReport:
-        """Drain the loop with jobs executing on the worker tier.
-
-        Same contract as :meth:`DevicePool.run` — including
-        :class:`~repro.common.errors.PoolStalledError` when every
-        serviceable device (worker) is gone with work still queued.
-        """
-        return self._run_parallel(max_events)
-
     def plan_cache_totals(self) -> dict:
         """Aggregate the per-worker plan-cache snapshots.
 
         Workers ship :meth:`~repro.plan.PlanCache.snapshot` with every
-        reply; this sums the counters across workers. Affinity counters
-        are parent-side (placement happens here, the workers never see
-        it), so they are folded in from the pool's own ledger.
+        reply; this sums the counters across workers.
         """
         totals = {
             "entries": 0, "superplans": 0, "hits": 0, "misses": 0,
             "compiles": 0, "compile_ns": 0,
-            "affinity_hits": 0, "affinity_misses": 0,
         }
         per_worker = {}
         for worker_id, stats in sorted(self.worker_stats.items()):
@@ -789,6 +699,4 @@ class ServePool(DevicePool):
             per_worker[worker_id] = dict(cache)
             for key in totals:
                 totals[key] += int(cache.get(key, 0))
-        totals["affinity_hits"] += self._affinity_hits
-        totals["affinity_misses"] += self._affinity_misses
         return {"total": totals, "per_worker": per_worker}

@@ -29,7 +29,7 @@ worth of ``(device_id, spec, deadline_s)`` tuples for this worker (a
 single member for a hedge), answered by exactly one ``results`` frame
 carrying the member replies in order — one pickle + one syscall per
 *round* instead of per request. The worker runs every frame through
-:func:`repro.gang.run_ganged` in its ``WorkerOptions.gang`` mode —
+:func:`repro.gang.run_ganged` in its ``WorkerOptions.exec.gang`` mode —
 stacked replay for eligible groups, sequential execution otherwise —
 so kill/hang/slow/drop/garble injection, deadlines, and the progress
 marks below apply to every frame alike. ``ack`` piggybacks the
@@ -67,7 +67,7 @@ import gc
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import (
@@ -81,6 +81,7 @@ from repro.faults.injector import FaultInjector
 from repro.gang import run_ganged
 from repro.memory.mainmem import WordMemory
 from repro.plan.cache import PlanCache
+from repro.runtime.execconfig import ExecConfig
 from repro.serve.shm import DEFAULT_MIN_BYTES, WorkerWire
 from repro.serve.spec import JobSpec
 
@@ -104,13 +105,10 @@ class WorkerOptions:
     backend: Optional[str] = None
     warmup: Tuple[JobSpec, ...] = ()
     fault_plan: object = None  # Optional[FaultPlan]; picklable
-    #: Whole-kernel superplan mode for the shard's systems
-    #: (``True`` / ``False`` / ``"auto"``, docs/PERFORMANCE.md).
-    superplan: object = False
-    #: Gang-execution mode for every ``runs`` frame (``True`` /
-    #: ``False`` / ``"auto"``, docs/GANG.md); ``"auto"`` is evaluated
-    #: per frame.
-    gang: object = False
+    #: The parent's execution shape: ``superplan`` for the shard's
+    #: systems, and the ``gang`` mode of every ``runs`` frame
+    #: (``"auto"`` is evaluated per frame, docs/GANG.md).
+    exec: ExecConfig = ExecConfig()
     #: Period of the unsolicited ``("heartbeat", ...)`` messages a side
     #: thread sends so the parent can tell a hung worker from a slow
     #: one; ``0`` (the default) disables the thread entirely.
@@ -120,6 +118,14 @@ class WorkerOptions:
     reply_segment: Optional[str] = None
     #: Arrays below this many bytes stay inline even on the shm wire.
     wire_min_bytes: int = DEFAULT_MIN_BYTES
+
+    def __post_init__(self) -> None:
+        # The shard owns one PlanCache, so the parent's plan_cache is
+        # dropped; a PlanCache instance would not even pickle across a
+        # spawn boundary.
+        object.__setattr__(
+            self, "exec", replace(self.exec, plan_cache=False)
+        )
 
 
 def _build_shard(
@@ -142,7 +148,7 @@ def _build_shard(
             accounting=options.accounting,
             backend=options.backend,
             plan_cache=plan_cache,
-            superplan=options.superplan,
+            superplan=options.exec.superplan,
         )
         injector = None
         if options.fault_plan is not None:
@@ -164,7 +170,7 @@ def _build_shard(
             accounting=options.accounting,
             backend=options.backend,
             plan_cache=plan_cache,
-            superplan=options.superplan,
+            superplan=options.exec.superplan,
         )
         for spec in options.warmup:
             scratch.reset()
@@ -408,7 +414,7 @@ def worker_main(
                     (device_id, wire.decode_spec(spec), deadline_s)
                     for device_id, spec, deadline_s in members
                 ]
-                replies = _run_frame(systems, injectors, members, options.gang)
+                replies = _run_frame(systems, injectors, members, options.exec.gang)
                 snapshot = plan_cache.snapshot()
                 for i, reply in enumerate(replies):
                     reply["worker_id"] = worker_id

@@ -1,9 +1,8 @@
-"""The unified submission API and its deprecated predecessors.
+"""The unified submission API.
 
 ``api.submit(specs, pool=...)`` must return the same answers on every
 execution surface — a fresh device, an existing pool, a gateway — and
-the old per-surface entry points (``run`` / ``run_pool`` / ``serve``)
-must keep working while warning.
+every surface must take its execution shape from one ``ExecConfig``.
 """
 
 import warnings
@@ -11,21 +10,22 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import api
 from repro.api import (
-    CAPE32K,
     ConfigError,
     Device,
     DevicePool,
     ExecConfig,
+    Gateway,
     Job,
     JobResult,
     JobSpec,
+    Observer,
+    PlanCache,
     ServeConfig,
+    ServePool,
     submit,
 )
 from repro.engine.system import CAPEConfig
-from repro.runtime.execconfig import resolve_exec
 from repro.runtime.job import Footprint
 
 TINY = CAPEConfig(name="tiny", num_chains=64)
@@ -62,15 +62,13 @@ class TestSubmitSingleDevice:
             submit([job])
 
     def test_exec_config_plan_cache_knob_applies(self):
-        from repro.plan import PlanCache
-
         cache = PlanCache()
         result = submit(
             dot_spec("c", 2), config=TINY, backend="bitplane",
             exec=ExecConfig(plan_cache=cache),
         )
         assert result.output == dot_golden(2)
-        assert cache.stats()["misses"] > 0
+        assert cache.snapshot()["misses"] > 0
 
 
 class TestSubmitPool:
@@ -96,23 +94,55 @@ class TestSubmitPool:
 
     def test_construction_knobs_alongside_a_pool_are_rejected(self):
         pool = DevicePool((TINY,))
+        # The default ExecConfig() is what every call carries; a
+        # non-default one would be ignored by the built pool: refused.
         with pytest.raises(ConfigError, match="already"):
-            submit([dot_spec("x")], pool=pool, exec=ExecConfig())
+            submit([dot_spec("x")], pool=pool, exec=ExecConfig(gang=False))
         with pytest.raises(ConfigError, match="already"):
             submit([dot_spec("x")], pool=pool, backend="bitplane")
         with pytest.raises(ConfigError, match="already"):
             submit([dot_spec("x")], pool=pool, config=TINY)
+        with pytest.raises(ConfigError, match="already"):
+            submit([dot_spec("x")], pool=pool, observer=Observer())
 
     def test_unknown_pool_type_is_rejected(self):
         with pytest.raises(ConfigError, match="pool="):
             submit([dot_spec("x")], pool=object())
+
+    def test_reused_pool_hits_the_warm_plan_cache(self):
+        observer = Observer()
+        pool = DevicePool(
+            [TINY], backend="bitplane", observer=observer,
+            exec=ExecConfig(plan_cache=PlanCache()),
+        )
+        # The pool publishes per-device: the series carries a device label.
+        hit_counter = observer.metrics.counter("plan.cache.hit", device="tiny#0")
+        first = submit([dot_spec(f"w{i}", i) for i in range(3)], pool=pool)
+        hits_after_first = hit_counter.value
+        second = submit([dot_spec(f"v{i}", i) for i in range(3)], pool=pool)
+        assert [r.output for r in first + second] == [
+            dot_golden(i) for i in range(3)
+        ] * 2
+        # The second batch re-uses plans the first compiled: hits rise.
+        assert hit_counter.value > hits_after_first
+
+    def test_reused_pool_continues_the_clock(self):
+        pool = DevicePool([TINY])
+        submit(
+            [dot_spec(f"c{i}", i) for i in range(2)], pool=pool,
+            interarrival_cycles=10.0,
+        )
+        first_end = pool.clock.now
+        assert first_end > 0
+        submit([dot_spec(f"d{i}", i) for i in range(2)], pool=pool)
+        assert pool.clock.now >= first_end
 
 
 class TestSubmitGateway:
     def test_serve_config_boots_a_gateway(self):
         results = submit(
             [dot_spec(f"r{i}", i) for i in range(5)],
-            pool=ServeConfig(configs=(TINY, TINY), workers=2),
+            pool=ServeConfig(configs=(TINY, TINY)),
         )
         assert [r.output for r in results] == [dot_golden(i) for i in range(5)]
         assert all(isinstance(r, JobResult) for r in results)
@@ -126,20 +156,24 @@ class TestSubmitGateway:
         assert [r.output for r in results] == [dot_golden(i) for i in range(4)]
 
 
-class TestExecConfigResolution:
-    def test_legacy_values_win_when_no_exec_given(self):
-        knobs = resolve_exec(None, parallelism=(3, 1), gang=(True, False))
-        assert knobs == {"parallelism": 3, "gang": True}
+class TestOneExecutionShape:
+    def test_every_surface_defaults_to_exec_config(self):
+        """DevicePool, ServePool and Gateway take their execution shape
+        from ExecConfig() when given none (no worker is started)."""
+        assert DevicePool((TINY,)).exec == ExecConfig()
+        assert ServePool((TINY,)).exec == ExecConfig()
+        assert Gateway(ServeConfig(configs=(TINY,))).exec == ExecConfig()
+        assert ExecConfig().gang == "auto" and ExecConfig().superplan is True
 
-    def test_exec_values_win_outright(self):
-        knobs = resolve_exec(
-            ExecConfig(parallelism=2), parallelism=(1, 1), gang=(False, False)
-        )
-        assert knobs == {"parallelism": 2, "gang": "auto"}
+    def test_superplan_is_a_plain_bool(self):
+        with pytest.raises(ConfigError, match="superplan"):
+            ExecConfig(superplan="auto")
 
-    def test_non_default_legacy_alongside_exec_is_an_error(self):
-        with pytest.raises(ConfigError, match="inside ExecConfig"):
-            resolve_exec(ExecConfig(), parallelism=(4, 1))
+    def test_exec_must_be_an_exec_config(self):
+        with pytest.raises(ConfigError, match="ExecConfig"):
+            DevicePool((TINY,), exec={"gang": True})
+        with pytest.raises(ConfigError, match="ExecConfig"):
+            submit(dot_spec("x"), config=TINY, exec={"gang": True})
 
 
 class TestBridges:
@@ -174,33 +208,6 @@ class TestBridges:
 
 
 class TestDeprecatedShims:
-    PROGRAM = """
-        li a0, 1
-        ecall
-    """
-
-    def test_run_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="submit"):
-            result = api.run(self.PROGRAM, config=TINY)
-        assert result.halted
-
-    def test_run_pool_warns_and_works(self):
-        jobs = [dot_spec(f"rp{i}", i).to_job() for i in range(3)]
-        with pytest.warns(DeprecationWarning, match="submit"):
-            report = api.run_pool(jobs, configs=(TINY,))
-        assert report.completed == 3
-        assert [j.result.output for j in jobs] == [
-            dot_golden(i) for i in range(3)
-        ]
-
-    def test_serve_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="submit"):
-            results = api.serve(
-                [dot_spec(f"sv{i}", i) for i in range(3)],
-                configs=(TINY,), workers=1,
-            )
-        assert [r.output for r in results] == [dot_golden(i) for i in range(3)]
-
     def test_submit_itself_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

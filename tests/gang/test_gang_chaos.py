@@ -15,6 +15,7 @@ import pytest
 from repro.engine.system import CAPEConfig
 from repro.faults import FaultPlan, WorkerKill
 from repro.obs import Observer
+from repro.runtime import ExecConfig
 from repro.runtime.job import Footprint, Job
 from repro.runtime.pool import DevicePool
 from repro.serve import Gateway, JobSpec, ServeConfig, ServePool
@@ -58,7 +59,7 @@ def run_stream(gang, fault_plan=None, observer=None):
         quarantine_cycles=2_000.0,
         retry_backoff_cycles=300.0,
         max_retries=4,
-        gang=gang,
+        exec=ExecConfig(gang=gang),
     )
     jobs = pool.submit_stream(make_jobs(), interarrival_cycles=40.0)
     report = pool.run(max_events=100_000)
@@ -122,8 +123,8 @@ class TestServePoolGangHealing:
 
     def _run(self, fault_plan=None, gang=True, workers=3):
         pool = ServePool(
-            [TINY, TINY, TINY], workers=workers, backend="bitplane",
-            fault_plan=fault_plan, gang=gang,
+            [TINY, TINY, TINY], backend="bitplane", fault_plan=fault_plan,
+            exec=ExecConfig(workers=workers, gang=gang),
         )
         jobs = pool.submit_specs(self._specs(), interarrival_cycles=10.0)
         report = pool.run()
@@ -156,11 +157,11 @@ class TestGatewayGang:
     def test_gateway_gang_results_match_gang_free(self):
         def serve_all(gang, observer=None):
             async def main():
-                cfg = ServeConfig(
-                    configs=(TINY, TINY), workers=2,
-                    backend="bitplane", gang=gang,
-                )
-                async with Gateway(cfg, observer=observer) as gw:
+                cfg = ServeConfig(configs=(TINY, TINY), backend="bitplane")
+                exec_config = ExecConfig(workers=2, gang=gang)
+                async with Gateway(
+                    cfg, observer=observer, exec=exec_config
+                ) as gw:
                     return await asyncio.gather(
                         *(gw.submit_retrying(self._spec(f"r{i}", i))
                           for i in range(10))
@@ -178,13 +179,16 @@ class TestGatewayGang:
         assert obs.metrics.total("gang.hit") == 10
 
     def test_gateway_gang_worker_death_retries_orphans(self):
+        # Worker 0 dies on its first job: the first request always goes
+        # to device 0, so the kill cannot miss however fast worker 1
+        # drains the rest.
         async def main():
             cfg = ServeConfig(
-                configs=(TINY, TINY), workers=2,
-                backend="bitplane", gang=True,
-                fault_plan=FaultPlan(faults=(WorkerKill(at_job=2, worker=0),)),
+                configs=(TINY, TINY), backend="bitplane",
+                fault_plan=FaultPlan(faults=(WorkerKill(at_job=1, worker=0),)),
             )
-            async with Gateway(cfg) as gw:
+            exec_config = ExecConfig(workers=2, gang=True)
+            async with Gateway(cfg, exec=exec_config) as gw:
                 results = await asyncio.gather(
                     *(gw.submit_retrying(self._spec(f"r{i}", i))
                       for i in range(8))

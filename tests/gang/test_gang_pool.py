@@ -1,10 +1,10 @@
 """Gang execution through the pools: identity, metrics, fallbacks.
 
-``DevicePool(gang=...)`` routes each launch batch through
+``DevicePool(exec=ExecConfig(gang=...))`` routes each wave through
 :func:`repro.gang.run_ganged`; ``ServePool`` ships gang batches to its
-worker processes. Either way the contract is the one the sequential
-tier defines: results, placement, telemetry, and microop totals
-bit-identical to ``gang=False``.
+worker processes. Either way the contract is the one ``gang=False``
+defines: results, placement, telemetry, and microop totals
+bit-identical to running every job on its own device.
 """
 
 import numpy as np
@@ -33,9 +33,10 @@ def dot_specs(n=8, lanes=8):
     ]
 
 
-def run_device_pool(specs, observer=None, configs=(TINY, TINY), **kwargs):
+def run_device_pool(specs, observer=None, configs=(TINY, TINY), gang="auto"):
     pool = DevicePool(
-        configs, backend="bitplane", observer=observer, **kwargs
+        configs, backend="bitplane", observer=observer,
+        exec=ExecConfig(gang=gang),
     )
     jobs = [spec.to_job() for spec in specs]
     for job in jobs:
@@ -72,13 +73,9 @@ class TestDevicePoolIdentity:
         _, base_jobs, base_report = run_device_pool(
             specs, observer=base_obs, gang=False
         )
-        for knobs in (
-            {"gang": True},
-            {"gang": "auto"},
-            {"exec": ExecConfig(gang=True)},
-        ):
+        for gang in (True, "auto"):
             obs = Observer()
-            _, jobs, report = run_device_pool(specs, observer=obs, **knobs)
+            _, jobs, report = run_device_pool(specs, observer=obs, gang=gang)
             assert result_tuples(jobs) == result_tuples(base_jobs)
             assert report.makespan_cycles == base_report.makespan_cycles
             assert microops(obs) == microops(base_obs)
@@ -147,45 +144,28 @@ class TestDevicePoolIdentity:
 
 
 class TestExecConfigWiring:
-    def test_exec_config_sets_the_pool_knobs(self, monkeypatch):
-        from repro.runtime import ThreadParallelismWarning
-        import repro.runtime.pool as pool_module
-
-        # The warning targets 1-CPU hosts: pretend to be one, and reset
-        # its once-per-process latch, so the check holds on any host.
-        monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(pool_module, "_thread_parallelism_warned", False)
-        with pytest.warns(ThreadParallelismWarning):
-            pool = DevicePool(
-                (TINY,), exec=ExecConfig(parallelism=2, gang=True)
-            )
-        assert pool.gang is True
-        assert pool.parallelism == 2
+    def test_exec_config_sets_the_pool_knobs(self):
+        pool = DevicePool((TINY,), exec=ExecConfig(gang=True, superplan=False))
+        assert pool.exec.gang is True
+        assert [d.system.superplan for d in pool.devices] == [False]
 
     def test_exec_config_defaults_to_auto_gang(self):
-        pool = DevicePool((TINY,), exec=ExecConfig())
-        assert pool.gang == "auto"
-
-    def test_legacy_keywords_still_work_without_exec(self):
-        pool = DevicePool((TINY,), gang=True)
-        assert pool.gang is True
-        assert DevicePool((TINY,)).gang is False
+        pool = DevicePool((TINY,))
+        assert pool.exec.gang == "auto"
+        assert [d.system.superplan for d in pool.devices] == [True]
 
     def test_conflicting_knobs_are_rejected(self):
-        with pytest.raises(ConfigError, match="inside ExecConfig"):
-            DevicePool((TINY,), gang=True, exec=ExecConfig())
-        with pytest.raises(ConfigError, match="inside ExecConfig"):
-            DevicePool((TINY,), parallelism=4, exec=ExecConfig(gang=True))
+        # ExecConfig is the one execution-shape input: no per-surface
+        # keyword can disagree with it.
+        for knob in ("gang", "superplan", "plan_cache", "parallelism"):
+            with pytest.raises(TypeError, match=knob):
+                DevicePool((TINY,), **{knob: True})
 
     def test_bad_gang_mode_is_rejected_everywhere(self):
-        with pytest.raises(ConfigError, match="gang must be"):
-            DevicePool((TINY,), gang="always")
         with pytest.raises(ConfigError, match="gang must be"):
             ExecConfig(gang="always")
 
     def test_exec_config_validates_counts(self):
-        with pytest.raises(ConfigError):
-            ExecConfig(parallelism=0)
         with pytest.raises(ConfigError):
             ExecConfig(workers=0)
 
@@ -196,8 +176,8 @@ class TestServePoolGang:
         _, base_jobs, _ = run_device_pool(specs, gang=False)
         obs = Observer()
         pool = ServePool(
-            (TINY, TINY), workers=2, backend="bitplane",
-            observer=obs, gang=True,
+            (TINY, TINY), backend="bitplane", observer=obs,
+            exec=ExecConfig(workers=2, gang=True),
         )
         jobs = pool.submit_specs(specs)
         pool.run()
@@ -205,5 +185,6 @@ class TestServePoolGang:
         assert obs.metrics.total("gang.hit") == 8
 
     def test_serve_exec_config_conflict_rejected(self):
-        with pytest.raises(ConfigError, match="inside ExecConfig"):
-            ServePool((TINY,), gang=True, exec=ExecConfig())
+        for knob in ("workers", "gang", "superplan", "wire"):
+            with pytest.raises(TypeError, match=knob):
+                ServePool((TINY,), **{knob: True})

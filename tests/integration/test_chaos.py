@@ -14,6 +14,7 @@ import pytest
 from repro.engine.system import CAPEConfig
 from repro.faults import FaultPlan
 from repro.obs import Observer
+from repro.runtime import ExecConfig
 from repro.runtime.job import Footprint, Job, JobState, SegmentedJob
 from repro.runtime.pool import DevicePool
 
@@ -85,10 +86,7 @@ def make_jobs():
     return jobs
 
 
-def run_stream(
-    fault_plan=None, observer=None, parallelism=1,
-    superplan=False, plan_affinity=False,
-):
+def run_stream(fault_plan=None, observer=None, superplan=True):
     pool = DevicePool(
         (NANO, NANO, NANO),
         memory_bytes=1 << 26,  # room for the spill slab base
@@ -98,9 +96,7 @@ def run_stream(
         quarantine_cycles=2_000.0,
         retry_backoff_cycles=300.0,
         max_retries=4,
-        parallelism=parallelism,
-        superplan=superplan,
-        plan_affinity=plan_affinity,
+        exec=ExecConfig(superplan=superplan),
     )
     jobs = pool.submit_stream(make_jobs(), interarrival_cycles=40.0)
     report = pool.run(max_events=100_000)
@@ -172,11 +168,11 @@ def test_chaos_plan_itself_is_reproducible():
 
 @pytest.mark.slow
 def test_chaos_stream_identical_with_superplans():
-    """The full storm replayed with whole-kernel superplans (and plan
-    affinity) enabled: devices with attached injectors are ineligible
-    per dispatch, so they keep the per-primitive fault-divergence
-    ladder, while clean devices fuse their kernels — and nothing about
-    the schedule, outputs, or healing ledger may move."""
+    """The full storm replayed with whole-kernel superplans on and off:
+    devices with attached injectors are ineligible per dispatch, so they
+    keep the per-primitive fault-divergence ladder, while clean devices
+    fuse their kernels — and nothing about the schedule, outputs, or
+    healing ledger may move."""
 
     def fingerprint(**kwargs):
         _, jobs, report = run_stream(fault_plan=chaos_plan(), **kwargs)
@@ -192,37 +188,6 @@ def test_chaos_stream_identical_with_superplans():
             [j.result.output for j in jobs],
         )
 
-    baseline = fingerprint()
-    fused = fingerprint(superplan="auto", plan_affinity=True)
+    baseline = fingerprint(superplan=False)
+    fused = fingerprint(superplan=True)
     assert fused == baseline
-
-
-@pytest.mark.slow
-def test_chaos_stream_identical_under_parallel_pool():
-    """The full storm replayed with ``parallelism=4``: placement, job
-    outputs, retries, quarantines, and the device death must all match
-    the sequential run — worker threads only move the *host* execution
-    of already-placed jobs, never the simulated schedule (the
-    determinism contract in docs/PERFORMANCE.md)."""
-
-    def fingerprint(parallelism):
-        obs = Observer()
-        pool, jobs, report = run_stream(
-            fault_plan=chaos_plan(), observer=obs, parallelism=parallelism
-        )
-        return (
-            [(r.name, r.state, r.attempts, r.device_id,
-              r.start_cycle, r.finish_cycle) for r in report.jobs],
-            report.completed,
-            report.failed,
-            report.retries,
-            report.quarantines,
-            report.device_deaths,
-            report.makespan_cycles,
-            [j.result.output for j in jobs],
-            obs.metrics.total("faults.injected"),
-        )
-
-    sequential = fingerprint(1)
-    parallel = fingerprint(4)
-    assert parallel == sequential

@@ -2,12 +2,8 @@
 
 Covers the ProfileReport folds, the RunResult dataclass and its
 MachineResult delegation, the one-naming-scheme contract
-(``as_dict``/``summary`` on every stats surface), and the deprecation
-shims on the old deep-import paths.
+(``as_dict``/``summary`` on every stats surface).
 """
-
-import sys
-import warnings
 
 import pytest
 
@@ -17,7 +13,6 @@ from repro.api import (
     Observer,
     ProfileReport,
     RunResult,
-    run,
 )
 
 PROGRAM = """
@@ -79,7 +74,7 @@ def test_profile_report_rejects_null_observer():
 
 
 def test_run_result_fields_and_delegation():
-    result = run(PROGRAM)
+    result = Device(CAPE32K).run(PROGRAM)
     assert isinstance(result, RunResult)
     assert result.cycles > 0
     assert result.trace is None  # not traced
@@ -100,7 +95,7 @@ def test_every_stats_surface_shares_the_contract():
     """CAPERunStats / TelemetryReport / ProfileReport: as_dict + summary."""
     from repro.api import DevicePool, Footprint, Job
 
-    result = run(PROGRAM)
+    result = Device(CAPE32K).run(PROGRAM)
     stats_dict = result.stats.as_dict()
     assert stats_dict["seconds"] == result.stats.seconds
     assert "cycles" in result.stats.summary()
@@ -125,28 +120,3 @@ def test_every_stats_surface_shares_the_contract():
             "instructions": {},
         }
     }
-
-
-def test_deprecated_engine_system_stats_import_warns():
-    import repro.engine.system as system_mod
-    from repro.obs.stats import CAPERunStats
-
-    with pytest.warns(DeprecationWarning, match="repro.engine.system"):
-        cls = system_mod.CAPERunStats
-    assert cls is CAPERunStats
-    # The supported paths stay silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        from repro.api import CAPERunStats as api_cls
-        from repro.engine import CAPERunStats as engine_cls
-    assert api_cls is engine_cls is CAPERunStats
-
-
-def test_deprecated_runtime_telemetry_module_warns():
-    sys.modules.pop("repro.runtime.telemetry", None)
-    with pytest.warns(DeprecationWarning, match="repro.runtime.telemetry"):
-        import repro.runtime.telemetry as shim
-    from repro.runtime import Telemetry, TelemetryReport
-
-    assert shim.Telemetry is Telemetry
-    assert shim.TelemetryReport is TelemetryReport

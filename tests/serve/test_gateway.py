@@ -52,7 +52,7 @@ class TestServing:
 
     def test_report_counts_and_latency_percentiles(self):
         async def main():
-            async with Gateway(ServeConfig(configs=(TINY,), workers=1)) as gw:
+            async with Gateway(ServeConfig(configs=(TINY,))) as gw:
                 await asyncio.gather(
                     *(gw.submit(dot_spec(f"r{i}", i)) for i in range(5))
                 )
@@ -68,7 +68,7 @@ class TestServing:
 
     def test_per_tenant_accounting(self):
         async def main():
-            async with Gateway(ServeConfig(configs=(TINY,), workers=1)) as gw:
+            async with Gateway(ServeConfig(configs=(TINY,))) as gw:
                 await asyncio.gather(
                     gw.submit(dot_spec("a", tenant="acme")),
                     gw.submit(dot_spec("b", tenant="acme")),
@@ -88,7 +88,7 @@ class TestServing:
 class TestBackpressure:
     def test_queue_full_rejects_with_retry_after(self):
         async def main():
-            cfg = ServeConfig(configs=(TINY,), workers=1, max_queue=2)
+            cfg = ServeConfig(configs=(TINY,), max_queue=2)
             async with Gateway(cfg) as gw:
                 accepted, rejection = [], None
                 for i in range(6):
@@ -108,7 +108,7 @@ class TestBackpressure:
     def test_retrying_client_completes_past_shedding(self):
         async def main():
             cfg = ServeConfig(
-                configs=(TINY,), workers=1, max_queue=2, retry_after_s=0.005
+                configs=(TINY,), max_queue=2, retry_after_s=0.005
             )
             async with Gateway(cfg) as gw:
                 results = await asyncio.gather(
@@ -131,7 +131,7 @@ class TestBackpressure:
 
         async def main():
             cfg = ServeConfig(
-                configs=(TINY,), workers=1, max_queue=2,
+                configs=(TINY,), max_queue=2,
                 retry_after_s=0.005, fault_plan=plan,
             )
             async with Gateway(cfg) as gw:
@@ -163,7 +163,7 @@ class TestQuotas:
     def test_pending_quota_rejects_excess(self):
         async def main():
             cfg = ServeConfig(
-                configs=(TINY,), workers=1,
+                configs=(TINY,),
                 default_quota=TenantQuota(max_pending=2),
             )
             async with Gateway(cfg) as gw:
@@ -183,7 +183,7 @@ class TestQuotas:
     def test_lane_quota_uses_footprints(self):
         async def main():
             cfg = ServeConfig(
-                configs=(TINY,), workers=1,
+                configs=(TINY,),
                 default_quota=TenantQuota(max_pending=10, max_lanes=100),
             )
             async with Gateway(cfg) as gw:
@@ -197,7 +197,7 @@ class TestQuotas:
     def test_quotas_are_per_tenant(self):
         async def main():
             cfg = ServeConfig(
-                configs=(TINY,), workers=1,
+                configs=(TINY,),
                 quotas={"starved": TenantQuota(max_pending=1)},
             )
             async with Gateway(cfg) as gw:
@@ -215,7 +215,7 @@ class TestFailover:
     def test_worker_death_retries_on_survivors(self):
         async def main():
             cfg = ServeConfig(
-                configs=(TINY, TINY), workers=2,
+                configs=(TINY, TINY),
                 fault_plan=FaultPlan(faults=(WorkerKill(at_job=2, worker=0),)),
             )
             async with Gateway(cfg) as gw:
@@ -233,7 +233,7 @@ class TestFailover:
     def test_total_capacity_loss_fails_pending(self):
         async def main():
             cfg = ServeConfig(
-                configs=(TINY,), workers=1,
+                configs=(TINY,),
                 fault_plan=FaultPlan(faults=(WorkerKill(at_job=1, worker=0),)),
                 max_retries=1,
             )

@@ -7,7 +7,7 @@ from repro.common.errors import ConfigError
 from repro.engine.system import CAPEConfig
 from repro.faults import DeviceKill, FaultPlan, TagFlip, WorkerKill
 from repro.obs import Observer
-from repro.runtime import DevicePool, Footprint, Job
+from repro.runtime import DevicePool, ExecConfig, Footprint, Job
 from repro.serve import JobSpec, ServePool
 
 TINY = CAPEConfig(name="tiny", num_chains=64)
@@ -52,7 +52,10 @@ def run_sequential(specs, configs, fault_plan=None, **kwargs):
 
 
 def run_served(specs, configs, workers=2, fault_plan=None, **kwargs):
-    pool = ServePool(configs, workers=workers, fault_plan=fault_plan, **kwargs)
+    pool = ServePool(
+        configs, fault_plan=fault_plan, exec=ExecConfig(workers=workers),
+        **kwargs,
+    )
     jobs = pool.submit_specs(specs, interarrival_cycles=10.0)
     report = pool.run()
     return pool, jobs, report
@@ -124,21 +127,23 @@ class TestDeterminism:
 
 class TestConstruction:
     def test_reserved_kwargs_rejected(self):
-        with pytest.raises(ConfigError, match="parallelism"):
+        # Execution shape rides in ExecConfig only; the workers own
+        # their plan caches, so there is no pool-level cache keyword.
+        with pytest.raises(TypeError, match="parallelism"):
             ServePool([TINY], parallelism=4)
-        with pytest.raises(ConfigError, match="plan_cache"):
+        with pytest.raises(TypeError, match="plan_cache"):
             ServePool([TINY], plan_cache=False)
 
     def test_needs_a_worker(self):
         with pytest.raises(ConfigError):
-            ServePool([TINY], workers=0)
+            ServePool([TINY], exec=ExecConfig(workers=0))
 
     def test_workers_clamped_to_devices(self):
-        pool = ServePool([TINY], workers=8)
+        pool = ServePool([TINY], exec=ExecConfig(workers=8))
         assert pool.num_workers == 1
 
     def test_plain_job_rejected_at_execution(self):
-        pool = ServePool([TINY], workers=1)
+        pool = ServePool([TINY])
         pool.submit(
             Job("opaque", body=lambda system: 1, footprint=Footprint(lanes=8))
         )
@@ -207,9 +212,7 @@ class TestHealing:
         observer = Observer()
         plan = FaultPlan(faults=(WorkerKill(at_job=1, worker=0),))
         specs = mixed_specs(6)
-        pool = ServePool(
-            [TINY, TINY2], workers=2, fault_plan=plan, observer=observer
-        )
+        pool = ServePool([TINY, TINY2], fault_plan=plan, observer=observer)
         pool.submit_specs(specs, interarrival_cycles=10.0)
         pool.run()
         assert observer.metrics.counter("serve.worker_deaths").value == 1

@@ -29,7 +29,7 @@ from repro.faults import (
     WorkerKill,
 )
 from repro.obs import Observer
-from repro.runtime import DevicePool
+from repro.runtime import DevicePool, ExecConfig
 from repro.serve import (
     Gateway,
     JobSpec,
@@ -45,8 +45,8 @@ TINY = CAPEConfig(name="tiny", num_chains=64)
 #: Fast-reacting policy for tests: hangs detected in ~0.4s.
 FAST = ResilienceConfig(heartbeat_interval_s=0.02, hang_timeout_s=0.4)
 
-#: The storm tests run in the legacy gang-off mode and on the default
-#: path (``ExecConfig().gang == "auto"``) over the bit-level mirror.
+#: The storm tests run with gang off and on the default path
+#: (``ExecConfig().gang == "auto"``) over the bit-level mirror.
 GANG_MODES = pytest.mark.parametrize(
     "gang,backend",
     [(False, None), ("auto", "bitplane")],
@@ -284,9 +284,7 @@ class TestServePoolResilience:
     def test_slow_worker_is_not_a_death(self):
         specs = dot_specs(6)
         plan = FaultPlan(faults=(SlowWorker(delay_s=0.2, at_jobs=(1,)),))
-        pool = ServePool(
-            [TINY, TINY], workers=2, fault_plan=plan, resilience=FAST
-        )
+        pool = ServePool([TINY, TINY], fault_plan=plan, resilience=FAST)
         jobs = pool.submit_specs(specs)
         pool.run()
         assert outputs(jobs) == sequential_outputs(specs)
@@ -305,9 +303,9 @@ class TestServePoolResilience:
         )
         obs = Observer()
         pool = ServePool(
-            [TINY, TINY], workers=2, fault_plan=plan,
+            [TINY, TINY], fault_plan=plan,
             resilience=FAST, worker_timeout=5.0,
-            gang=gang, backend=backend, observer=obs,
+            backend=backend, observer=obs, exec=ExecConfig(gang=gang),
         )
         jobs = pool.submit_specs(specs)
         pool.run()
@@ -320,7 +318,7 @@ class TestServePoolResilience:
         specs = dot_specs(8)
         plan = FaultPlan(faults=(WorkerHang(at_job=2, worker=1),))
         pool = ServePool(
-            [TINY, TINY], workers=2, fault_plan=plan,
+            [TINY, TINY], fault_plan=plan,
             resilience=FAST, worker_timeout=5.0,
         )
         jobs = pool.submit_specs(specs)
@@ -333,7 +331,7 @@ class TestServePoolResilience:
         specs = dot_specs(10)
         plan = FaultPlan(faults=(ReplyDrop(at_job=2, worker=0),))
         pool = ServePool(
-            [TINY, TINY], workers=2, fault_plan=plan,
+            [TINY, TINY], fault_plan=plan,
             resilience=ResilienceConfig(
                 heartbeat_interval_s=0.02, hang_timeout_s=0.4,
                 hedge=True, hedge_after_s=0.05,
@@ -350,11 +348,17 @@ class TestServePoolResilience:
 # ----------------------------------------------------------------------
 
 
-def gw_config(fault_plan=None, resilience=FAST, **kw):
+def gateway(
+    fault_plan=None, resilience=FAST, workers=4, gang="auto",
+    observer=None, **kw,
+):
     kw.setdefault("configs", (TINY,) * 4)
-    kw.setdefault("workers", 4)
     kw.setdefault("worker_timeout", 5.0)
-    return ServeConfig(fault_plan=fault_plan, resilience=resilience, **kw)
+    return Gateway(
+        ServeConfig(fault_plan=fault_plan, resilience=resilience, **kw),
+        observer=observer,
+        exec=ExecConfig(workers=workers, gang=gang),
+    )
 
 
 async def gather_results(gw, specs, attempts=50):
@@ -386,10 +390,9 @@ class TestGatewayResilience:
         )
 
         async def main():
-            cfg = gw_config(
+            async with gateway(
                 plan, worker_timeout=1.0, gang=gang, backend=backend
-            )
-            async with Gateway(cfg) as gw:
+            ) as gw:
                 results = await gather_results(gw, specs)
                 return results, gw.report()
 
@@ -421,7 +424,7 @@ class TestGatewayResilience:
         )
 
         async def main():
-            async with Gateway(gw_config(plan, resilience)) as gw:
+            async with gateway(plan, resilience) as gw:
                 results = await gather_results(gw, specs)
                 return results, gw.report()
 
@@ -445,8 +448,8 @@ class TestGatewayResilience:
         )
 
         async def main():
-            async with Gateway(
-                gw_config(plan, resilience, configs=(TINY, TINY), workers=2)
+            async with gateway(
+                plan, resilience, configs=(TINY, TINY), workers=2
             ) as gw:
                 results = await gather_results(gw, specs)
                 return results, gw.report()
@@ -463,7 +466,7 @@ class TestGatewayResilience:
         plan = FaultPlan(faults=(WorkerKill(at_job=2, worker=1),))
 
         async def main():
-            gw = Gateway(gw_config(plan))
+            gw = gateway(plan)
             await gw.start()
             futures = [gw.submit_nowait(s) for s in specs]
             drain = asyncio.create_task(gw.drain())
@@ -491,7 +494,7 @@ class TestGatewayResilience:
     @GANG_MODES
     def test_queued_deadline_is_cancelled_not_run(self, gang, backend):
         async def main():
-            cfg = gw_config(
+            async with gateway(
                 None,
                 ResilienceConfig(
                     heartbeat_interval_s=0.02, hang_timeout_s=0.4,
@@ -501,8 +504,7 @@ class TestGatewayResilience:
                 max_queue=64,
                 gang=gang,
                 backend=backend,
-            )
-            async with Gateway(cfg) as gw:
+            ) as gw:
                 blockers = [
                     gw.submit_nowait(s) for s in dot_specs(4, seed=11)
                 ]
@@ -534,7 +536,7 @@ class TestGatewayResilience:
         ]
 
         async def main():
-            async with Gateway(gw_config()) as gw:
+            async with gateway() as gw:
                 await gather_results(gw, specs)
                 return gw.report()
 
@@ -575,11 +577,10 @@ class TestStormProperty:
         obs = Observer()
 
         async def main():
-            cfg = gw_config(
+            async with gateway(
                 plan, resilience, configs=(TINY,) * 3, workers=3,
-                worker_timeout=2.0, gang=gang, backend=backend,
-            )
-            async with Gateway(cfg, observer=obs) as gw:
+                worker_timeout=2.0, gang=gang, backend=backend, observer=obs,
+            ) as gw:
                 return await gather_results(gw, specs)
 
         results = asyncio.run(main())
@@ -623,11 +624,10 @@ class TestChaosSoak:
         )
 
         async def main():
-            cfg = gw_config(
+            async with gateway(
                 plan, resilience, configs=(TINY,) * 4, workers=4,
                 worker_timeout=2.0, max_queue=128, gang=gang, backend=backend,
-            )
-            async with Gateway(cfg) as gw:
+            ) as gw:
                 results = await gather_results(gw, specs)
                 return results, gw.report()
 

@@ -22,7 +22,7 @@ def test_burst_beyond_capacity_is_shed_and_recovers():
     burst = 10 * max_queue
 
     async def main():
-        cfg = ServeConfig(configs=(TINY,), workers=1, max_queue=max_queue)
+        cfg = ServeConfig(configs=(TINY,), max_queue=max_queue)
         async with Gateway(cfg) as gw:
             admitted, rejections = [], []
             for i in range(burst):

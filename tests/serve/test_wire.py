@@ -10,6 +10,7 @@ single-job frame.
 """
 
 import asyncio
+import dataclasses
 import glob
 import pickle
 from multiprocessing import shared_memory
@@ -103,14 +104,17 @@ class TestWireMode:
             ExecConfig(batch_window_s=-0.1)
 
     def test_serve_config_validates_wire(self):
-        with pytest.raises(ConfigError):
-            ServeConfig(wire="smoke-signals")
-        with pytest.raises(ConfigError):
-            ServeConfig(batch_window_s=-1.0)
+        # The data plane is execution shape: ServeConfig takes none.
+        for knob, value in (("wire", "pickle"), ("batch_window_s", 0.01)):
+            with pytest.raises(TypeError, match=knob):
+                ServeConfig(**{knob: value})
 
     def test_exec_clashes_with_serve_config_wire(self):
-        with pytest.raises(ConfigError, match="wire"):
-            Gateway(ServeConfig(wire="pickle"), exec=ExecConfig())
+        # No clash is possible: the gateway's wire comes from exec alone.
+        gateway = Gateway(ServeConfig(), exec=ExecConfig(wire="pickle"))
+        assert gateway.exec.wire == "pickle"
+        fields = {f.name for f in dataclasses.fields(ServeConfig)}
+        assert not fields & {"wire", "batch_window_s"}
 
     def test_payload_nbytes_counts_data_not_envelope(self):
         arr = np.zeros(100, dtype=np.int64)
@@ -239,7 +243,9 @@ class TestSpecRoundTrip:
 
 
 def run_serve_pool(specs, wire, workers=2):
-    pool = ServePool([TINY, TINY], workers=workers, wire=wire)
+    pool = ServePool(
+        [TINY, TINY], exec=ExecConfig(workers=workers, wire=wire)
+    )
     jobs = pool.submit_specs(specs, interarrival_cycles=10.0)
     pool.run()
     return [j.result.output for j in jobs], pool.wire_stats
@@ -306,13 +312,15 @@ def run_gateway(specs, wire, window_s=0.0, fault_plan=None,
                 resilience=None, workers=2, timeout=5.0, devices=None):
     async def main():
         cfg = ServeConfig(
-            configs=(TINY,) * (devices or workers), workers=workers,
+            configs=(TINY,) * (devices or workers),
             max_queue=max(64, len(specs)), fault_plan=fault_plan,
             worker_timeout=timeout,
             resilience=resilience or ResilienceConfig(),
-            wire=wire, batch_window_s=window_s,
         )
-        async with Gateway(cfg) as gw:
+        exec_config = ExecConfig(
+            workers=workers, wire=wire, batch_window_s=window_s
+        )
+        async with Gateway(cfg, exec=exec_config) as gw:
             results = await asyncio.gather(
                 *[gw.submit_retrying(s, attempts=50) for s in specs]
             )
@@ -413,7 +421,8 @@ class TestZeroLeak:
         specs = dot_specs(10)
         plan = FaultPlan(faults=(WorkerKill(at_job=2, worker=0),))
         pool = ServePool(
-            [TINY, TINY], workers=2, wire="shm", fault_plan=plan
+            [TINY, TINY], fault_plan=plan,
+            exec=ExecConfig(workers=2, wire="shm"),
         )
         jobs = pool.submit_specs(specs, interarrival_cycles=10.0)
         pool.run()
