@@ -182,8 +182,9 @@ def run_plan_cache_compare(num_chains=64, sew=8, pairs=5):
     """Time the bit-plane fig9 suite with the plan cache on vs off.
 
     Returns the ``BENCH_5.json`` payload: warm plan-cache wall time vs
-    the per-dispatch FSM walk (medians over ``pairs`` alternating
-    off/on pairs, the speedup the median per-pair ratio), per-kernel
+    a cache that keeps nothing, so every dispatch compiles its plan
+    afresh (medians over ``pairs`` alternating off/on pairs, the
+    speedup the median per-pair ratio), per-kernel
     seconds for both, and the speedup against ``BENCH_2.json``'s
     recorded bit-plane time. Results and ``csb.microops`` totals must be
     identical in every mode — the plan cache is purely a host-speed
@@ -211,7 +212,7 @@ def run_plan_cache_compare(num_chains=64, sew=8, pairs=5):
 
     payload = {
         "benchmark": "fig9 kernels as bit-plane microcode — plan cache "
-        "on (warm) vs off (per-dispatch FSM walk)",
+        "on (warm) vs off (compile per dispatch, keep nothing)",
         "config": {"num_chains": num_chains, "sew": sew},
         "pairs": pairs,
         "plan_cache_on_seconds": round(median(on_s), 4),

@@ -13,9 +13,9 @@ Three levels of entry:
   (``pool=None``), an in-process :class:`DevicePool` / process-sharded
   :class:`ServePool` (``pool=<pool instance>``), or a fresh asyncio
   :class:`Gateway` (``pool=ServeConfig(...)``) — returning
-  :class:`JobResult`\\ s everywhere. Execution shape (plan cache,
-  workers, gang and superplan modes, wire, batching window) rides in
-  one :class:`ExecConfig`, the ``exec=`` of every surface.
+  :class:`JobResult`\\ s everywhere. Execution shape (workers, gang
+  and superplan modes, wire, batching window) rides in one
+  :class:`ExecConfig`, the ``exec=`` of every surface.
 * :class:`Device` — a CAPE system plus its memory and an assembler-aware
   ``run`` method; pick a design point (:data:`CAPE32K` /
   :data:`CAPE131K`) and optionally a bit-level execution backend.
@@ -311,12 +311,13 @@ class Device:
         observer: optional :class:`Observer` receiving counters and
             trace events from every layer; defaults to the shared
             zero-overhead null observer.
-        plan_cache: microcode plan cache — ``True`` (default) shares
+        plan_cache: where the compiled microcode plans every dispatch
+            replays are kept — ``True`` (default) shares
             :data:`GLOBAL_PLAN_CACHE` across all devices in the
-            process, ``False``/``None`` re-walks the microcode FSM per
-            dispatch, or pass a private :class:`PlanCache`. Purely a
-            host-speed knob; cycle/energy accounting is identical
-            (``docs/PERFORMANCE.md``).
+            process, ``False``/``None`` keeps nothing (each dispatch
+            compiles its plan afresh), or pass a private
+            :class:`PlanCache`. Purely a host-speed knob; cycle/energy
+            accounting is identical (``docs/PERFORMANCE.md``).
         superplan: inside a :meth:`CAPESystem.superplan_scope`, fuse
             eligible mirror microcode into one cached whole-kernel
             trace and replay it in a single pass. Also a pure
@@ -473,7 +474,7 @@ def submit(
 
     * ``None`` — a fresh single :class:`Device` of ``config`` (and
       optional ``backend``) executes the specs sequentially, with the
-      ``plan_cache`` and ``superplan`` of ``exec``.
+      ``superplan`` of ``exec`` and the process-wide plan cache.
     * a :class:`DevicePool` or :class:`ServePool` *instance* — the specs
       are submitted (spaced by ``interarrival_cycles``) and the pool is
       drained. The pool's own construction fixed its execution shape,
@@ -483,8 +484,8 @@ def submit(
     * a :class:`ServeConfig` — a fresh asyncio :class:`Gateway` with
       execution shape ``exec`` serves the specs.
 
-    ``exec`` is the one :class:`ExecConfig` for plan-cache, worker,
-    gang, superplan, and serving data-plane knobs (``wire`` picks the
+    ``exec`` is the one :class:`ExecConfig` for worker, gang,
+    superplan, and serving data-plane knobs (``wire`` picks the
     shared-memory vs pickle payload path, ``batch_window_s`` the
     gateway's micro-batching window — docs/SERVING.md). Returns a
     single :class:`JobResult` when ``specs`` is a single
@@ -510,7 +511,6 @@ def submit(
             config,
             backend=backend,
             observer=observer,
-            plan_cache=exec.plan_cache,
             superplan=exec.superplan,
         )
         results = []

@@ -316,6 +316,26 @@ class BitplaneBackend:
             sel = np.asarray(active).astype(bool)
             self.bits[:, dst_row, sel] = planes[:, sel]
 
+    def echo_partials(
+        self, row: int, width: int, active: np.ndarray, num_chains: int,
+        blocks: int = 1,
+    ) -> np.ndarray:
+        """A reduction walk's ``width`` echo searches of ``row``, at once.
+
+        Bit-step ``b`` latches plane ``b`` into the tags and pop-counts
+        each chain's ``active`` columns, weighted by ``2**b``. The
+        columns are ``blocks`` equal blocks (gang members) with column
+        ``e`` of a block on chain ``e % num_chains``. Returns the
+        ``(blocks, num_chains)`` int64 partials.
+        """
+        planes = self.bits[:width, row, :]
+        self.tags[:width] = planes
+        hits = (planes & active).reshape(
+            width, blocks, -1, num_chains
+        ).sum(axis=2, dtype=np.int64)
+        weights = np.int64(1) << np.arange(width, dtype=np.int64)
+        return (weights @ hits.reshape(width, -1)).reshape(blocks, num_chains)
+
     # -- fault-injection hooks ------------------------------------------
 
     def force_bit(self, sub: int, row: int, col: int, value: int) -> None:

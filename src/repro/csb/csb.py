@@ -286,20 +286,17 @@ class CSB:
         partials feed the same global reduction tree as the per-chain
         path. On a plain bit-plane backend the echo searches touch only
         the tags, so the whole walk is one pass over the ``width``
-        planes; a fault-wrapped backend searches bit by bit so its
-        scheduled tag flips land where they would.
+        planes (:meth:`~repro.csb.bitplane.BitplaneBackend.echo_partials`);
+        a fault-wrapped backend searches bit by bit so its scheduled tag
+        flips land where they would.
         """
         width = self.num_subarrays if width is None else width
         ganged = self.ganged
         backend = ganged.backend
         if type(backend) is BitplaneBackend:
-            planes = backend.bits[:width, vreg, :]
-            backend.tags[:width] = planes
-            hits = (planes & ganged.active_columns).reshape(
-                width, self.num_cols, self.num_chains
-            ).sum(axis=1, dtype=np.int64)
-            weights = np.int64(1) << np.arange(width, dtype=np.int64)
-            partials = weights @ hits
+            partials = backend.echo_partials(
+                vreg, width, ganged.active_columns, self.num_chains
+            )[0]
         else:
             active = ganged.active_columns.astype(bool)
             partials = np.zeros(self.num_chains, dtype=np.int64)

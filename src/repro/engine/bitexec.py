@@ -16,22 +16,30 @@ The engine drives one of two execution shapes:
   chain in Python — the always-available ground truth, practical at the
   small configurations the test suite uses.
 
-Both run identical microcode from :mod:`repro.assoc.algorithms`. A few
-cases have no microcode (masked ``vmul``/``vrsub``, aliased destination
-forms that the algorithms refuse); those fall back to the functional
-result, which is synced into the CSB so the bit-level state never drifts.
+Both run identical microcode from :mod:`repro.assoc.algorithms`, and
+only as a compiled plan: :func:`op_key` names an instruction's microcode
+and :func:`op_plan` compiles it through a plan cache — for this engine,
+superplans and gang capture alike. A few cases have no microcode
+(masked ``vmul``/``vrsub``, aliased destination forms that the
+algorithms refuse); those fall back to the functional result, which is
+synced into the CSB so the bit-level state never drifts.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.assoc import algorithms as alg
 from repro.csb.chain import Chain
 from repro.csb.csb import CSB
-from repro.plan import compile_chain_program, resolve_plan_cache
+from repro.plan import (
+    GLOBAL_PLAN_CACHE,
+    CompiledPlan,
+    PlanCache,
+    compile_chain_program,
+)
 
 #: Mnemonics whose microcode honours the MASK metadata rows.
 MASKABLE = {
@@ -50,7 +58,7 @@ MASK_RESULTS = {"vmseq.vx", "vmseq.vv", "vmslt.vv", "vmsltu.vv", "vmsne.vv"}
 
 #: Every mnemonic :func:`run_microcode` can lower. Superplan recording
 #: defers exactly these forms (minus the unsupported/aliased cases the
-#: engine would refuse); anything else flushes and takes the live path.
+#: engine would refuse); anything else flushes and runs per instruction.
 SUPPORTED_MICROCODE = frozenset(
     {
         "vadd.vv", "vsub.vv", "vand.vv", "vor.vv", "vxor.vv",
@@ -71,15 +79,17 @@ def microcode_unsupported_reason(
 ) -> Optional[str]:
     """Why this intrinsic form has no microcode path (``None`` = it has).
 
-    The exact predicate :meth:`BitEngine.execute` raises
-    :class:`UnsupportedMicrocode` for, factored out so superplan
-    recording and gang deferral classify forms identically to live
-    execution without running anything.
+    The one form check: :meth:`BitEngine.execute` and gang deferral raise
+    :class:`UnsupportedMicrocode` with this reason, and superplan
+    recording defers only the forms it accepts.
     """
     if mnemonic not in SUPPORTED_MICROCODE and mnemonic != "vredsum.vs":
         return f"unsupported mnemonic {mnemonic}"
     if mask_reg is not None and mnemonic not in MASKABLE and mnemonic != "vmerge.vv":
         return f"masked {mnemonic} has no microcode"
+    # The associative algorithms assume distinct operand rows: two
+    # sources on one row would collapse the search key, and a
+    # destination aliasing a source corrupts the operand mid-walk.
     sources = [r for r in (vs1, vs2) if r is not None]
     if len(set(sources)) != len(sources) or (vd is not None and vd in sources):
         return f"{mnemonic} with aliased operands"
@@ -88,6 +98,74 @@ def microcode_unsupported_reason(
 
 class UnsupportedMicrocode(Exception):
     """Raised when an intrinsic form has no microcode implementation."""
+
+
+class OpKey(NamedTuple):
+    """The plan-cache key of one intrinsic's microcode (:func:`op_key`).
+
+    Hashes and compares as the plain tuple of its fields. It holds no
+    column count, window or data, so one plan serves every device.
+    """
+
+    kind: str
+    mnemonic: str
+    width: int
+    num_subarrays: int
+    vd: Optional[int]
+    vs1: Optional[int]
+    vs2: Optional[int]
+    scalar: Optional[int]
+    mask_reg: Optional[int]
+    masked: bool
+
+
+def op_key(
+    mnemonic: str, width: int, num_subarrays: int,
+    vd: Optional[int], vs1: Optional[int], vs2: Optional[int],
+    scalar: Optional[int], mask_reg: Optional[int],
+) -> OpKey:
+    """The :class:`OpKey` of one intrinsic at element width ``width``."""
+    return OpKey(
+        "op", mnemonic, width, num_subarrays, vd, vs1, vs2,
+        None if scalar is None else int(scalar), mask_reg,
+        mask_reg is not None,
+    )
+
+
+def op_plan(key: OpKey, cache: PlanCache, observer=None) -> CompiledPlan:
+    """The compiled plan of ``key``'s microcode, through ``cache``."""
+    return cache.get_or_compile(
+        key,
+        lambda: compile_chain_program(
+            key.num_subarrays,
+            lambda rec: run_microcode(
+                rec, key.mnemonic, key.vd, key.vs1, key.vs2, key.scalar,
+                key.mask_reg, key.width, key.masked,
+            ),
+        ),
+        observer=observer,
+    )
+
+
+def destination_diverged(
+    mnemonic: str, width: int, got: np.ndarray, want: np.ndarray,
+    windows: Sequence[Tuple[int, int]], block: int,
+) -> np.ndarray:
+    """The mirror's destination check: a bool per block, True if diverged.
+
+    ``got`` (mirror) and ``want`` (functional) hold ``len(windows)``
+    blocks of ``block`` elements. Inside block ``k``'s window
+    ``windows[k] = (vl, vstart)`` they must agree modulo ``2**width``
+    (bit 0 only for mask results, whose upper planes are undefined);
+    outside it bit for bit, which catches microcode leaking past
+    vstart/vl.
+    """
+    inside = 1 if mnemonic in MASK_RESULTS else (1 << width) - 1
+    allow = np.full(len(got), -1, dtype=np.int64)
+    for k, (vl, vstart) in enumerate(windows):
+        allow[k * block + vstart: k * block + vl] = inside
+    bad = (got & allow) != (want & allow)
+    return bad.reshape(len(windows), block).any(axis=1)
 
 
 class BitEngine:
@@ -105,10 +183,9 @@ class BitEngine:
             forwarded to every CSB this engine builds, so injected CSB
             faults survive :meth:`reset` (silicon defects do not heal
             between jobs).
-        plan_cache: ``True`` for the process-wide
-            :data:`~repro.plan.cache.GLOBAL_PLAN_CACHE`, ``False``/``None``
-            to re-walk the microcode on every dispatch, or an explicit
-            :class:`~repro.plan.PlanCache`.
+        plan_cache: the :class:`~repro.plan.PlanCache` every dispatch
+            compiles its plan through (``CAPESystem`` resolves its
+            ``plan_cache=`` knob to one).
     """
 
     #: Live engines execute eagerly; :class:`~repro.gang.DeferredBitEngine`
@@ -124,12 +201,12 @@ class BitEngine:
         backend: str = "bitplane",
         observer=None,
         fault_injector=None,
-        plan_cache=None,
+        plan_cache: PlanCache = GLOBAL_PLAN_CACHE,
     ) -> None:
         self.backend = backend
         self.observer = observer
         self.fault_injector = fault_injector
-        self._plan_cache = resolve_plan_cache(plan_cache)
+        self._plan_cache = plan_cache
         self._shape = (num_chains, num_subarrays, num_cols)
         self.csb = CSB(
             num_chains, num_subarrays, num_cols, backend=backend,
@@ -221,40 +298,15 @@ class BitEngine:
                 (e.g. an aliased destination) — treated the same way.
         """
         self.set_window(vl, vstart)
-        masked = mask_reg is not None
-        if masked and mnemonic not in MASKABLE and mnemonic != "vmerge.vv":
-            raise UnsupportedMicrocode(mnemonic)
-        # The associative algorithms assume distinct operand rows: two
-        # sources on one row would collapse the search key, and a
-        # destination aliasing a source corrupts the operand mid-walk.
-        sources = [r for r in (vs1, vs2) if r is not None]
-        if len(set(sources)) != len(sources) or (
-            vd is not None and vd in sources
-        ):
-            raise UnsupportedMicrocode(f"{mnemonic} with aliased operands")
-
+        reason = microcode_unsupported_reason(mnemonic, vd, vs1, vs2, mask_reg)
+        if reason is not None:
+            raise UnsupportedMicrocode(reason)
         if mnemonic == "vredsum.vs":
             return self.csb.redsum(vs1, width)
-
-        cache = self._plan_cache
-        plan = None
-        if cache is not None:
-            key = (
-                "op", mnemonic, width, self._shape[1], vd, vs1, vs2,
-                None if scalar is None else int(scalar), mask_reg, masked,
-            )
-            plan = cache.get_or_compile(
-                key,
-                lambda: compile_chain_program(
-                    self._shape[1],
-                    lambda rec: run_microcode(
-                        rec, mnemonic, vd, vs1, vs2, scalar, mask_reg,
-                        width, masked,
-                    ),
-                ),
-                observer=self.observer,
-            )
-
+        key = op_key(
+            mnemonic, width, self._shape[1], vd, vs1, vs2, scalar, mask_reg
+        )
+        plan = op_plan(key, self._plan_cache, self.observer)
         stats = self.csb.stats
         try:
             for i, chain in enumerate(self.targets):
@@ -263,33 +315,10 @@ class BitEngine:
                 # once (the reference backend mutes chains after the
                 # first, matching the ganged bitplane tally).
                 stats.muted = i > 0
-                if plan is not None:
-                    plan.replay(chain)
-                else:
-                    run_microcode(
-                        chain, mnemonic, vd, vs1, vs2, scalar, mask_reg,
-                        width, masked,
-                    )
+                plan.replay(chain)
         finally:
             stats.muted = False
         return None
-
-    def _execute_on(
-        self,
-        chain: Chain,
-        mnemonic: str,
-        vd: Optional[int],
-        vs1: Optional[int],
-        vs2: Optional[int],
-        scalar: Optional[int],
-        mask_reg: Optional[int],
-        width: int,
-        masked: bool,
-    ) -> None:
-        """Run one intrinsic's microcode on a single chain."""
-        run_microcode(
-            chain, mnemonic, vd, vs1, vs2, scalar, mask_reg, width, masked
-        )
 
 
 def run_microcode(
@@ -305,10 +334,10 @@ def run_microcode(
 ) -> None:
     """Drive one intrinsic's microcode against a chain-shaped target.
 
-    ``chain`` is either a live :class:`~repro.csb.chain.Chain` (direct
-    execution) or a :class:`~repro.plan.RecordingChain` (plan
-    compilation) — the microcode only touches the shared chain surface,
-    which is what makes record-once/replay-many sound.
+    The engine drives only a :class:`~repro.plan.RecordingChain`
+    (:func:`op_plan`); the microcode touches nothing but the surface it
+    shares with a live :class:`~repro.csb.chain.Chain`, so the tests
+    drive one directly as the oracle every plan must match.
     """
     if masked and mnemonic != "vmerge.vv":
         alg.broadcast_mask(chain, mask_reg)

@@ -40,11 +40,13 @@ from repro.engine.bitexec import (
     MASK_RESULTS,
     BitEngine,
     UnsupportedMicrocode,
+    destination_diverged,
     microcode_unsupported_reason,
-    run_microcode,
+    op_key,
+    op_plan,
 )
 from repro.csb.bitplane import BitplaneBackend
-from repro.plan import compile_chain_program
+from repro.plan import resolve_plan_cache
 from repro.plan.superplan import fuse_plans, superplan_key
 from repro.engine.cp import ControlProcessor
 from repro.engine.vcu import VCU, VCUStats
@@ -139,13 +141,14 @@ class CAPESystem:
         fault_injector: optional :class:`repro.faults.FaultInjector`
             bound via :meth:`attach_fault_injector`; with none attached
             every injection hook is a single ``None`` check.
-        plan_cache: microcode plan caching for the bit-accurate backend —
-            ``True`` (default) shares the process-wide
-            :data:`~repro.plan.cache.GLOBAL_PLAN_CACHE`, ``False`` re-walks
-            the microcode on every dispatch, or pass an explicit
-            :class:`~repro.plan.PlanCache`. Plans are pure (identical
-            results, cycles, and ``csb.microops``), so this is purely a
-            host-speed knob.
+        plan_cache: where the bit-accurate backend keeps the compiled
+            microcode plans every dispatch replays — ``True`` (default)
+            shares the process-wide
+            :data:`~repro.plan.cache.GLOBAL_PLAN_CACHE`, ``False`` keeps
+            nothing (each dispatch compiles its plan afresh), or pass an
+            explicit :class:`~repro.plan.PlanCache`. Plans are pure
+            (identical results, cycles, and ``csb.microops``), so this
+            is purely a host-speed knob.
         superplan: inside a :meth:`superplan_scope`, defer eligible
             mirror microcode into one fused cached trace (``True``) or
             replay per instruction (``False``, the default). Also purely
@@ -205,7 +208,7 @@ class CAPESystem:
         #: Architectural registers written since construction/reset —
         #: the register-file occupancy the runtime schedules against.
         self._written_vregs: set = set()
-        self._plan_cache = plan_cache
+        self._plan_cache = resolve_plan_cache(plan_cache)
         #: Whole-kernel superplans: inside a :meth:`superplan_scope`,
         #: eligible intrinsics defer their mirror microcode into one
         #: fused cached trace (docs/PERFORMANCE.md).
@@ -948,11 +951,9 @@ class CAPESystem:
             if self._sp_deferrable(engine, mnemonic, vd, vs1, vs2, mask_reg):
                 if not sp:
                     self._sp_window = (self.vl, self.vstart, self.sew)
-                sp.append((
-                    "op", mnemonic, self.sew, self.config.element_bits,
-                    vd, vs1, vs2,
-                    None if scalar is None else int(scalar),
-                    mask_reg, mask_reg is not None,
+                sp.append(op_key(
+                    mnemonic, self.sew, self.config.element_bits,
+                    vd, vs1, vs2, scalar, mask_reg,
                 ))
                 # Snapshot the functional destination *now* (the
                 # functional op already ran): a later instruction in the
@@ -963,7 +964,7 @@ class CAPESystem:
                 self._sp_expected[vd] = self.vregs[vd].copy()
                 return None
             # An op the superplan path can't absorb: replay what is
-            # pending, then take the live per-instruction path below.
+            # pending, then take the per-instruction path below.
             self._superplan_flush()
         try:
             result = engine.execute(
@@ -1001,21 +1002,14 @@ class CAPESystem:
         return None
 
     def _bitexec_matches(self, engine, mnemonic, vd) -> bool:
-        """Compare the mirror's destination against the functional row.
-
-        Within the active window modulo 2^SEW (bit 0 only for mask
-        results); bit-for-bit outside it.
-        """
+        """Compare the mirror's destination against the functional row
+        (:func:`~repro.engine.bitexec.destination_diverged` over the one
+        active window)."""
         got = engine.peek(vd)
-        want = self.vregs[vd]
-        bits = 1 if mnemonic in MASK_RESULTS else self._mask
-        sl = self.active_slice
-        outside = np.ones(len(got), dtype=bool)
-        outside[sl] = False
-        return bool(
-            np.array_equal(got[sl] & bits, want[sl] & bits)
-            and np.array_equal(got[outside], want[outside])
-        )
+        return not destination_diverged(
+            mnemonic, self.sew, got, self.vregs[vd],
+            ((self.vl, self.vstart),), len(got),
+        )[0]
 
     # ------------------------------------------------------------------
     # Whole-kernel superplans (docs/PERFORMANCE.md)
@@ -1062,7 +1056,6 @@ class CAPESystem:
             and engine.csb.ganged is not None
             and type(engine.csb.base) is BitplaneBackend
             and self.fault_injector is None
-            and engine._plan_cache is not None
             and not engine.csb.stats.keep_trace
             and microcode_unsupported_reason(mnemonic, vd, vs1, vs2, mask_reg)
             is None
@@ -1093,22 +1086,11 @@ class CAPESystem:
         skey = superplan_key(nsub, sew, pending)
 
         def build():
-            entries = []
-            for key in pending:
-                (_tag, mnemonic, width, _nsub, vd, vs1, vs2, scalar,
-                 mask_reg, masked) = key
-                plan = cache.get_or_compile(
-                    key,
-                    lambda m=mnemonic, d=vd, a=vs1, b=vs2, s=scalar,
-                    mr=mask_reg, w=width, mk=masked: compile_chain_program(
-                        nsub,
-                        lambda rec: run_microcode(
-                            rec, m, d, a, b, s, mr, w, mk
-                        ),
-                    ),
-                    observer=self.observer,
-                )
-                entries.append((mnemonic, vd, mnemonic in MASK_RESULTS, plan))
+            entries = [
+                (key.mnemonic, key.vd, key.mnemonic in MASK_RESULTS,
+                 op_plan(key, cache, self.observer))
+                for key in pending
+            ]
             return fuse_plans(skey, nsub, entries)
 
         plan = cache.get_or_compile(skey, build, observer=self.observer)

@@ -280,11 +280,12 @@ def _apply_table(
     msb_first: bool,
     preamble: Tuple[Tuple[int, int], ...],
 ):
-    """Walk the FSM once, driving ``chain`` (live or recording).
+    """Walk the FSM once, driving ``chain``.
 
-    Returns ``(used_reduce, reduce_values)`` where ``reduce_values`` is
-    the per-bit redsum partial list — plain ints on a live chain, plan
-    tokens under a :class:`~repro.plan.RecordingChain`.
+    :func:`execute_table` drives only a recorder (the tests drive a live
+    chain as the oracle). Returns ``(used_reduce, reduce_values)`` where
+    ``reduce_values`` is the per-bit redsum partial list — plan tokens
+    under a :class:`~repro.plan.RecordingChain`, ints on a live chain.
     """
     for row, value in preamble:
         chain.update_bit_parallel(row, value, use_tags=False)
@@ -352,10 +353,11 @@ def execute_table(
     algorithms (the executable microcode in ``repro.assoc.algorithms``
     is the reference).
 
-    The walk is compiled once per (table, binding, width, direction,
-    subarray count) into a :class:`~repro.plan.CompiledPlan` and replayed
-    from the plan cache on repeats — identical state transitions and
-    identical microop charges, without re-running the sequencer.
+    The walk is compiled into a :class:`~repro.plan.CompiledPlan` keyed
+    by (table, binding, width, direction, subarray count), kept by the
+    plan cache (a table that does not hash compiles uncached), and
+    replayed — the same state transitions and microop charges as
+    walking the sequencer on the chain itself.
 
     Args:
         chain: the bit-level chain to drive.
@@ -366,38 +368,34 @@ def execute_table(
         preamble: (row, value) bulk initialisations issued before the
             table walk (the "+2" initialisation updates of Table I).
         plan_cache: ``True`` (default) for the process-wide plan cache,
-            ``False``/``None`` to re-walk the FSM every call, or an
-            explicit :class:`~repro.plan.PlanCache`.
+            ``False``/``None`` to compile every call and keep nothing, or
+            an explicit :class:`~repro.plan.PlanCache`.
 
     Returns:
         The accumulated redsum value when the table engages the
         reduction logic, else ``None``.
     """
     cache = resolve_plan_cache(plan_cache)
-    if cache is not None:
-        key = (
-            "table", chain.num_subarrays, width, bool(msb_first), table,
-            tuple(preamble), tuple(sorted(decoder._binding.items())),
-        )
-        try:
-            hash(key)
-        except TypeError:
-            key = None  # exotic hand-built table; fall through to the walk
-        if key is not None:
-            plan = cache.get_or_compile(
-                key,
-                lambda: compile_chain_program(
-                    chain.num_subarrays,
-                    lambda rec: _apply_table(
-                        rec, table, decoder, width, msb_first, preamble
-                    ),
-                ),
-            )
-            used_reduce, values = plan.replay(chain)
-            return _fold_reduce(values) if used_reduce else None
-    used_reduce, values = _apply_table(
-        chain, table, decoder, width, msb_first, preamble
+    key = (
+        "table", chain.num_subarrays, width, bool(msb_first), table,
+        tuple(preamble), tuple(sorted(decoder._binding.items())),
     )
+
+    def build():
+        return compile_chain_program(
+            chain.num_subarrays,
+            lambda rec: _apply_table(
+                rec, table, decoder, width, msb_first, preamble
+            ),
+        )
+
+    try:
+        hash(key)
+    except TypeError:
+        plan = build()  # an exotic hand-built table: compile, keep nothing
+    else:
+        plan = cache.get_or_compile(key, build)
+    used_reduce, values = plan.replay(chain)
     return _fold_reduce(values) if used_reduce else None
 
 

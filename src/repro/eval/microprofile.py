@@ -47,11 +47,11 @@ def run_fig9_kernels(
     the wall time is dominated by microcode execution on the selected
     backend. The checksum must agree across backends. ``profile`` wraps
     each kernel in a :meth:`ProfileReport.kernel` scope. ``plan_cache``
-    is the system's microcode plan-cache knob (``False`` re-walks the
-    FSM per dispatch — the pre-plan behaviour, used by the plan-cache
-    comparison bench). ``superplan`` additionally fuses the kernel set's
-    mirror microcode into one cached whole-kernel trace (the checksum,
-    cycles, and microop totals are identical either way).
+    is the system's microcode plan-cache knob (``False`` keeps nothing,
+    so every dispatch compiles its plan afresh — the "off" side of the
+    plan-cache comparison bench). ``superplan`` additionally fuses the
+    kernel set's mirror microcode into one cached whole-kernel trace
+    (the checksum, cycles, and microop totals are identical either way).
     """
     import numpy as np
 

@@ -20,8 +20,8 @@ with mismatching members ejected to the sequential path).
 Trace entries (tuples, first element is the kind):
 
 * ``("op", key, plan, vl, vstart)`` — one intrinsic's microcode; ``key``
-  is the exact :class:`~repro.plan.PlanCache` key the live engine would
-  have used (mnemonic, SEW, operand roles, scalar, mask form — never the
+  is the :class:`~repro.engine.bitexec.OpKey` the live engine would have
+  used (mnemonic, SEW, operand roles, scalar, mask form — never the
   column count), so grouping by trace signature *is* grouping by plan
   key.
 * ``("sync", vreg, values)`` — the functional row mirrored after the op
@@ -37,8 +37,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.engine.bitexec import MASKABLE, UnsupportedMicrocode, run_microcode
-from repro.plan import compile_chain_program, resolve_plan_cache
+from repro.engine.bitexec import (
+    UnsupportedMicrocode,
+    microcode_unsupported_reason,
+    op_key,
+    op_plan,
+)
+from repro.plan import GLOBAL_PLAN_CACHE, PlanCache
 
 __all__ = ["DeferredBitEngine", "trace_signature"]
 
@@ -47,11 +52,12 @@ class DeferredBitEngine:
     """A :class:`~repro.engine.bitexec.BitEngine` stand-in that records.
 
     Duck-types the engine surface :class:`~repro.engine.system.CAPESystem`
-    drives — ``execute``/``sync_register``/``popcount``/``reset``/
-    ``attach_observer``/``peek`` — but owns no CSB: microcode becomes
-    trace entries, syncs become logged functional rows. Plan resolution
-    goes through the same cache with the same keys as live execution, so
-    a deferred phase warms the cache identically.
+    drives while deferred — ``execute``/``sync_register``/``popcount``/
+    ``reset``/``attach_observer`` — but owns no CSB: microcode becomes
+    trace entries, syncs become logged functional rows. Plans resolve
+    through :func:`~repro.engine.bitexec.op_plan` with the same cache and
+    keys as live execution, so a deferred phase warms the cache
+    identically.
     """
 
     #: Deferred engines never execute eagerly; the system's ``_bitexec``
@@ -63,16 +69,15 @@ class DeferredBitEngine:
         num_chains: int,
         num_subarrays: int,
         num_cols: int,
-        plan_cache=None,
+        plan_cache: PlanCache = GLOBAL_PLAN_CACHE,
         observer=None,
     ) -> None:
         #: Reported backend name; must be "bitplane" so set_backend()
         #: inside Job.execute early-returns while we are installed.
         self.backend = "bitplane"
         self.observer = observer
-        self._plan_cache = resolve_plan_cache(plan_cache)
+        self._plan_cache = plan_cache
         self._shape = (num_chains, num_subarrays, num_cols)
-        self.max_vl = num_chains * num_cols
         #: The recorded trace (see module docstring for entry shapes).
         self.trace: List[tuple] = []
         #: vreg -> last synced functional row (the shadow register file
@@ -93,15 +98,6 @@ class DeferredBitEngine:
         values = np.array(values, dtype=np.int64, copy=True)
         self._rows[vreg] = values
         self.trace.append(("sync", vreg, values))
-
-    def peek(self, vreg: int) -> np.ndarray:
-        """Shadow view — the mirror a live engine would hold after the
-        last sync. Only reachable from diagnostic paths; the system's
-        validation peek is skipped while deferred."""
-        row = self._rows.get(vreg)
-        if row is None:
-            return np.zeros(self.max_vl, dtype=np.int64)
-        return row.copy()
 
     def popcount(self, vreg: int, vl: int, vstart: int) -> None:
         """Log a mask pop-count; returns ``None`` (checked at replay)."""
@@ -124,20 +120,14 @@ class DeferredBitEngine:
     ):
         """Resolve the intrinsic's plan and log it instead of running it.
 
-        Applies exactly the checks the live engine applies — masked
-        forms without microcode and aliased operand rows raise
-        :class:`UnsupportedMicrocode` — so the functional-fallback
-        behaviour (and therefore the trace's sync pattern) matches
-        sequential execution entry for entry.
+        Applies the live engine's form check
+        (:func:`~repro.engine.bitexec.microcode_unsupported_reason`), so
+        the functional-fallback behaviour (and therefore the trace's sync
+        pattern) matches sequential execution entry for entry.
         """
-        masked = mask_reg is not None
-        if masked and mnemonic not in MASKABLE and mnemonic != "vmerge.vv":
-            raise UnsupportedMicrocode(mnemonic)
-        sources = [r for r in (vs1, vs2) if r is not None]
-        if len(set(sources)) != len(sources) or (
-            vd is not None and vd in sources
-        ):
-            raise UnsupportedMicrocode(f"{mnemonic} with aliased operands")
+        reason = microcode_unsupported_reason(mnemonic, vd, vs1, vs2, mask_reg)
+        if reason is not None:
+            raise UnsupportedMicrocode(reason)
 
         if mnemonic == "vredsum.vs":
             row = self._rows.get(vs1)
@@ -149,26 +139,10 @@ class DeferredBitEngine:
             # bit-level total is checked against ``expected`` at replay.
             return None
 
-        num_subarrays = self._shape[1]
-        key = (
-            "op", mnemonic, width, num_subarrays, vd, vs1, vs2,
-            None if scalar is None else int(scalar), mask_reg, masked,
+        key = op_key(
+            mnemonic, width, self._shape[1], vd, vs1, vs2, scalar, mask_reg
         )
-
-        def build():
-            return compile_chain_program(
-                num_subarrays,
-                lambda rec: run_microcode(
-                    rec, mnemonic, vd, vs1, vs2, scalar, mask_reg,
-                    width, masked,
-                ),
-            )
-
-        cache = self._plan_cache
-        if cache is not None:
-            plan = cache.get_or_compile(key, build, observer=self.observer)
-        else:
-            plan = build()
+        plan = op_plan(key, self._plan_cache, self.observer)
         self.trace.append(("op", key, plan, vl, vstart))
         return None
 

@@ -24,10 +24,10 @@ Cross-validation is batched and lazy: after replaying an op the
 destination is *checked at the adjacent sync* (the system always syncs
 the destination right after validating it), one
 :func:`~repro.common.bitutils.bits_to_ints` gather compared against the
-stacked functional rows under a per-column allowed-bits mask — bit 0
-for mask producers, ``2^SEW-1`` inside the window, every bit outside it
-— exactly the predicate ``CAPESystem._bitexec_matches`` applies per
-device. A member that fails any check (op, redsum, or popcount) is
+stacked functional rows by
+:func:`~repro.engine.bitexec.destination_diverged` — the routine
+``CAPESystem._bitexec_matches`` applies per device, here over K
+windows. A member that fails any check (op, redsum, or popcount) is
 **ejected**: its gang outcome is discarded and the caller re-runs the
 job on its own device, where the PR 4 healing ladder applies. Ejection
 never poisons peers — no lowered kernel reads across columns.
@@ -50,7 +50,7 @@ from repro.common.bitutils import bits_to_ints, ints_to_bits
 from repro.common.errors import ConfigError
 from repro.csb.bitplane import BitplaneBackend
 from repro.csb.reduction import ReductionTree
-from repro.engine.bitexec import MASK_RESULTS
+from repro.engine.bitexec import destination_diverged
 from repro.plan.packed import pack_bits, run_program
 from repro.plan.recorder import NUM_ROWS
 
@@ -106,15 +106,13 @@ class GangReplay:
         self.C = config.max_vl
         self.S = config.element_bits
         self.num_chains = config.num_chains
-        self.cols_per_chain = config.cols_per_chain
         #: The stacked mirror: K contiguous device-sized column blocks.
         self.backend = BitplaneBackend(self.S, NUM_ROWS, self.K * self.C)
         self._tree = ReductionTree(self.num_chains)
-        self._full_mask = (np.int64(1) << self.S) - np.int64(1)
         self._active_key: Optional[Tuple] = None
         self._active_u8: Optional[np.ndarray] = None
         self._active_int = 0
-        #: (vd, value_mask, windows) of the op awaiting its sync check.
+        #: (OpKey, windows) of the op awaiting its sync check.
         self._pending = None
 
     def member_slice(self, k: int) -> slice:
@@ -181,12 +179,7 @@ class GangReplay:
             for member in self.members:
                 if not member.ejected:
                     member.charges.update(plan.charges)
-        mnemonic, width = key[1], key[2]
-        value_mask = (
-            np.int64(1) if mnemonic in MASK_RESULTS
-            else (np.int64(1) << width) - np.int64(1)
-        )
-        self._pending = (key[4], value_mask, windows)
+        self._pending = (key, windows)
 
     def _gang_rmw(self, vd, vs1, fn, width, active, windows) -> None:
         width = self.S if width is None else width
@@ -203,44 +196,27 @@ class GangReplay:
         vreg = rows[0][1]
         stacked = np.concatenate([entry[2] for entry in rows])
         pending = self._pending
-        if pending is not None and pending[0] == vreg:
-            self._check_destination(vreg, stacked, pending[1], pending[2])
+        if pending is not None and pending[0].vd == vreg:
+            self._check_destination(pending[0], stacked, pending[1])
             self._pending = None
         self.backend.set_register_planes(vreg, ints_to_bits(stacked, self.S))
 
-    def _check_destination(self, vd, want, value_mask, windows) -> None:
-        """The batched form of ``CAPESystem._bitexec_matches``."""
-        got = bits_to_ints(self.backend.bits[:, vd, :])
-        allow = np.full(self.K * self.C, self._full_mask, dtype=np.int64)
-        for k, (vl, vstart) in enumerate(windows):
-            allow[k * self.C + vstart: k * self.C + vl] = value_mask
-        bad = (got & allow) != (want & allow)
-        if not bad.any():
-            return
-        for k in range(self.K):
-            if not self.members[k].ejected and bad[self.member_slice(k)].any():
-                self._eject(k, f"op divergence on v{vd}")
-
-    def _echo_planes(self, vreg: int, width: int) -> np.ndarray:
-        """Bit planes ``0..width-1`` of ``vreg``, echoed through the tags.
-
-        The state the per-bit echo searches of the reduction walk leave
-        behind (each bit-slice's tags latch its plane), in one copy.
-        """
-        planes = self.backend.bits[:width, vreg, :]
-        self.backend.tags[:width] = planes
-        return planes
+    def _check_destination(self, key, want, windows) -> None:
+        """``CAPESystem._bitexec_matches`` over every member's window."""
+        got = bits_to_ints(self.backend.bits[:, key.vd, :])
+        bad = destination_diverged(
+            key.mnemonic, key.width, got, want, windows, self.C
+        )
+        for k in np.flatnonzero(bad):
+            if not self.members[k].ejected:
+                self._eject(k, f"op divergence on v{key.vd}")
 
     def _replay_redsum(self, rows) -> None:
         _, vs1, width, _vl, _vstart, _exp = rows[0]
         windows = tuple((entry[3], entry[4]) for entry in rows)
-        active = self._active(windows)
-        hits = (self._echo_planes(vs1, width) & active).reshape(
-            width, self.K, self.cols_per_chain, self.num_chains
-        ).sum(axis=2, dtype=np.int64)
-        # Per member and chain: sum over bits of popcount << bit.
-        weights = np.int64(1) << np.arange(width, dtype=np.int64)
-        partials = np.tensordot(weights, hits, axes=1)
+        partials = self.backend.echo_partials(
+            vs1, width, self._active(windows), self.num_chains, self.K
+        )
         for k, entry in enumerate(rows):
             member = self.members[k]
             if member.ejected:
@@ -255,9 +231,8 @@ class GangReplay:
     def _replay_popcount(self, rows) -> None:
         vm = rows[0][1]
         windows = tuple((entry[2], entry[3]) for entry in rows)
-        active = self._active(windows)
-        counts = (self._echo_planes(vm, 1)[0] & active).reshape(
-            self.K, self.C
+        counts = self.backend.echo_partials(
+            vm, 1, self._active(windows), self.num_chains, self.K
         ).sum(axis=1)
         for k, entry in enumerate(rows):
             member = self.members[k]

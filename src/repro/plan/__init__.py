@@ -5,9 +5,10 @@ operand-roles, mask-form) always decodes to the same search/update
 command stream. This package records that stream once
 (:class:`RecordingChain`), freezes it into an immutable
 :class:`CompiledPlan` with steps pre-lowered to fused bit-plane kernels,
-and shares plans process-wide through :class:`PlanCache` — so repeat
-dispatches skip the FSM/truth-table walk entirely while charging
-identical cycles and publishing identical ``csb.microops``.
+and shares plans process-wide through :class:`PlanCache`. A plan is the
+only way microcode reaches a chain; the cache lets repeat dispatches
+skip recording, while charging identical cycles and publishing
+identical ``csb.microops``.
 
 See ``docs/PERFORMANCE.md`` for the design, keying rules, and the
 equivalence contract.

@@ -14,6 +14,10 @@ walk can take microseconds and must not serialise unrelated lookups —
 with a first-wins re-check on insert so concurrent compilers of the same
 key converge on one plan object.
 
+A cache of capacity 0 keeps nothing: every lookup compiles. That is what
+``plan_cache=False`` means everywhere — plans are still what reaches a
+chain, they are just not kept.
+
 Plans are no longer per-instruction-dispatch only: because a lowered
 plan is width-agnostic (its kernels read the column count from the
 backend they run over), gang execution (:mod:`repro.gang`) replays the
@@ -28,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.common.errors import ConfigError
 from repro.plan.plan import CompiledPlan
@@ -40,14 +44,18 @@ DEFAULT_CAPACITY = 1024
 
 
 class PlanCache:
-    """A bounded, thread-safe, never-invalidated LRU of compiled plans."""
+    """A bounded, thread-safe, never-invalidated LRU of compiled plans
+    (``capacity=0`` keeps nothing)."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ConfigError("plan cache capacity must be positive")
+        if capacity < 0:
+            raise ConfigError("plan cache capacity must be >= 0")
         self.capacity = capacity
         self._plans: "OrderedDict[object, CompiledPlan]" = OrderedDict()
         self._lock = threading.RLock()
+        #: Per thread: wall time of the compiles nested in the running
+        #: builder (a superplan's builder compiles its members here).
+        self._nested = threading.local()
         self.hits = 0
         self.misses = 0
         self.compile_ns = 0
@@ -62,7 +70,9 @@ class PlanCache:
 
         ``builder`` runs outside the lock; if two threads race on the
         same key the first insert wins and the loser's plan is dropped
-        (plans for one key are interchangeable by construction).
+        (plans for one key are interchangeable by construction). A miss
+        adds the builder's own time to ``compile_ns``: compiles nested
+        in it count on their own miss, not twice.
         """
         with self._lock:
             plan = self._plans.get(key)
@@ -72,9 +82,7 @@ class PlanCache:
                 if observer is not None and observer.enabled:
                     observer.counter("plan.cache.hit").inc()
                 return plan
-        start = time.perf_counter_ns()
-        plan = builder()
-        elapsed_ns = time.perf_counter_ns() - start
+        plan, elapsed_ns = self._timed_build(builder)
         with self._lock:
             existing = self._plans.get(key)
             if existing is not None:
@@ -93,12 +101,28 @@ class PlanCache:
             observer.histogram("plan.cache.compile_ns").observe(elapsed_ns)
         return plan
 
+    def _timed_build(self, builder):
+        """Run ``builder``; return its plan and its own time in ns (its
+        wall time minus that of the compiles nested inside it)."""
+        nested = self._nested
+        outer = getattr(nested, "ns", None)
+        nested.ns = 0
+        start = time.perf_counter_ns()
+        try:
+            plan = builder()
+        finally:
+            elapsed_ns = time.perf_counter_ns() - start
+            inner_ns = nested.ns
+            nested.ns = None if outer is None else outer + elapsed_ns
+        return plan, elapsed_ns - inner_ns
+
     def snapshot(self) -> dict:
         """The one plan-cache stats surface (picklable, cheap).
 
         Keys: ``entries`` / ``superplans`` (cached whole-kernel fusions
         among them), ``hits`` / ``misses`` (lookups), ``compiles`` and
-        ``compile_ns`` (actual builds and their wall time).
+        ``compile_ns`` (actual builds and their wall time, each build's
+        own time counted once).
         Serving workers ship this with every reply so the gateway can
         aggregate per-process cache behaviour without sharing memory;
         benchmarks and ``repro.api`` re-export it instead of reading
@@ -145,17 +169,17 @@ class PlanCache:
 GLOBAL_PLAN_CACHE = PlanCache()
 
 
-def resolve_plan_cache(plan_cache) -> Optional[PlanCache]:
+def resolve_plan_cache(plan_cache) -> PlanCache:
     """Normalise the ``plan_cache=`` knob every layer accepts.
 
     ``True`` → the process-wide :data:`GLOBAL_PLAN_CACHE`; ``False`` or
-    ``None`` → no caching (every dispatch re-walks the FSM, the pre-plan
-    behaviour); a :class:`PlanCache` instance → that instance.
+    ``None`` → a fresh cache that keeps nothing (every dispatch compiles
+    its plan afresh); a :class:`PlanCache` instance → that instance.
     """
     if plan_cache is True:
         return GLOBAL_PLAN_CACHE
     if plan_cache is None or plan_cache is False:
-        return None
+        return PlanCache(capacity=0)
     if isinstance(plan_cache, PlanCache):
         return plan_cache
     raise ConfigError(

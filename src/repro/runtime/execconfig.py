@@ -8,10 +8,11 @@ default to ``ExecConfig()``, so every surface shares one set of
 defaults.
 
 Each surface consumes the members that apply to it (a ``DevicePool``
-ignores ``workers`` and ``wire``; the worker-process tiers ignore
-``plan_cache``, because every worker owns its own cache) — the unused
-members are carried, not rejected, so one ``ExecConfig`` can describe a
-workload as it moves between tiers.
+ignores ``workers`` and ``wire``) — the unused members are carried, not
+rejected, so one ``ExecConfig`` can describe a workload as it moves
+between tiers. Where compiled microcode plans are kept is not part of
+the execution shape: in-process surfaces share the process-wide plan
+cache and every serving worker owns one (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ class ExecConfig:
     """Execution shape for a submission surface.
 
     Args:
-        plan_cache: microcode plan-cache knob (``True`` for the
-            process-wide cache, ``False``/``None`` to compile per
-            dispatch, or an explicit
-            :class:`~repro.plan.PlanCache`).
         workers: worker processes for the process-sharded serving tier
             (:class:`~repro.serve.pool.ServePool`, the gateway).
         gang: gang-execution mode — ``True`` gangs every eligible job,
@@ -58,7 +55,6 @@ class ExecConfig:
             round-mates. ``0`` (the default) dispatches at once.
     """
 
-    plan_cache: object = True
     workers: int = 2
     gang: object = "auto"
     superplan: bool = True

@@ -137,10 +137,10 @@ class DevicePool:
         retry_backoff_cycles: base delay before a failed job is
             re-queued (doubles per attempt).
         exec: the :class:`~repro.runtime.execconfig.ExecConfig`
-            execution shape. Its ``plan_cache`` and ``superplan`` go to
-            every device's system (the default shares the process-wide
-            plan cache across all devices, and runs each job body inside
-            a superplan scope). Its ``gang`` mode is handed to
+            execution shape. Its ``superplan`` goes to every device's
+            system (by default each job body runs inside a superplan
+            scope); every device shares the process-wide plan cache.
+            Its ``gang`` mode is handed to
             :func:`repro.gang.run_ganged` for every wave: eligible
             bit-plane jobs with matching plan-key streams replay their
             mirrors as one stacked gang, the rest run per device.
@@ -194,7 +194,6 @@ class DevicePool:
                 ),
                 accounting=accounting,
                 backend=backend,
-                plan_cache=exec.plan_cache,
                 superplan=exec.superplan,
             )
             device = Device(i, system)

@@ -343,8 +343,8 @@ class Gateway:
 
     ``config`` holds the devices and the serving policy; ``exec`` is the
     execution shape (``workers``, ``gang``, ``superplan``, ``wire``,
-    ``batch_window_s``; ``plan_cache`` does not apply, each worker owns
-    its cache). All state is owned by the event-loop thread; reader
+    ``batch_window_s``); each worker keeps its compiled plans in its own
+    plan cache. All state is owned by the event-loop thread; reader
     threads only ever schedule callbacks onto the loop.
     """
 

@@ -148,9 +148,9 @@ class ServePool(DevicePool):
             ``wire`` picks the data plane: on the shm wire, numpy
             payloads, golden vectors, and result arrays cross the worker
             boundary as shared-memory descriptors instead of pickled
-            bytes (``repro.serve.shm``). ``plan_cache`` does not apply:
-            each worker owns its own per-process cache. Results,
-            placement, and telemetry are bit-identical in every mode.
+            bytes (``repro.serve.shm``). Each worker keeps its compiled
+            plans in its own per-process cache. Results, placement, and
+            telemetry are bit-identical in every mode.
         **pool_kwargs: everything else :class:`DevicePool` accepts.
     """
 

@@ -67,7 +67,7 @@ import gc
 import os
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.common.errors import (
@@ -118,14 +118,6 @@ class WorkerOptions:
     reply_segment: Optional[str] = None
     #: Arrays below this many bytes stay inline even on the shm wire.
     wire_min_bytes: int = DEFAULT_MIN_BYTES
-
-    def __post_init__(self) -> None:
-        # The shard owns one PlanCache, so the parent's plan_cache is
-        # dropped; a PlanCache instance would not even pickle across a
-        # spawn boundary.
-        object.__setattr__(
-            self, "exec", replace(self.exec, plan_cache=False)
-        )
 
 
 def _build_shard(

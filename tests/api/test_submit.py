@@ -20,7 +20,6 @@ from repro.api import (
     JobResult,
     JobSpec,
     Observer,
-    PlanCache,
     ServeConfig,
     ServePool,
     submit,
@@ -60,15 +59,6 @@ class TestSubmitSingleDevice:
         job = Job("j", lambda system: 1, Footprint(lanes=8))
         with pytest.raises(ConfigError, match="JobSpec.from_job"):
             submit([job])
-
-    def test_exec_config_plan_cache_knob_applies(self):
-        cache = PlanCache()
-        result = submit(
-            dot_spec("c", 2), config=TINY, backend="bitplane",
-            exec=ExecConfig(plan_cache=cache),
-        )
-        assert result.output == dot_golden(2)
-        assert cache.snapshot()["misses"] > 0
 
 
 class TestSubmitPool:
@@ -111,10 +101,8 @@ class TestSubmitPool:
 
     def test_reused_pool_hits_the_warm_plan_cache(self):
         observer = Observer()
-        pool = DevicePool(
-            [TINY], backend="bitplane", observer=observer,
-            exec=ExecConfig(plan_cache=PlanCache()),
-        )
+        # Every device shares the process-wide plan cache.
+        pool = DevicePool([TINY], backend="bitplane", observer=observer)
         # The pool publishes per-device: the series carries a device label.
         hit_counter = observer.metrics.counter("plan.cache.hit", device="tiny#0")
         first = submit([dot_spec(f"w{i}", i) for i in range(3)], pool=pool)
@@ -164,6 +152,9 @@ class TestOneExecutionShape:
         assert ServePool((TINY,)).exec == ExecConfig()
         assert Gateway(ServeConfig(configs=(TINY,))).exec == ExecConfig()
         assert ExecConfig().gang == "auto" and ExecConfig().superplan is True
+        # Where compiled plans are kept is not part of the shape.
+        with pytest.raises(TypeError, match="plan_cache"):
+            ExecConfig(plan_cache=False)
 
     def test_superplan_is_a_plain_bool(self):
         with pytest.raises(ConfigError, match="superplan"):

@@ -126,7 +126,7 @@ class TestDevicePoolIdentity:
             # Corrupt the first member's destination ahead of its
             # validating sync, once per pool run (first gang only).
             if kind == "sync" and replay._pending and fired["count"] == 0:
-                vd = replay._pending[0]
+                vd = replay._pending[0].vd
                 replay.backend.bits[0, vd, replay.member_slice(0)] ^= 1
                 fired["count"] += 1
 

@@ -284,7 +284,7 @@ class TestEjection:
             # Corrupt the victim's destination block right before the
             # sync that validates it: the batched check must catch it.
             if kind == "sync" and replay._pending and not fired["done"]:
-                vd = replay._pending[0]
+                vd = replay._pending[0].vd
                 replay.backend.bits[0, vd, replay.member_slice(victim)] ^= 1
                 fired["done"] = True
 

@@ -1,14 +1,17 @@
-"""Differential tests: compiled plans vs the per-dispatch FSM walk.
+"""Differential tests, cache axis: a kept plan vs one compiled afresh.
 
-``repro.plan`` replaces repeated microcode FSM walks with a recorded
-plan replay. The contract is total equivalence: with the plan cache on,
-every observable — destination values, the full register file, cycle
-and energy totals, and every ``csb.microops`` series — must be
-bit-identical to the cache-off walk, on both execution backends,
-including masked forms, truth-table execution, and runs with an active
-fault plan (faulty backends take the generic replay path, so the
-divergence ladder is preserved).
+With the plan cache keeping nothing, every dispatch records the
+microcode FSM walk again and replays it. A kept plan must replay
+bit-identically on both backends, with superplans on or off, under an
+active fault plan (faulty backends replay plans step by step, so the
+divergence ladder is preserved) and for truth-table execution. The
+harness is ``tests/plan/differential.py``; the oracle a single plan is
+held to — the same microcode driven live on a chain — is
+``tests/plan/test_chain_oracle.py``.
 """
+
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,106 +19,57 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.csb.chain import Chain, MetaRow
+from repro.engine.bitexec import op_key
 from repro.engine.system import CAPEConfig, CAPESystem
-from repro.engine.vcu import TRUTH_TABLES, TTDecoder, execute_table
-from repro.faults import FaultInjector, FaultPlan, StuckBit, TagFlip
+from repro.engine.vcu import (
+    TRUTH_TABLES,
+    TTDecoder,
+    _apply_table,
+    _fold_reduce,
+    execute_table,
+)
 from repro.obs import Observer
 from repro.plan import (
     GLOBAL_PLAN_CACHE,
     PlanCache,
     resolve_plan_cache,
+    superplan_key,
 )
+from repro.plan import cache as cache_module
 
-NANO = CAPEConfig(name="nano", num_chains=8)  # 256 lanes
-
-#: (system method, supports mask kwarg) — ops whose masked microcode
-#: exists; masked vmul/vrsub fall back to re-sync and are covered by
-#: the unmasked entries.
-OPS = (
-    ("vadd", True),
-    ("vsub", True),
-    ("vmul", False),
-    ("vand", True),
-    ("vor", True),
-    ("vxor", True),
-    ("vmin", False),
-    ("vmax", False),
+from .differential import (
+    BACKENDS,
+    PROGRAMS,
+    WORDS,
+    fault_program,
+    operands,
+    run_modes,
 )
-
-
-def run_program(backend, plan_cache, a, b, mask, ops, injector=None):
-    """Run an op sequence; snapshot every observable."""
-    obs = Observer()
-    system = CAPESystem(
-        NANO, backend=backend, observer=obs, plan_cache=plan_cache,
-        fault_injector=injector,
-    )
-    n = len(a)
-    system.vsetvl(n)
-    system.vregs[1, :n] = a
-    system.vregs[2, :n] = b
-    system.vregs[6, :n] = mask
-    system._written_vregs.update({1, 2, 6})
-    if system._bitengine is not None:
-        for reg in (1, 2, 6):
-            system._bitengine.sync_register(reg, system.vregs[reg])
-    for i, (op, use_mask) in enumerate(ops):
-        _, maskable = next(entry for entry in OPS if entry[0] == op)
-        kwargs = {"mask": 6} if (use_mask and maskable) else {}
-        getattr(system, op)(3 + (i % 3), 1, 2, **kwargs)
-    system.vmerge(5, 1, 2, vm=6)
-    system.vmseq(7, 1, 2)
-    total = int(system.vredsum(3, signed=False))
-    return {
-        "total": total,
-        "registers": [system.read_vreg(r).tolist() for r in range(8)],
-        "cycles": system.stats.cycles,
-        "energy": system.stats.energy_j,
-        "microops": {
-            key: value
-            for key, value in obs.metrics.snapshot().items()
-            if key[0] == "csb.microops"
-        },
-    }
 
 
 @settings(max_examples=10, deadline=None)
 @given(
-    st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=32),
-    st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=32),
-    st.lists(st.tuples(st.sampled_from([op for op, _ in OPS]), st.booleans()),
-             min_size=1, max_size=5),
-    st.sampled_from(["reference", "bitplane"]),
+    WORDS, WORDS, PROGRAMS,
+    st.sampled_from(BACKENDS), st.booleans(),
 )
-def test_plan_replay_is_bit_identical_to_fsm_walk(a, b, ops, backend):
-    n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
-    mask = [(x ^ y) & 1 for x, y in zip(a, b)]
-    planned = run_program(backend, True, a, b, mask, ops)
-    walked = run_program(backend, False, a, b, mask, ops)
-    assert planned == walked
+def test_plan_replay_is_bit_identical_to_fsm_walk(a, b, ops, backend,
+                                                  superplan):
+    a, b, mask = operands(a, b)
+    run_modes(
+        backend, (("nothing", superplan), ("kept", superplan)),
+        a, b, mask, ops,
+    )
 
 
-@pytest.mark.parametrize("backend", ["reference", "bitplane"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_plan_replay_identical_under_active_faults(backend):
-    """Faulty backends take the generic replay path: the injected
+    """Faulty backends replay plans step by step: the injected
     divergence (stuck bits, tag flips) lands identically whether the
-    microcode comes from a plan or a live FSM walk."""
-    rng = np.random.default_rng(0xCA9E)
-    a = rng.integers(0, 1 << 16, 16).tolist()
-    b = rng.integers(0, 1 << 16, 16).tolist()
-    mask = (rng.integers(0, 2, 16)).tolist()
-    ops = [("vadd", True), ("vmul", False), ("vxor", True), ("vmin", False)]
-
-    def faulty():
-        return FaultInjector(FaultPlan([
-            StuckBit(row=3, element=2, bit=1, value=1),
-            TagFlip(element=0, bit=0, at_search=3),
-        ]))
-
-    planned = run_program(backend, True, a, b, mask, ops, injector=faulty())
-    walked = run_program(backend, False, a, b, mask, ops, injector=faulty())
-    assert planned == walked
+    plan is kept or compiled afresh at each dispatch."""
+    run_modes(
+        backend, (("nothing", False), ("kept", False)), *fault_program(),
+        faults=True,
+    )
 
 
 # ---------------------------------------------------------------------
@@ -138,23 +92,34 @@ def _table_chain(rng, width=8, cols=16):
     ("vredsum.vs", (), True),
 ])
 def test_execute_table_plan_matches_walk(rng, name, preamble, msb_first):
+    """The FSM walked live on the chain, a plan compiled and kept
+    nowhere, and a cached plan (missed, then hit) all agree."""
     decoder = TTDecoder(vd=VD, vs1=VS1, vs2=VS2)
     cache = PlanCache()
     results = {}
-    for mode in ("walk", "plan", "plan-again"):
+    for mode in ("walk", "uncached", "plan", "plan-again"):
         chain = _table_chain(np.random.default_rng(17))
         before = chain.stats.counts.copy()
-        out = execute_table(
-            chain, TRUTH_TABLES[name], decoder, width=8,
-            msb_first=msb_first, preamble=preamble,
-            plan_cache=False if mode == "walk" else cache,
-        )
+        if mode == "walk":
+            used_reduce, values = _apply_table(
+                chain, TRUTH_TABLES[name], decoder, 8, msb_first, preamble
+            )
+            out = _fold_reduce(values) if used_reduce else None
+        else:
+            out = execute_table(
+                chain, TRUTH_TABLES[name], decoder, width=8,
+                msb_first=msb_first, preamble=preamble,
+                plan_cache=False if mode == "uncached" else cache,
+            )
         results[mode] = (
             out,
             chain.peek_register(VD).tolist(),
             {k: v - before.get(k, 0) for k, v in chain.stats.counts.items()},
         )
-    assert results["walk"] == results["plan"] == results["plan-again"]
+    assert (
+        results["walk"] == results["uncached"] == results["plan"]
+        == results["plan-again"]
+    )
     assert cache.hits == 1 and cache.misses == 1
 
 
@@ -195,6 +160,43 @@ def test_plan_cache_publishes_hit_miss_metrics():
     assert series and series[0][1].count == 1
 
 
+def test_nested_compiles_are_timed_once(monkeypatch):
+    """A superplan's builder compiles its member plans through the
+    cache: each compile's own time is counted once, in ``compile_ns``
+    and in the ``plan.cache.compile_ns`` histogram alike."""
+    clock = itertools.count(0, 1000)  # every clock read advances 1 µs
+    monkeypatch.setattr(
+        cache_module, "time",
+        SimpleNamespace(perf_counter_ns=lambda: next(clock)),
+    )
+    cache = PlanCache()
+    obs = Observer()
+
+    def fuse():
+        # Two member misses (2 clock reads, 1 µs each), then a hit.
+        for key in ("op-a", "op-b", "op-a"):
+            cache.get_or_compile(key, lambda: key, observer=obs)
+        return "superplan"
+
+    assert cache.get_or_compile("sp", fuse, observer=obs) == "superplan"
+    # The outer build spans 5 µs: 2 of them are its members' compiles.
+    assert cache.snapshot()["compile_ns"] == 1000 + 1000 + 3000
+    series = obs.metrics.series("plan.cache.compile_ns")
+    histogram = series[0][1]
+    assert histogram.count == 3 and histogram.total == 5000
+    assert cache.misses == 3 and cache.hits == 1
+
+
+def test_op_key_hashes_and_compares_as_its_tuple():
+    """Plan-cache contents, trace signatures and superplan keys hold op
+    keys: an :class:`OpKey` must be the plain tuple it always was."""
+    key = op_key("vadd.vx", 16, 32, 3, 1, None, np.int64(7), 6)
+    plain = ("op", "vadd.vx", 16, 32, 3, 1, None, 7, 6, True)
+    assert key == plain and hash(key) == hash(plain)
+    assert type(key.scalar) is int
+    assert superplan_key(32, 16, [key]) == superplan_key(32, 16, [plain])
+
+
 def test_plans_shared_across_device_widths():
     """The plan key excludes the column count: devices with different
     chain counts (hence different fused widths) share compiled plans."""
@@ -225,9 +227,21 @@ def test_plans_shared_across_device_widths():
 
 def test_resolve_plan_cache():
     assert resolve_plan_cache(True) is GLOBAL_PLAN_CACHE
-    assert resolve_plan_cache(False) is None
-    assert resolve_plan_cache(None) is None
     private = PlanCache()
     assert resolve_plan_cache(private) is private
     with pytest.raises(ConfigError):
         resolve_plan_cache("bogus")
+    with pytest.raises(ConfigError):
+        PlanCache(capacity=-1)
+    # False and None still give a cache: one that keeps nothing, so
+    # every lookup compiles.
+    for knob in (False, None):
+        nothing = resolve_plan_cache(knob)
+        assert isinstance(nothing, PlanCache)
+        assert nothing is not GLOBAL_PLAN_CACHE
+        assert nothing is not resolve_plan_cache(knob)
+        built = []
+        for _ in range(2):
+            nothing.get_or_compile("k", lambda: built.append(1) or "plan")
+        assert built == [1, 1] and len(nothing) == 0
+        assert nothing.misses == 2 and nothing.hits == 0

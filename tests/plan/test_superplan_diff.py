@@ -1,119 +1,64 @@
-"""Differential tests: whole-kernel superplan replay vs per-instruction.
+"""Differential tests, superplan axis: a fused kernel vs its plans.
 
 With ``superplan`` enabled, a :meth:`CAPESystem.superplan_scope` defers
 every eligible mirror dispatch and replays the whole kernel as one fused
-:class:`~repro.plan.Superplan`. The contract is total equivalence: every
-observable — destination values, the full register file, cycle and
-energy totals, and every ``csb.microops`` series — must be bit-identical
-to the per-instruction path, on both execution backends, across masked
+:class:`~repro.plan.Superplan`. It must equal the per-instruction run,
+whether or not the cache keeps plans, on both backends, across masked
 forms (including the masked-vmul re-sync fallback that forces a
 mid-scope flush), non-deferrable ops (reductions, popcounts), partial
-``vl``/``vstart`` windows, and runs with an active fault plan (where
-superplans go inactive and the PR-4 divergence ladder is preserved).
+``vl``/``vstart`` windows, and an active fault plan (where superplans go
+inactive and the divergence ladder applies per instruction). The
+harness is ``tests/plan/differential.py``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.system import CAPEConfig, CAPESystem
-from repro.faults import FaultInjector, FaultPlan, StuckBit, TagFlip
+from repro.engine.system import CAPESystem
 from repro.obs import Observer
 from repro.plan import PlanCache
 
-NANO = CAPEConfig(name="nano-sp", num_chains=8)  # 256 lanes
-
-#: (system method, supports mask kwarg). Masked vmul exists in the table
-#: but falls back to a re-sync (non-deferrable) — kept deliberately so
-#: the differential covers a mid-scope flush.
-OPS = (
-    ("vadd", True),
-    ("vsub", True),
-    ("vmul", True),
-    ("vand", True),
-    ("vor", True),
-    ("vxor", True),
-    ("vmin", False),
-    ("vmax", False),
+from .differential import (
+    BACKENDS,
+    CACHES,
+    MODES,
+    NANO,
+    PROGRAMS,
+    WORDS,
+    assert_fused,
+    assert_not_fused,
+    fault_program,
+    operands,
+    run_modes,
+    run_program,
 )
-
-
-def run_program(
-    backend, superplan, a, b, mask, ops,
-    injector=None, vstart=0,
-):
-    """Run an op sequence inside one superplan scope; snapshot every
-    observable plus the cache's counter snapshot."""
-    obs = Observer()
-    cache = PlanCache()
-    system = CAPESystem(
-        NANO, backend=backend, observer=obs, plan_cache=cache,
-        superplan=superplan, fault_injector=injector,
-    )
-    n = len(a)
-    system.vsetvl(n)
-    system.vregs[1, :n] = a
-    system.vregs[2, :n] = b
-    system.vregs[6, :n] = mask
-    system._written_vregs.update({1, 2, 6})
-    if system._bitengine is not None:
-        for reg in (1, 2, 6):
-            system._bitengine.sync_register(reg, system.vregs[reg])
-    if vstart:
-        system.set_vstart(vstart)
-    with system.superplan_scope():
-        for i, (op, use_mask) in enumerate(ops):
-            _, maskable = next(entry for entry in OPS if entry[0] == op)
-            kwargs = {"mask": 6} if (use_mask and maskable) else {}
-            getattr(system, op)(3 + (i % 3), 1, 2, **kwargs)
-        system.vmerge(5, 1, 2, vm=6)
-        system.vmseq(7, 1, 2)
-        total = int(system.vredsum(3, signed=False))
-        hits = system.vmask_popcount(7)
-    state = {
-        "total": total,
-        "hits": hits,
-        "registers": [system.read_vreg(r).tolist() for r in range(8)],
-        "cycles": system.stats.cycles,
-        "energy": system.stats.energy_j,
-        "microops": {
-            key: value
-            for key, value in obs.metrics.snapshot().items()
-            if key[0] == "csb.microops"
-        },
-    }
-    return state, cache.snapshot()
 
 
 @settings(max_examples=10, deadline=None)
 @given(
-    st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=32),
-    st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=32),
-    st.lists(st.tuples(st.sampled_from([op for op, _ in OPS]), st.booleans()),
-             min_size=1, max_size=6),
-    st.sampled_from(["reference", "bitplane"]),
+    WORDS, WORDS, PROGRAMS,
+    st.sampled_from(BACKENDS), st.sampled_from(CACHES),
 )
-def test_superplan_replay_is_bit_identical(a, b, ops, backend):
-    n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
-    mask = [(x ^ y) & 1 for x, y in zip(a, b)]
-    fused, _ = run_program(backend, True, a, b, mask, ops)
-    single, _ = run_program(backend, False, a, b, mask, ops)
-    assert fused == single
+def test_superplan_replay_is_bit_identical(a, b, ops, backend, cache):
+    a, b, mask = operands(a, b)
+    run_modes(backend, ((cache, False), (cache, True)), a, b, mask, ops)
 
 
 def test_superplan_actually_fuses_on_the_bitplane_backend():
     """The equality above must not be vacuous: on the plain bit-plane
-    backend the scope really builds fused superplans (reference stays
-    per-instruction — its engine type is not eligible)."""
+    backend the scope really builds fused superplans, whether or not the
+    cache keeps them (reference stays per-instruction — its engine type
+    is not eligible)."""
     a = list(range(16))
     b = list(range(16, 0, -1))
     mask = [i & 1 for i in range(16)]
     ops = [("vadd", False), ("vxor", True), ("vmin", False)]
-    _, fused_snap = run_program("bitplane", True, a, b, mask, ops)
-    assert fused_snap["superplans"] >= 1
-    _, ref_snap = run_program("reference", True, a, b, mask, ops)
-    assert ref_snap["superplans"] == 0
+    for cache in CACHES:
+        _, fused = run_program("bitplane", (cache, True), a, b, mask, ops)
+        assert_fused(fused)
+        _, ref = run_program("reference", (cache, True), a, b, mask, ops)
+        assert_not_fused(ref)
 
 
 @pytest.mark.parametrize("vstart,vl", [(0, 11), (3, 13), (5, 16)])
@@ -125,14 +70,9 @@ def test_superplan_respects_partial_windows(vstart, vl):
     b = rng.integers(0, 1 << 16, vl).tolist()
     mask = rng.integers(0, 2, vl).tolist()
     ops = [("vadd", True), ("vmul", False), ("vmax", False)]
-    fused, snap = run_program(
-        "bitplane", True, a, b, mask, ops, vstart=vstart
-    )
-    single, _ = run_program(
-        "bitplane", False, a, b, mask, ops, vstart=vstart
-    )
-    assert fused == single
-    assert snap["superplans"] >= 1
+    records = run_modes("bitplane", MODES, a, b, mask, ops, vstart=vstart)
+    for (_cache, superplan), record in records.items():
+        (assert_fused if superplan else assert_not_fused)(record)
 
 
 def test_masked_vmul_fallback_flushes_mid_scope():
@@ -143,38 +83,26 @@ def test_masked_vmul_fallback_flushes_mid_scope():
     b = rng.integers(0, 1 << 16, 16).tolist()
     mask = rng.integers(0, 2, 16).tolist()
     ops = [("vadd", True), ("vmul", True), ("vxor", False), ("vsub", True)]
-    fused, snap = run_program("bitplane", True, a, b, mask, ops)
-    single, _ = run_program("bitplane", False, a, b, mask, ops)
-    assert fused == single
+    records = run_modes("bitplane", MODES, a, b, mask, ops)
     # The fallback split the scope but deferrable ops still fused.
-    assert snap["superplans"] >= 1
+    for (_cache, superplan), record in records.items():
+        if superplan:
+            assert_fused(record)
 
 
-@pytest.mark.parametrize("backend", ["reference", "bitplane"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_superplan_inactive_under_active_faults(backend):
     """A fault injector makes every dispatch ineligible: the scope
-    stays live per-instruction, the divergence ladder applies, and the
-    outcome matches the superplan-off run exactly."""
-    rng = np.random.default_rng(0xCA9E)
-    a = rng.integers(0, 1 << 16, 16).tolist()
-    b = rng.integers(0, 1 << 16, 16).tolist()
-    mask = rng.integers(0, 2, 16).tolist()
-    ops = [("vadd", True), ("vmul", False), ("vxor", True), ("vmin", False)]
-
-    def faulty():
-        return FaultInjector(FaultPlan([
-            StuckBit(row=3, element=2, bit=1, value=1),
-            TagFlip(element=0, bit=0, at_search=3),
-        ]))
-
-    fused, snap = run_program(
-        backend, True, a, b, mask, ops, injector=faulty()
-    )
-    single, _ = run_program(
-        backend, False, a, b, mask, ops, injector=faulty()
-    )
-    assert fused == single
-    assert snap["superplans"] == 0
+    stays per-instruction, the divergence ladder applies, and the
+    outcome matches the superplan-off run exactly, whether or not the
+    cache keeps plans."""
+    for cache in CACHES:
+        records = run_modes(
+            backend, ((cache, False), (cache, True)), *fault_program(),
+            faults=True,
+        )
+        for record in records.values():
+            assert_not_fused(record)
 
 
 def test_second_identical_kernel_replays_from_the_warm_cache():
@@ -187,8 +115,8 @@ def test_second_identical_kernel_replays_from_the_warm_cache():
         superplan=True,
     )
     n = 16
-    outs = []
-    for _round in range(2):
+
+    def kernel():
         system.reset()
         system.vsetvl(n)
         system.vregs[1, :n] = np.arange(n)
@@ -200,21 +128,13 @@ def test_second_identical_kernel_replays_from_the_warm_cache():
             system.vadd(3, 1, 2)
             system.vmul(4, 1, 2)
             system.vxor(5, 3, 4)
-        outs.append([system.read_vreg(r).tolist() for r in (3, 4, 5)])
+        return [system.read_vreg(r).tolist() for r in (3, 4, 5)]
+
+    outs = [kernel(), kernel()]
     assert outs[0] == outs[1]
     snap = cache.snapshot()
     compiles_after_two = snap["compiles"]
     assert snap["superplans"] >= 1
     # Third round: pure cache hits, zero new compiles.
-    system.reset()
-    system.vsetvl(n)
-    system.vregs[1, :n] = np.arange(n)
-    system.vregs[2, :n] = np.arange(n)[::-1].copy()
-    system._written_vregs.update({1, 2})
-    for reg in (1, 2):
-        system._bitengine.sync_register(reg, system.vregs[reg])
-    with system.superplan_scope():
-        system.vadd(3, 1, 2)
-        system.vmul(4, 1, 2)
-        system.vxor(5, 3, 4)
+    assert kernel() == outs[0]
     assert cache.snapshot()["compiles"] == compiles_after_two
