@@ -10,22 +10,34 @@ from __future__ import annotations
 import numpy as np
 
 
+#: Shift counts that split a row of bytes into its eight bit planes.
+_BYTE_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
+
+
 def ints_to_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Explode unsigned integers into a little-endian bit matrix.
 
     Args:
         values: integer array of shape ``(n,)``; values are taken modulo
             ``2**width`` so signed inputs wrap like hardware registers.
-        width: number of bits per element.
+        width: number of bits per element (1 to 64).
 
     Returns:
         uint8 array of shape ``(width, n)`` where row ``i`` is bit ``i``.
     """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    vals = np.asarray(values, dtype=np.int64) & ((1 << width) - 1 if width < 64 else -1)
-    shifts = np.arange(width, dtype=np.int64)[:, None]
-    return ((vals[None, :] >> shifts) & 1).astype(np.uint8)
+    if not 0 < width <= 64:
+        raise ValueError(f"width must be in [1, 64], got {width}")
+    vals = np.ascontiguousarray(values, dtype="<i8")
+    nbytes = (width + 7) // 8
+    # Shift byte rows (byte i of every element), not int64 words: plane
+    # 8*i + j is byte row i shifted by j, one uint8 pass for all planes.
+    rows = np.ascontiguousarray(
+        vals.view(np.uint8).reshape(len(vals), 8)[:, :nbytes].T
+    )
+    bits = np.empty((nbytes, 8, len(vals)), dtype=np.uint8)
+    np.right_shift(rows[:, None, :], _BYTE_SHIFTS, out=bits)
+    bits &= 1
+    return bits.reshape(8 * nbytes, len(vals))[:width]
 
 
 def bits_to_ints(bits: np.ndarray) -> np.ndarray:

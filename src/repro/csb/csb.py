@@ -216,55 +216,80 @@ class CSB:
             out[element] = self.chains[chain].read_element(vreg, col)
         return out
 
+    def register_planes(self, vreg: int) -> np.ndarray:
+        """Copy of register ``vreg``'s bit-planes in element order.
+
+        Host-side and free of microop cost: ``(num_subarrays, max_vl)``,
+        column ``e`` holding element ``e`` whichever backend stores it.
+        """
+        self._check_vreg(vreg)
+        if self.base is not None:
+            return self.base.register_planes(vreg)
+        planes = np.empty((self.num_subarrays, self.max_vl), dtype=np.uint8)
+        for c, chain in enumerate(self.chains):
+            planes[:, c::self.num_chains] = chain.backend.register_planes(vreg)
+        return planes
+
+    def set_register_planes(self, vreg: int, bits: np.ndarray) -> None:
+        """Write elements ``[0, n)`` of ``vreg`` from ``(num_subarrays, n)``
+        bit-planes in element order (host-side, free of microop cost).
+
+        Goes through each backend's ``set_register_planes``, so a
+        :class:`repro.faults.FaultyBackend` re-asserts its faults.
+        """
+        self._check_vreg(vreg)
+        n = bits.shape[1]
+        if n > self.max_vl:
+            raise CapacityError(
+                f"vector of {n} elements exceeds MAX_VL {self.max_vl}"
+            )
+        if self.base is not None:
+            self.base.set_register_planes(vreg, bits, cols=slice(0, n))
+            return
+        for c, chain in enumerate(self.chains):
+            mine = bits[:, c::self.num_chains]
+            chain.backend.set_register_planes(
+                vreg, mine, cols=slice(0, mine.shape[1])
+            )
+
     def peek_vector(self, vreg: int, vl: Optional[int] = None, signed: bool = False) -> np.ndarray:
         """Host-side gather without microop cost (validation fixture)."""
-        self._check_vreg(vreg)
         vl = self.max_vl if vl is None else vl
         if vl > self.max_vl:
             raise CapacityError(
                 f"element {self.max_vl} outside CSB capacity {self.max_vl}"
             )
-        if self.base is not None:
-            out = bits_to_ints(self.base.bits[:, vreg, :vl])
-            if signed:
-                sign = np.int64(1) << (self.num_subarrays - 1)
-                out = (out ^ sign) - sign
-            return out
-        per_chain = [c.peek_register(vreg, signed=signed) for c in self.chains]
-        out = np.zeros(vl, dtype=np.int64)
-        for element in range(vl):
-            chain, col = self.locate(element)
-            out[element] = per_chain[chain][col]
+        out = bits_to_ints(self.register_planes(vreg)[:, :vl])
+        if signed:
+            sign = np.int64(1) << (self.num_subarrays - 1)
+            out = (out ^ sign) - sign
         return out
 
     def poke_vector(self, vreg: int, values: Sequence[int]) -> None:
         """Host-side scatter without microop cost (validation fixture)."""
-        self._check_vreg(vreg)
-        values = np.asarray(values)
-        if len(values) > self.max_vl:
-            raise CapacityError(
-                f"vector of {len(values)} elements exceeds MAX_VL {self.max_vl}"
-            )
-        if self.base is not None:
-            bits = ints_to_bits(values, self.num_subarrays)
-            self.base.set_register_planes(vreg, bits, cols=slice(0, len(values)))
-            return
-        per_chain = [c.peek_register(vreg) for c in self.chains]
-        for element, value in enumerate(values):
-            chain, col = self.locate(element)
-            per_chain[chain][col] = value
-        for chain, vals in zip(self.chains, per_chain):
-            chain.poke_register(vreg, vals)
+        self.set_register_planes(
+            vreg, ints_to_bits(np.asarray(values), self.num_subarrays)
+        )
 
     # ------------------------------------------------------------------
     # Global reduction
     # ------------------------------------------------------------------
 
     def redsum(self, vreg: int, width: Optional[int] = None) -> int:
-        """Reduction sum of ``vreg`` across every chain and the global tree."""
+        """Reduction sum of ``vreg`` across every chain and the global tree.
+
+        Each bit-step searches one bit-slice of every chain in lockstep
+        (one SEARCH + one REDUCE microop, the bit-parallel flavour of
+        Figure 6) and pop-counts each chain's columns, so the partials
+        feed the global reduction tree.
+        """
         self._check_vreg(vreg)
         if self.ganged is not None:
-            partials = self._redsum_partials_ganged(vreg, width)
+            width = self.num_subarrays if width is None else width
+            partials = [int(p) for p in self.echo_partials(vreg, width)]
+            for _ in range(width):
+                self.stats.record(Microop.SEARCH, bit_parallel=True)
+                self.stats.record(Microop.REDUCE, bit_parallel=True)
         else:
             # Every chain runs the bit-serial reduction walk in lockstep
             # off one VCU broadcast: charge the first chain's walk only.
@@ -277,39 +302,37 @@ class CSB:
                 self.stats.muted = False
         return self.reduction_tree.reduce(partials)
 
-    def _redsum_partials_ganged(self, vreg: int, width: Optional[int]) -> List[int]:
-        """Per-chain reduction partials via the fused backend.
+    def echo_partials(self, vreg: int, width: int) -> np.ndarray:
+        """Per-chain partials of ``width`` echo searches of ``vreg``.
 
-        Each bit-step searches one bit-slice of every chain in lockstep
-        (one SEARCH + one REDUCE microop, the bit-parallel flavour of
-        Figure 6) and pop-counts each chain's columns separately, so the
-        partials feed the same global reduction tree as the per-chain
-        path. On a plain bit-plane backend the echo searches touch only
-        the tags, so the whole walk is one pass over the ``width``
-        planes (:meth:`~repro.csb.bitplane.BitplaneBackend.echo_partials`);
-        a fault-wrapped backend searches bit by bit so its scheduled tag
-        flips land where they would.
+        Bit-step ``b`` latches plane ``b`` into the tags and pop-counts
+        each chain's active columns, weighted by ``2**b``; nothing is
+        charged (:meth:`redsum` charges its walk; a mask pop-count is
+        the width-1 case). On a plain bit-plane backend the searches
+        touch only the tags, so the walk is one pass over the planes
+        (:meth:`~repro.csb.bitplane.BitplaneBackend.echo_partials`); a
+        fault-wrapped or reference backend searches bit by bit and chain
+        by chain, so scheduled tag flips land where they would.
         """
-        width = self.num_subarrays if width is None else width
         ganged = self.ganged
-        backend = ganged.backend
-        if type(backend) is BitplaneBackend:
-            partials = backend.echo_partials(
+        if ganged is not None and type(ganged.backend) is BitplaneBackend:
+            return ganged.backend.echo_partials(
                 vreg, width, ganged.active_columns, self.num_chains
             )[0]
-        else:
-            active = ganged.active_columns.astype(bool)
-            partials = np.zeros(self.num_chains, dtype=np.int64)
-            for bit in reversed(range(width)):
-                tags = backend.search(bit, {vreg: 1})
-                hits = (tags.astype(bool) & active).reshape(
+        partials = np.zeros(self.num_chains, dtype=np.int64)
+        for bit in reversed(range(width)):
+            if ganged is not None:
+                tags = ganged.backend.search(bit, {vreg: 1})
+                hits = (tags & ganged.active_columns).reshape(
                     self.num_cols, self.num_chains
-                )
-                partials = (partials << 1) + hits.sum(axis=0)
-        for _ in range(width):
-            self.stats.record(Microop.SEARCH, bit_parallel=True)
-            self.stats.record(Microop.REDUCE, bit_parallel=True)
-        return [int(p) for p in partials]
+                ).sum(axis=0, dtype=np.int64)
+            else:
+                hits = [
+                    int((c.backend.search(bit, {vreg: 1}) & c.active_columns).sum())
+                    for c in self.chains
+                ]
+            partials = (partials << 1) + hits
+        return partials
 
     def _check_vreg(self, vreg: int) -> None:
         if not 0 <= vreg < NUM_VREGS:

@@ -23,6 +23,11 @@ superplans and gang capture alike. A few cases have no microcode
 (masked ``vmul``/``vrsub``, aliased destination forms that the
 algorithms refuse); those fall back to the functional result, which is
 synced into the CSB so the bit-level state never drifts.
+
+Every route checks a destination the same way, in the bit-plane domain:
+:func:`sync_destination` compares the mirror's planes with the
+functional row's and re-syncs the row, whether one instruction, a
+flushed superplan or a gang of K devices wrote it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.assoc import algorithms as alg
-from repro.csb.chain import Chain
+from repro.common.bitutils import ints_to_bits
 from repro.csb.csb import CSB
 from repro.plan import (
     GLOBAL_PLAN_CACHE,
@@ -147,25 +152,41 @@ def op_plan(key: OpKey, cache: PlanCache, observer=None) -> CompiledPlan:
     )
 
 
-def destination_diverged(
-    mnemonic: str, width: int, got: np.ndarray, want: np.ndarray,
-    windows: Sequence[Tuple[int, int]], block: int,
+def sync_destination(
+    target, vd: int, want: np.ndarray,
+    windows: Sequence[Tuple[int, int]], width: int,
 ) -> np.ndarray:
-    """The mirror's destination check: a bool per block, True if diverged.
+    """The mirror's destination check and re-sync, on bit-planes.
 
-    ``got`` (mirror) and ``want`` (functional) hold ``len(windows)``
-    blocks of ``block`` elements. Inside block ``k``'s window
-    ``windows[k] = (vl, vstart)`` they must agree modulo ``2**width``
-    (bit 0 only for mask results, whose upper planes are undefined);
-    outside it bit for bit, which catches microcode leaking past
-    vstart/vl.
+    Register ``vd`` of ``target`` (a :class:`~repro.csb.csb.CSB` or a
+    bit-plane backend) and the functional row ``want`` hold
+    ``len(windows)`` equal blocks. Inside block ``k``'s window
+    ``windows[k] = (vl, vstart)`` the low ``width`` planes must match
+    (SEW, or 1 for a mask result, whose upper planes are undefined);
+    outside it every plane must, which catches microcode leaking past
+    vstart/vl. The row is written back through
+    ``target.set_register_planes``, so a fault-wrapped backend
+    re-asserts its faults: a block that matched becomes its functional
+    row, upper planes included; a block that diverged keeps what the
+    microcode left, for the caller to raise on, retry or eject. Returns
+    True per diverged block.
     """
-    inside = 1 if mnemonic in MASK_RESULTS else (1 << width) - 1
-    allow = np.full(len(got), -1, dtype=np.int64)
+    got = target.register_planes(vd)
+    planes = ints_to_bits(want, got.shape[0])
+    block = got.shape[1] // len(windows)
+    diverged = np.zeros(len(windows), dtype=bool)
     for k, (vl, vstart) in enumerate(windows):
-        allow[k * block + vstart: k * block + vl] = inside
-    bad = (got & allow) != (want & allow)
-    return bad.reshape(len(windows), block).any(axis=1)
+        start = k * block
+        lo, hi, end = start + vstart, start + vl, start + block
+        if not (
+            np.array_equal(got[:width, lo:hi], planes[:width, lo:hi])
+            and np.array_equal(got[:, start:lo], planes[:, start:lo])
+            and np.array_equal(got[:, hi:end], planes[:, hi:end])
+        ):
+            diverged[k] = True
+            planes[:, start:end] = got[:, start:end]
+    target.set_register_planes(vd, planes)
+    return diverged
 
 
 class BitEngine:
@@ -190,7 +211,7 @@ class BitEngine:
 
     #: Live engines execute eagerly; :class:`~repro.gang.DeferredBitEngine`
     #: overrides this so ``CAPESystem._bitexec`` skips the immediate
-    #: cross-validation peek and lets gang replay check the mirror later.
+    #: destination check and lets gang replay check the mirror later.
     deferred = False
 
     def __init__(
@@ -241,14 +262,6 @@ class BitEngine:
         self.observer = observer
         self.csb.stats.attach_observer(observer, backend=self.csb.backend_name)
 
-    @property
-    def targets(self) -> List[Chain]:
-        """The chains microcode runs on: the single ganged chain under
-        the bitplane backend, every chain under the reference backend."""
-        if self.csb.ganged is not None:
-            return [self.csb.ganged]
-        return self.csb.chains
-
     def set_window(self, vl: int, vstart: int) -> None:
         """Program the active window (cached; cheap to call per-op)."""
         if (vl, vstart) != self._window:
@@ -259,18 +272,10 @@ class BitEngine:
         """Mirror one functional register row into the CSB (host-side)."""
         self.csb.poke_vector(vreg, values)
 
-    def peek(self, vreg: int) -> np.ndarray:
-        """Full-width unsigned view of one register, element order."""
-        return self.csb.peek_vector(vreg)
-
     def popcount(self, vreg: int, vl: int, vstart: int) -> int:
-        """Bit-level ``vcpop.m``: echo-search bit 0, pop-count the tags."""
+        """Bit-level ``vcpop.m``: the CSB's echo of bit 0 (charges nothing)."""
         self.set_window(vl, vstart)
-        total = 0
-        for chain in self.targets:
-            tags = chain.backend.search(0, {vreg: 1})
-            total += int((tags & chain.active_columns).sum())
-        return total
+        return int(self.csb.echo_partials(vreg, 1).sum())
 
     def execute(
         self,
@@ -307,17 +312,20 @@ class BitEngine:
             mnemonic, width, self._shape[1], vd, vs1, vs2, scalar, mask_reg
         )
         plan = op_plan(key, self._plan_cache, self.observer)
-        stats = self.csb.stats
+        csb = self.csb
+        # The single ganged chain under the bitplane backend, every chain
+        # under the reference backend.
+        targets = [csb.ganged] if csb.ganged is not None else csb.chains
         try:
-            for i, chain in enumerate(self.targets):
+            for i, chain in enumerate(targets):
                 # The VCU broadcasts one microop sequence to every chain
                 # in lockstep; walking the chains in Python charges it
                 # once (the reference backend mutes chains after the
                 # first, matching the ganged bitplane tally).
-                stats.muted = i > 0
+                csb.stats.muted = i > 0
                 plan.replay(chain)
         finally:
-            stats.muted = False
+            csb.stats.muted = False
         return None
 
 

@@ -35,15 +35,14 @@ from repro.common.errors import (
     CSBCapacityError,
     ProtocolError,
 )
-from repro.common.bitutils import ints_to_bits
 from repro.engine.bitexec import (
     MASK_RESULTS,
     BitEngine,
     UnsupportedMicrocode,
-    destination_diverged,
     microcode_unsupported_reason,
     op_key,
     op_plan,
+    sync_destination,
 )
 from repro.csb.bitplane import BitplaneBackend
 from repro.plan import resolve_plan_cache
@@ -931,15 +930,15 @@ class CAPESystem:
     ):
         """Execute + cross-validate one intrinsic on the bit-level backend.
 
-        Runs the microcode on the mirror CSB, then compares the
-        destination against the functional register file: within the
-        active window modulo 2^SEW (bit 0 only for mask-producing ops,
-        whose upper bit-planes are architecturally undefined), and
-        bit-for-bit outside the window, which catches microcode leaking
-        past vstart/vl. On success the functional row is re-synced so the
-        mirror never accumulates stale upper bit-planes. Forms without
-        microcode (masked vmul/vrsub, aliased destinations the algorithms
-        refuse) fall back to mirroring the functional result.
+        Runs the microcode on the mirror CSB, then checks and re-syncs
+        the destination against the functional register file with
+        :func:`~repro.engine.bitexec.sync_destination` over the active
+        window: the low SEW planes inside it (plane 0 for mask-producing
+        ops, whose upper planes are architecturally undefined), every
+        plane outside it, which catches microcode leaking past
+        vstart/vl. Forms without microcode (masked vmul/vrsub, aliased
+        destinations the algorithms refuse) fall back to mirroring the
+        functional result.
 
         Returns the bit-level scalar for ``vredsum.vs``, else ``None``.
         """
@@ -986,11 +985,14 @@ class CAPESystem:
             return result
         if engine.deferred:
             # Gang phase 1: the mirror doesn't exist yet. The trace
-            # carries this sync; the stacked replay validates the
-            # destination with the same predicate before applying it.
+            # carries this sync; the stacked replay checks the
+            # destination with the same routine before applying it.
             engine.sync_register(vd, self.vregs[vd])
             return None
-        if not self._bitexec_matches(engine, mnemonic, vd):
+        if sync_destination(
+            engine.csb, vd, self.vregs[vd], ((self.vl, self.vstart),),
+            1 if mnemonic in MASK_RESULTS else self.sew,
+        )[0]:
             if self.fault_injector is None:
                 raise ProtocolError(
                     f"bit-level {engine.backend!r} backend diverged from the "
@@ -998,18 +1000,7 @@ class CAPESystem:
                     f"vstart={self.vstart}, sew={self.sew})"
                 )
             self._recover_bitexec(mnemonic, vd, vs1, vs2, scalar, mask_reg)
-        engine.sync_register(vd, self.vregs[vd])
         return None
-
-    def _bitexec_matches(self, engine, mnemonic, vd) -> bool:
-        """Compare the mirror's destination against the functional row
-        (:func:`~repro.engine.bitexec.destination_diverged` over the one
-        active window)."""
-        got = engine.peek(vd)
-        return not destination_diverged(
-            mnemonic, self.sew, got, self.vregs[vd],
-            ((self.vl, self.vstart),), len(got),
-        )[0]
 
     # ------------------------------------------------------------------
     # Whole-kernel superplans (docs/PERFORMANCE.md)
@@ -1066,13 +1057,14 @@ class CAPESystem:
 
         Fetches (or fuses and caches) the superplan keyed by the pending
         per-instruction plan-key sequence, replays it once on the ganged
-        bit-plane chain, then validates and re-syncs every register the
-        sequence wrote — with exactly the per-instruction predicate,
-        expressed in the bit-plane domain: modulo 2^SEW inside the active
-        window (bit 0 only for mask producers), bit-for-bit outside it.
-        The re-sync zeroes the architecturally-undefined upper planes
-        inside the window, so the mirror is left bit-identical to what
-        per-instruction execution (validate + ``sync_register``) leaves.
+        bit-plane chain, then checks and re-syncs every register the
+        sequence wrote with the per-instruction routine,
+        :func:`~repro.engine.bitexec.sync_destination`, so the mirror is
+        left bit-identical to what per-instruction execution leaves.
+        ``expected`` maps vd -> the functional row snapshotted when its
+        last deferred write was recorded: the live register file may
+        already hold a *later* value for the same vd (written by the
+        non-deferrable op that triggered this flush).
         """
         sp = self._sp_session
         if not sp:
@@ -1096,7 +1088,17 @@ class CAPESystem:
         plan = cache.get_or_compile(skey, build, observer=self.observer)
         engine.set_window(vl, vstart)
         plan.replay(engine.csb.ganged)
-        self._sp_validate(engine, plan, expected, vl, vstart, sew)
+        for vd, is_mask in plan.writes:
+            if sync_destination(
+                engine.csb, vd, expected[vd], ((vl, vstart),),
+                1 if is_mask else sew,
+            )[0]:
+                raise ProtocolError(
+                    f"bit-level {engine.backend!r} backend diverged from "
+                    f"the functional model replaying a superplan of "
+                    f"{plan.num_instructions} instructions (vd=v{vd}, "
+                    f"vl={vl}, vstart={vstart}, sew={sew})"
+                )
         obs = self.observer
         if obs.enabled:
             obs.counter("plan.superplan.flush").inc()
@@ -1108,54 +1110,6 @@ class CAPESystem:
             # than its inputs (counters must never decrease).
             obs.counter("plan.superplan.kernels_in").inc(plan.kernels_in)
             obs.counter("plan.superplan.kernels_out").inc(plan.kernels_out)
-
-    def _sp_validate(self, engine, plan, expected, vl, vstart, sew) -> None:
-        """Validate + re-sync each register a replayed superplan wrote.
-
-        ``expected`` maps vd -> the functional row snapshotted when its
-        last deferred write was recorded — the live register file may
-        already hold a *later* value for the same vd (written by the
-        non-deferrable op that triggered this flush).
-        """
-        base = engine.csb.base
-        nsub = self.config.element_bits
-        sl = slice(vstart, vl)
-        for vd, is_mask in plan.writes:
-            nbits = 1 if is_mask else sew
-            got = base.bits[:, vd, :]
-            want = expected[vd]
-            ok = bool(
-                np.array_equal(
-                    got[:nbits, sl], ints_to_bits(want[sl], nbits)
-                )
-            )
-            # Bit-for-bit outside the active window (catches microcode
-            # leaking past vstart/vl, like the per-instruction check).
-            if ok and vstart:
-                ok = bool(
-                    np.array_equal(
-                        got[:, :vstart], ints_to_bits(want[:vstart], nsub)
-                    )
-                )
-            if ok and vl < got.shape[1]:
-                ok = bool(
-                    np.array_equal(
-                        got[:, vl:], ints_to_bits(want[vl:], nsub)
-                    )
-                )
-            if not ok:
-                raise ProtocolError(
-                    f"bit-level {engine.backend!r} backend diverged from "
-                    f"the functional model replaying a superplan of "
-                    f"{plan.num_instructions} instructions (vd=v{vd}, "
-                    f"vl={vl}, vstart={vstart}, sew={sew})"
-                )
-            # Re-sync: zero the architecturally-undefined upper planes
-            # inside the window. The defined planes just validated equal
-            # to the functional row, so this leaves the mirror exactly
-            # where per-instruction sync_register would.
-            if nbits < nsub:
-                got[nbits:, sl] = 0
 
     def _tolerate_fault(self, kind: str) -> bool:
         """Count a detected bit-level divergence under fault injection.
@@ -1179,10 +1133,10 @@ class CAPESystem:
 
         Detect → remap permanently-faulty chains onto spares (when the
         budget allows) → re-sync the mirror's live registers → retry the
-        microcode once → fall back to the functional result if it still
-        diverges. Each rung is charged in simulated cycles, so recovery
-        has a visible cost; the caller re-syncs the destination, so the
-        mirror never keeps faulty state regardless of the outcome.
+        microcode once and check it again → fall back to the functional
+        result if it still diverges. Each rung is charged in simulated
+        cycles, so recovery has a visible cost; the destination is
+        re-synced either way, so the mirror never keeps faulty state.
         """
         engine = self._bitengine
         fi = self.fault_injector
@@ -1209,9 +1163,14 @@ class CAPESystem:
                 mask_reg=mask_reg, width=self.sew, vl=self.vl,
                 vstart=self.vstart,
             )
-            healed = self._bitexec_matches(engine, mnemonic, vd)
+            healed = not sync_destination(
+                engine.csb, vd, self.vregs[vd], ((self.vl, self.vstart),),
+                1 if mnemonic in MASK_RESULTS else self.sew,
+            )[0]
         except (UnsupportedMicrocode, ConfigError):  # pragma: no cover
             healed = False
+        if not healed:
+            engine.sync_register(vd, self.vregs[vd])
         if obs.enabled:
             obs.counter(
                 "faults.repaired", kind="retry" if healed else "fallback"

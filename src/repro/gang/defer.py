@@ -13,8 +13,8 @@ traces of same-shape jobs and replays each plan once across all of them.
 The deferred engine reports ``backend == "bitplane"`` so
 ``CAPESystem.set_backend("bitplane")`` inside ``Job.execute`` is a no-op
 while it is installed, and ``deferred = True`` so
-``CAPESystem._bitexec`` skips the immediate cross-validation peek (the
-mirror state does not exist yet — validation happens at gang replay,
+``CAPESystem._bitexec`` skips the immediate destination check (the
+mirror state does not exist yet — the check happens at gang replay,
 with mismatching members ejected to the sequential path).
 
 Trace entries (tuples, first element is the kind):
@@ -61,7 +61,7 @@ class DeferredBitEngine:
     """
 
     #: Deferred engines never execute eagerly; the system's ``_bitexec``
-    #: checks this to skip the immediate cross-validation peek.
+    #: checks this to skip the immediate destination check.
     deferred = True
 
     def __init__(

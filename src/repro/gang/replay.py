@@ -22,15 +22,14 @@ Per-member state enters through two narrow doors:
 
 Cross-validation is batched and lazy: after replaying an op the
 destination is *checked at the adjacent sync* (the system always syncs
-the destination right after validating it), one
-:func:`~repro.common.bitutils.bits_to_ints` gather compared against the
-stacked functional rows by
-:func:`~repro.engine.bitexec.destination_diverged` — the routine
-``CAPESystem._bitexec_matches`` applies per device, here over K
-windows. A member that fails any check (op, redsum, or popcount) is
-**ejected**: its gang outcome is discarded and the caller re-runs the
-job on its own device, where the PR 4 healing ladder applies. Ejection
-never poisons peers — no lowered kernel reads across columns.
+the destination right after checking it) by
+:func:`~repro.engine.bitexec.sync_destination` — the routine every
+device applies to its one window, here over K windows of the stacked
+planes at once, re-syncing each member block that matched. A member
+that fails any check (op, redsum, or popcount) is **ejected**: its gang
+outcome is discarded and the caller re-runs the job on its own device,
+where the fault-healing ladder applies. Ejection never poisons peers —
+no lowered kernel reads across columns.
 
 Microop charges are buffered per member (static plan charges plus the
 dynamically-sized ``rmw_register`` sweeps) and flushed by the caller
@@ -46,11 +45,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.circuits.microops import Microop
-from repro.common.bitutils import bits_to_ints, ints_to_bits
+from repro.common.bitutils import ints_to_bits
 from repro.common.errors import ConfigError
 from repro.csb.bitplane import BitplaneBackend
 from repro.csb.reduction import ReductionTree
-from repro.engine.bitexec import destination_diverged
+from repro.engine.bitexec import MASK_RESULTS, sync_destination
 from repro.plan.packed import pack_bits, run_program
 from repro.plan.recorder import NUM_ROWS
 
@@ -196,20 +195,15 @@ class GangReplay:
         vreg = rows[0][1]
         stacked = np.concatenate([entry[2] for entry in rows])
         pending = self._pending
-        if pending is not None and pending[0].vd == vreg:
-            self._check_destination(pending[0], stacked, pending[1])
-            self._pending = None
-        self.backend.set_register_planes(vreg, ints_to_bits(stacked, self.S))
-
-    def _check_destination(self, key, want, windows) -> None:
-        """``CAPESystem._bitexec_matches`` over every member's window."""
-        got = bits_to_ints(self.backend.bits[:, key.vd, :])
-        bad = destination_diverged(
-            key.mnemonic, key.width, got, want, windows, self.C
-        )
-        for k in np.flatnonzero(bad):
-            if not self.members[k].ejected:
-                self._eject(k, f"op divergence on v{key.vd}")
+        if pending is None or pending[0].vd != vreg:
+            self.backend.set_register_planes(vreg, ints_to_bits(stacked, self.S))
+            return
+        key, windows = pending
+        self._pending = None
+        width = 1 if key.mnemonic in MASK_RESULTS else key.width
+        diverged = sync_destination(self.backend, vreg, stacked, windows, width)
+        for k in np.flatnonzero(diverged):
+            self._eject(k, f"op divergence on v{vreg}")
 
     def _replay_redsum(self, rows) -> None:
         _, vs1, width, _vl, _vstart, _exp = rows[0]

@@ -1,8 +1,8 @@
 """Whole-kernel superplans: fuse per-instruction plans into one trace.
 
-PR 5's :class:`~repro.plan.plan.CompiledPlan` amortises the FSM walk of
-*one* intrinsic; warm fig9 is then dominated by the Python interleaved
-*between* intrinsics — a mirror peek + re-sync per instruction plus a
+A :class:`~repro.plan.plan.CompiledPlan` amortises the FSM walk of
+*one* intrinsic; warm replay then pays the Python interleaved *between*
+intrinsics — a destination check and re-sync per instruction plus a
 fresh pass over each plan's kernels. A :class:`Superplan` records a whole
 kernel's instruction sequence (collected by
 ``CAPESystem.superplan_scope``) and fuses the per-instruction lowered
@@ -20,11 +20,12 @@ touched row once per flush and writes back only what it wrote.
 Cycle/energy charging is untouched (it is functional-side, per
 instruction); the fused stream's static microop charges are the *sum* of
 the member plans' charges, so ``csb.microops`` totals stay bit-identical
-to per-instruction replay. Validation and mirror re-sync happen once per
-flushed register in the bit-plane domain (see
-``CAPESystem._superplan_flush``), with exactly the
-per-instruction predicate: modulo 2^SEW inside the active window (bit 0
-for mask producers), bit-for-bit outside it.
+to per-instruction replay. The destination check and mirror re-sync
+happen once per flushed register (``CAPESystem._superplan_flush``),
+through the routine every route uses,
+:func:`~repro.engine.bitexec.sync_destination`: the low SEW planes
+inside the active window (plane 0 for mask producers), every plane
+outside it, and the row left equal to the functional row.
 
 Superplans are pure like their members: keyed by the instruction-key
 sequence (never column count or data), cached in the same

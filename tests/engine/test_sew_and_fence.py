@@ -99,6 +99,100 @@ def test_narrow_sew_reads_only_the_low_bits_on_the_mirror(sew):
     assert cape.vredsum(1, signed=False) == sum(lo_a)
 
 
+#: A row loaded at e32 (every element >= 256), a second source and a mask.
+RESYNC_A = [0x1FF, 0x100, 0x3_0080, 0x1_7FFF, 0x5_0001, 0xABCD_1234, 0x107, 0x200]
+RESYNC_B = [0x0FF, 0x1FF, 0x0_0080, 0x2_8000, 0x3_0001, 0x1234_ABCD, 0x9, 0x0]
+RESYNC_MASK = [1, 0, 1, 1, 0, 0, 1, 0]
+RESYNC_CONFIG = CAPEConfig(name="resync", num_chains=2, cols_per_chain=4)
+
+
+def _narrow_copy_steps(op):
+    """``vle`` at e32, ``op`` at e8 into v3, an e32 ``vadd`` reading v3,
+    then ``vredsum``: one callable per step, each returning its scalar
+    (or ``None``) and the register it wrote."""
+
+    def load(system):
+        for vreg, base, values in (
+            (1, 0x1000, RESYNC_A), (2, 0x2000, RESYNC_B), (0, 0x3000, RESYNC_MASK),
+        ):
+            system.memory.write_words(base, np.array(values, dtype=np.int64))
+            system.vle(vreg, base)
+        return None, 1
+
+    def narrow(system):
+        system.set_sew(8)
+        if op == "vmv.v.v":
+            system.vmv(3, 1)
+        else:
+            system.vmerge(3, 1, 2, 0)
+        system.set_sew(32)
+        return None, 3
+
+    def wide(system):
+        system.vadd(4, 3, 2)
+        return None, 4
+
+    def reduce(system):
+        return system.vredsum(4, signed=False), 4
+
+    return [load, narrow, wide, reduce]
+
+
+def _narrow_copy_expected(op):
+    """``vmv``/``vmerge`` copy whole elements, bits above SEW included."""
+    if op == "vmv.v.v":
+        copied = RESYNC_A
+    else:
+        copied = [a if m else b for a, b, m in zip(RESYNC_A, RESYNC_B, RESYNC_MASK)]
+    return sum((c + b) % (1 << 32) for c, b in zip(copied, RESYNC_B))
+
+
+@pytest.mark.parametrize("route", ["per-instruction", "superplan"])
+@pytest.mark.parametrize("op", ["vmv.v.v", "vmerge.vv"])
+def test_narrow_copy_leaves_the_mirror_equal_to_the_register_file(op, route):
+    """A copy at e8 of a row written at e32 keeps the bits above SEW in
+    the functional row; every route must leave them in the mirror too,
+    or the next e32 instruction reading the row diverges."""
+    cape = CAPESystem(RESYNC_CONFIG, backend="bitplane",
+                      superplan=route == "superplan")
+    cape.vsetvl(len(RESYNC_A), sew=32)
+    mirror_rows = []
+    total = None
+    for step in _narrow_copy_steps(op):
+        # Each step in its own scope, so the superplan route has flushed
+        # (replayed, checked and re-synced) by the time the rows are read.
+        with cape.superplan_scope():
+            total, vd = step(cape)
+        mirror_rows.append((vd, cape._bitengine.csb.peek_vector(vd),
+                            cape.vregs[vd].copy()))
+    assert total == _narrow_copy_expected(op)
+    assert cape.read_vreg(3)[0] == RESYNC_A[0]
+    for vd, mirror, functional in mirror_rows:
+        assert mirror.tolist() == functional.tolist(), f"v{vd}"
+
+
+@pytest.mark.parametrize("op", ["vmv.v.v", "vmerge.vv"])
+def test_narrow_copy_gangs_without_ejection(op):
+    from repro.obs import Observer
+    from repro.runtime import DevicePool, ExecConfig, Footprint, Job
+
+    def body(system):
+        system.vsetvl(len(RESYNC_A), sew=32)
+        for step in _narrow_copy_steps(op):
+            total, _ = step(system)
+        return total
+
+    obs = Observer()
+    pool = DevicePool((RESYNC_CONFIG,) * 2, backend="bitplane", observer=obs,
+                      exec=ExecConfig(gang=True))
+    jobs = [pool.submit(Job(f"copy{i}", body, Footprint(lanes=8)))
+            for i in range(2)]
+    pool.run()
+    assert [job.result.output for job in jobs] == [_narrow_copy_expected(op)] * 2
+    assert obs.metrics.total("gang.hit") == 2
+    assert obs.metrics.total("gang.ejected") == 0
+
+
 def test_unsupported_sew_rejected(tiny_cape):
     with pytest.raises(ConfigError):
         tiny_cape.set_sew(12)

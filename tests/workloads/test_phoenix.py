@@ -54,10 +54,30 @@ def test_cape_runs_verify_against_golden(name):
     assert result.cycles > 0
 
 
-@pytest.mark.parametrize("name", list(PHOENIX_APPS))
-def test_modeled_costs_are_pinned(name):
-    cape = CAPESystem(SMALL)
-    PHOENIX_APPS[name](**TEST_ARGS[name]).run_cape(cape)
+#: How a pinned run executes: the functional model alone, or with every
+#: supported intrinsic also run as microcode on the bit-plane mirror and
+#: checked, per instruction or fused inside a superplan scope.
+MODES = {
+    "functional": dict(backend=None),
+    "bitplane": dict(backend="bitplane"),
+    "superplan": dict(backend="bitplane", superplan=True),
+}
+
+
+def _pinned_cases():
+    # The functional case keeps its bare app-name id.
+    for mode in MODES:
+        for name in PHOENIX_APPS:
+            case_id = name if mode == "functional" else f"{name}-{mode}"
+            yield pytest.param(name, mode, id=case_id)
+
+
+@pytest.mark.parametrize("name, mode", list(_pinned_cases()))
+def test_modeled_costs_are_pinned(name, mode):
+    cape = CAPESystem(SMALL, **MODES[mode])
+    with cape.superplan_scope():
+        result = PHOENIX_APPS[name](**TEST_ARGS[name]).run_cape(cape)
+    assert result.checked
     stats = cape.stats
     assert (
         stats.cycles,
