@@ -32,13 +32,19 @@ def test_negative_values_wrap_like_hardware():
 
 
 @given(
-    st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=50),
-    st.integers(min_value=1, max_value=32),
+    st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1),
+             min_size=1, max_size=50),
+    st.integers(min_value=1, max_value=64),
 )
 def test_round_trip_property(values, width):
     arr = np.array(values, dtype=np.int64)
-    out = bits_to_ints(ints_to_bits(arr, width))
-    assert out.tolist() == (arr & ((1 << width) - 1)).tolist()
+    bits = ints_to_bits(arr, width)
+    assert bits.shape == (width, len(values)) and bits.flags.c_contiguous
+    # Read the int64 result as unsigned so width 64 keeps bit 63.
+    out = bits_to_ints(bits).view(np.uint64)
+    assert out.tolist() == [v & ((1 << width) - 1) for v in values]
+    with pytest.raises(ValueError):
+        ints_to_bits(arr, 65)
 
 
 def test_mask_lsbs():
