@@ -43,7 +43,8 @@ from repro.plan.recorder import NUM_ROWS
 # replays lowered on a 37-column bit-plane chain under a partial window,
 # and through the generic per-primitive path on a reference chain that
 # holds the same bits and tags. Both must end identical, charge for
-# charge (docs/PERFORMANCE.md, "Packed planes").
+# charge (docs/PERFORMANCE.md, "Packed planes"); the three shifts cover
+# the three plane-move patterns (vsra replicates the sign plane).
 S, C, VSTART, VL = 32, 37, 5, 31
 rng = np.random.default_rng(37)
 bits = rng.integers(0, 2, (S, NUM_ROWS, C), dtype=np.uint8)
@@ -51,6 +52,7 @@ tags = rng.integers(0, 2, (S, C), dtype=np.uint8)
 cases = (
     ("vadd.vv", 2, None), ("vmul.vv", 2, None),
     ("vmslt.vv", 2, None), ("vsll.vi", None, 3),
+    ("vsrl.vi", None, 3), ("vsra.vi", None, 3),
 )
 for mnemonic, vs2, scalar in cases:
     plan = compile_chain_program(

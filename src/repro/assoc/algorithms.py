@@ -521,45 +521,43 @@ def vmerge_vvm(
 # Shifts (controller-assisted element rewrite)
 # ---------------------------------------------------------------------------
 
-def _shift_rmw(chain: Chain, vd: int, vs1: int, shift, width: int) -> None:
-    """Shift via the controller's element read-modify-write path.
+def _shift(chain: Chain, vd: int, vs1: int, width: int, source) -> None:
+    """Shift via the controller's element rewrite path.
 
     Reads and writes access one (row, column) bitcell of *all* subarrays
     at once (a whole element, Section VI-A), so the chain controller can
     rewrite a register column-by-column: 2 x num_cols microoperations for
     any shift amount — cheaper than walking the tag-routing network once
-    per position. Dispatches through the chain's backend protocol
-    (:meth:`~repro.csb.chain.Chain.rmw_register`) so a vectorized backend
-    can fuse the whole column sweep into one kernel.
+    per position. Result bit ``i`` is source bit ``source(i)``, or 0
+    where that falls outside ``[0, width)`` or ``i`` does; on bit-sliced
+    storage that is a move of bit-planes (:meth:`Chain.move_planes`).
     """
-    chain.rmw_register(vd, vs1, shift, width)
+    chain.move_planes(vd, vs1, tuple(
+        source(i) if i < width and 0 <= source(i) < width else None
+        for i in range(chain.num_subarrays)
+    ))
 
 
 def vsll_vi(chain: Chain, vd: int, vs1: int, shamt: int, width: Optional[int] = None) -> None:
     """``vsll.vi vd, vs1, shamt`` — logical shift left by an immediate."""
     width = _resolve_width(chain, width)
     _check_shamt(shamt, width)
-    _shift_rmw(chain, vd, vs1, lambda v: v << shamt, width)
+    _shift(chain, vd, vs1, width, lambda i: i - shamt)
 
 
 def vsrl_vi(chain: Chain, vd: int, vs1: int, shamt: int, width: Optional[int] = None) -> None:
     """``vsrl.vi vd, vs1, shamt`` — logical shift right by an immediate."""
     width = _resolve_width(chain, width)
     _check_shamt(shamt, width)
-    _shift_rmw(chain, vd, vs1, lambda v: v >> shamt, width)
+    _shift(chain, vd, vs1, width, lambda i: i + shamt)
 
 
 def vsra_vi(chain: Chain, vd: int, vs1: int, shamt: int, width: Optional[int] = None) -> None:
-    """``vsra.vi vd, vs1, shamt`` — arithmetic shift right by an immediate."""
+    """``vsra.vi vd, vs1, shamt`` — arithmetic shift right by an immediate
+    (the sign plane fills the vacated high bits)."""
     width = _resolve_width(chain, width)
     _check_shamt(shamt, width)
-    sign = 1 << (width - 1)
-
-    def shift(value: int) -> int:
-        signed = (value ^ sign) - sign
-        return signed >> shamt
-
-    _shift_rmw(chain, vd, vs1, shift, width)
+    _shift(chain, vd, vs1, width, lambda i: min(i + shamt, width - 1))
 
 
 def _check_shamt(shamt: int, width: int) -> None:

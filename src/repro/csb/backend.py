@@ -133,20 +133,22 @@ class ExecutionBackend(Protocol):
     ) -> None:
         """Like :meth:`update_all` with a distinct data bit per subarray."""
 
-    def map_register(
+    def move_planes(
         self,
         dst_row: int,
         src_row: int,
-        fn,
-        mask: int,
-        active: Optional[np.ndarray] = None,
+        sources: Sequence[Optional[int]],
+        active: np.ndarray,
     ) -> None:
-        """Element read-modify-write: ``dst[c] = fn(src[c] & mask) & mask``.
+        """Element rewrite as a plane move: in the ``active`` columns,
+        plane ``i`` of ``dst_row`` becomes plane ``sources[i]`` of
+        ``src_row``, or 0 where it is ``None``.
 
         Models the chain controller's per-column element rewrite path
-        (shifts); ``fn`` must accept both Python ints and int64 arrays.
-        ``active`` optionally restricts the sweep to the enabled columns
-        (the chain's vstart/vl window); masked columns keep their data.
+        (shifts): a fixed map from result bit to source bit is, on
+        bit-sliced storage, a move of whole bit-planes. Every source
+        plane is read before any plane is written; masked columns keep
+        their data.
         """
 
     # -- fault-injection hooks ------------------------------------------
@@ -170,9 +172,9 @@ class ExecutionBackend(Protocol):
 class ReferenceBackend:
     """The per-subarray reference model (a list of :class:`Subarray`).
 
-    Kernels iterate subarrays (and, for the element rewrite path,
-    columns) in Python — bit-for-bit the model the reproduction has
-    always used, kept as the always-available ground truth.
+    Kernels iterate subarrays in Python — bit-for-bit the model the
+    reproduction has always used, kept as the always-available ground
+    truth.
     """
 
     name = "reference"
@@ -269,28 +271,20 @@ class ReferenceBackend:
         for sub, value, sel in zip(self.subarrays, values, select):
             sub.update(row, value, column_select=sel)
 
-    def map_register(
+    def move_planes(
         self,
         dst_row: int,
         src_row: int,
-        fn,
-        mask: int,
-        active: Optional[np.ndarray] = None,
+        sources: Sequence[Optional[int]],
+        active: np.ndarray,
     ) -> None:
-        # The controller walks columns one element at a time (2 microops
-        # per column, charged by the chain facade), skipping columns
-        # outside the active window.
-        from repro.common.bitutils import bits_to_ints, ints_to_bits
-
-        for col in range(self.num_cols):
-            if active is not None and not active[col]:
-                continue
-            bits = self.element_bits(src_row, col)
-            value = int(bits_to_ints(bits[:, None])[0]) & mask
-            out = int(fn(value)) & mask
-            self.set_element_bits(
-                dst_row, col, ints_to_bits(np.array([out]), self.num_subarrays)[:, 0]
-            )
+        # The controller rewrites the active columns' elements (2
+        # microops per column, charged by the chain facade); the source
+        # planes are copied out before any destination plane is written.
+        select = np.asarray(active).astype(bool)
+        planes = self.register_planes(src_row)[:, select]
+        for sub, src in zip(self.subarrays, sources):
+            sub.bits[dst_row, select] = 0 if src is None else planes[src]
 
     # -- fault-injection hooks ------------------------------------------
 

@@ -1,8 +1,7 @@
 """Vectorized bit-plane execution backend for the CSB.
 
-The reference model walks a chain subarray by subarray (and, for element
-rewrites, column by column) in Python. This backend stores the same state
-as two dense numpy matrices —
+The reference model walks a chain subarray by subarray in Python. This
+backend stores the same state as two dense numpy matrices —
 
 * ``bits`` of shape ``(num_subarrays, num_rows, num_cols)``: plane
   ``[i, r]`` is row ``r`` of subarray ``i`` across every column, and
@@ -34,7 +33,6 @@ from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.common.bitutils import bits_to_ints, ints_to_bits
 from repro.common.errors import ConfigError, ProtocolError
 from repro.csb.subarray import MAX_SEARCH_ROWS
 
@@ -294,27 +292,25 @@ class BitplaneBackend:
             where=np.asarray(select).astype(bool),
         )
 
-    def map_register(
+    def move_planes(
         self,
         dst_row: int,
         src_row: int,
-        fn,
-        mask: int,
-        active: Optional[np.ndarray] = None,
+        sources: Sequence[Optional[int]],
+        active: np.ndarray,
     ) -> None:
-        # Element read-modify-write fused over all columns: collapse the
-        # source planes to integers, apply fn elementwise, re-explode.
-        # Columns outside the active window keep their data.
+        # Element rewrite as one gather of the source planes (a copy, so
+        # the destination may be the source), zeroed where a plane has
+        # no source, then one masked store: columns outside the active
+        # window keep their data.
         self._check_row(src_row)
         self._check_row(dst_row)
-        values = bits_to_ints(self.bits[:, src_row, :]) & mask
-        out = np.asarray(fn(values)) & mask
-        planes = ints_to_bits(out, self.num_subarrays)
-        if active is None:
-            self.bits[:, dst_row, :] = planes
-        else:
-            sel = np.asarray(active).astype(bool)
-            self.bits[:, dst_row, sel] = planes[:, sel]
+        planes = self.bits[[0 if j is None else j for j in sources], src_row, :]
+        planes[[i for i, j in enumerate(sources) if j is None]] = 0
+        np.copyto(
+            self.bits[:, dst_row, :], planes,
+            where=np.asarray(active).astype(bool),
+        )
 
     def echo_partials(
         self, row: int, width: int, active: np.ndarray, num_chains: int,

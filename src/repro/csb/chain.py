@@ -43,6 +43,18 @@ from repro.csb.counter import MicroopStats
 NUM_VREGS = 32
 
 
+def plane_sources(sources: Sequence[Optional[int]], num_subarrays: int) -> tuple:
+    """A plane move's ``sources``: a plane index or ``None`` per plane."""
+    sources = tuple(sources)
+    if len(sources) != num_subarrays or any(
+        j is not None and not 0 <= j < num_subarrays for j in sources
+    ):
+        raise ConfigError(
+            f"plane sources {sources} do not map {num_subarrays} planes"
+        )
+    return sources
+
+
 class MetaRow(enum.IntEnum):
     """The four metadata rows appended to the 32 vector-register rows."""
 
@@ -112,9 +124,11 @@ class Chain:
                 f"active window [{start}, {start + length}) outside "
                 f"[0, {self.num_cols})"
             )
-        mask = np.zeros(self.num_cols, dtype=np.uint8)
+        # In place: a CSB binds its per-chain windows as views of the
+        # ganged chain's mask.
+        mask = self.active_columns
+        mask[:] = 0
         mask[start : start + length] = 1
-        self.active_columns = mask
 
     @property
     def is_power_gated(self) -> bool:
@@ -158,24 +172,24 @@ class Chain:
         self.backend.set_register_planes(vreg, ints_to_bits(values, self.num_subarrays))
         self.stats.record(Microop.WRITE, bit_parallel=True, n=self.num_cols)
 
-    def rmw_register(self, vd: int, vs1: int, fn, width: Optional[int] = None) -> None:
-        """Element-wise read-modify-write of a whole register.
+    def move_planes(
+        self, vd: int, vs1: int, sources: Sequence[Optional[int]]
+    ) -> None:
+        """Element-wise rewrite of a whole register as a plane move.
 
         Models the chain controller's per-column rewrite path used by the
         shift instructions: each element of ``vs1`` is read (one READ
-        microop), passed through ``fn`` (which must accept both Python
-        ints and int64 arrays), truncated to ``width`` bits, and written
-        to ``vd`` (one WRITE microop). The sweep visits only columns in
-        the active window (masked tail elements keep their data) and
-        costs one READ plus one WRITE per visited column, exactly like
-        the explicit per-column loop it replaces — but the backend may
-        fuse the whole sweep into one vectorized kernel.
+        microop) and written to ``vd`` (one WRITE microop) with bit ``i``
+        taken from bit ``sources[i]`` (0 where it is ``None``). On
+        bit-sliced storage that fixed bit map moves whole bit-planes, so
+        the backend runs the sweep as one kernel. Only columns in the
+        active window are visited (masked tail elements keep their
+        data); each costs one READ plus one WRITE.
         """
         self._check_vreg(vd)
         self._check_vreg(vs1)
-        width = self.num_subarrays if width is None else width
-        mask = (1 << width) - 1
-        self.backend.map_register(vd, vs1, fn, mask, active=self.active_columns)
+        sources = plane_sources(sources, self.num_subarrays)
+        self.backend.move_planes(vd, vs1, sources, self.active_columns)
         n = int(self.active_columns.sum())
         if n:
             self.stats.record(Microop.READ, bit_parallel=True, n=n)

@@ -18,7 +18,8 @@ makes the fused layout trivial: chain ``c``'s column ``j`` holds element
 ``c::num_chains`` puts element ``e`` exactly at fused column ``e``. The
 :attr:`CSB.ganged` chain then drives every column of every chain in one
 vectorized microoperation (the paper's lockstep execution, literally),
-while ``csb.chains[c]`` remain live column windows of the same storage.
+while ``csb.chains[c]`` remain live column windows of the same storage
+and of the ganged chain's active window.
 """
 
 from __future__ import annotations
@@ -112,6 +113,11 @@ class CSB:
                 stats=self.stats,
                 backend=fused,
             )
+            # Each chain's window is a view of the ganged one, as its
+            # bits and tags are: programming the ganged window programs
+            # them all.
+            for c, chain in enumerate(self.chains):
+                chain.active_columns = self.ganged.active_columns[c::num_chains]
             self.base = fused
         else:
             if inject and isinstance(backend, str):
@@ -167,13 +173,15 @@ class CSB:
             raise CapacityError(f"vl {vl} outside [0, {self.max_vl}]")
         if not 0 <= vstart <= vl:
             raise ConfigError(f"vstart {vstart} outside [0, vl={vl}]")
+        if self.ganged is not None:
+            # The per-chain windows are views of this one.
+            self.ganged.set_active_window(vstart, vl - vstart)
+            return
         for chain_id, chain in enumerate(self.chains):
             # Elements chain_id, chain_id + C, chain_id + 2C, ... live here.
             element_ids = chain_id + self.num_chains * np.arange(chain.num_cols)
             active = (element_ids >= vstart) & (element_ids < vl)
             chain.active_columns = active.astype(np.uint8)
-        if self.ganged is not None:
-            self.ganged.set_active_window(vstart, vl - vstart)
 
     # ------------------------------------------------------------------
     # Whole-vector host access (used by tests and the VMU model)

@@ -476,9 +476,9 @@ class FaultyBackend:
         self._base.update_all_values(row, values, select)
         self._assert_state()
 
-    def map_register(self, dst_row, src_row, fn, mask, active=None) -> None:
+    def move_planes(self, dst_row, src_row, sources, active) -> None:
         self._injector.csb_ops += 1
-        self._base.map_register(dst_row, src_row, fn, mask, active=active)
+        self._base.move_planes(dst_row, src_row, sources, active)
         self._assert_state()
 
     # -- tag writes -------------------------------------------------------

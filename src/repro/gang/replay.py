@@ -10,8 +10,9 @@ peers: the conceptual ``(devices, planes, cols)`` stack flattened along
 the column axis. Every lowered plan kernel is already width-agnostic
 (plans are shared across device widths), so one kernel over ``K*C``-bit
 packed planes (``repro.plan.packed``) **is** the batched per-step op —
-searches, updates, and lookup-table expressions sweep all K devices in
-one int operation.
+searches, updates, lookup-table expressions and the shifts' plane moves
+sweep all K devices in one int operation, with no callback into the
+backend.
 
 Per-member state enters through two narrow doors:
 
@@ -31,10 +32,11 @@ outcome is discarded and the caller re-runs the job on its own device,
 where the fault-healing ladder applies. Ejection never poisons peers —
 no lowered kernel reads across columns.
 
-Microop charges are buffered per member (static plan charges plus the
-dynamically-sized ``rmw_register`` sweeps) and flushed by the caller
-only for members whose gang execution survived, so observer totals stay
-bit-identical to sequential execution.
+Microop charges are buffered per member — each op's charges over the
+member's ``vl - vstart`` lanes, by the rule every lowered replay charges
+by (:meth:`~repro.plan.packed.Program.charges_over`) — and flushed by
+the caller only for members whose gang execution survived, so observer
+totals stay bit-identical to sequential execution.
 """
 
 from __future__ import annotations
@@ -168,28 +170,13 @@ class GangReplay:
     def _replay_op(self, rows) -> None:
         _, key, plan, _vl, _vstart = rows[0]
         windows = tuple((entry[3], entry[4]) for entry in rows)
-        active = self._active(windows)
-
-        def rmw(vd, vs1, fn, width):
-            self._gang_rmw(vd, vs1, fn, width, active, windows)
-
-        run_program(plan.program, self.backend, self._active_int, rmw)
-        if plan.charges:
-            for member in self.members:
-                if not member.ejected:
-                    member.charges.update(plan.charges)
+        self._active(windows)
+        program = plan.program
+        run_program(program, self.backend, self._active_int)
+        for member, (vl, vstart) in zip(self.members, windows):
+            if not member.ejected:
+                member.charges.update(program.charges_over(vl - vstart))
         self._pending = (key, windows)
-
-    def _gang_rmw(self, vd, vs1, fn, width, active, windows) -> None:
-        width = self.S if width is None else width
-        mask = (1 << width) - 1
-        self.backend.map_register(vd, vs1, fn, mask, active=active)
-        for k, (vl, vstart) in enumerate(windows):
-            n = vl - vstart
-            member = self.members[k]
-            if n and not member.ejected:
-                member.charges[(Microop.READ, True)] += n
-                member.charges[(Microop.WRITE, True)] += n
 
     def _replay_sync(self, rows) -> None:
         vreg = rows[0][1]

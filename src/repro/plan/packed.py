@@ -15,6 +15,12 @@ back only the rows and tag registers the program wrote. The backend's
 ``(S, R, C)`` uint8 storage is unchanged, so everything that reads it
 between replays (syncs, validation, host peeks, fault hooks) is too.
 
+A :class:`Program` is plain data. Every kernel, the shifts' element
+rewrite included (a move of bit-planes), is an int operation on packed
+planes whose payload holds slots, constants and token indices, so
+:func:`run_program` is a pure loop that calls nothing back; and every
+replay charges by one rule, :meth:`Program.charges_over`.
+
 Exactness: 0/1 uint8 lanes and int bits obey the same Boolean algebra,
 and no kernel ever sets a bit at or above ``C``: the active window ``A``
 and every packed plane are at most ``F = 2**C - 1``, and every
@@ -24,12 +30,13 @@ complement is written ``F ^ x`` or ``m & ~x`` with ``m <= F``.
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.plan.recorder import NUM_ROWS, Token
+from repro.plan.recorder import NUM_ROWS
 
 #: Largest row union a batched search group may compile into one
 #: lookup-table expression (real microcode unions stay at <= 4 rows).
@@ -148,34 +155,28 @@ class _State:
     complement ``NA``, only ever ANDed into a bounded plane), all-ones
     ``F``, the token environment, and the backend it writes back to."""
 
-    __slots__ = ("P", "T", "A", "NA", "F", "env", "rmw", "_program",
-                 "_backend", "_nbytes")
+    __slots__ = ("P", "T", "A", "NA", "F", "env", "_program", "_backend",
+                 "_nbytes")
 
-    def __init__(self, program: "Program", backend, active: int, rmw) -> None:
+    def __init__(self, program: "Program", backend, active: int) -> None:
         num_cols = backend.num_cols
         self.F = (1 << num_cols) - 1
         self.A = active
         self.NA = ~active
         self.env = [None] * program.num_tokens
-        self.rmw = rmw
         self._program = program
         self._backend = backend
-        self._nbytes = (num_cols + 7) >> 3
-        self.P = [0] * (program.num_subarrays * NUM_ROWS)
-        self.T = [0] * program.num_subarrays
-        self.load(program.rows, program.in_slots)
-        if program.tags:
-            tags = _pack_rows(backend.tags[program.tags, :], self._nbytes)
-            for sub, value in zip(program.tags, tags):
-                self.T[sub] = value
-
-    def load(self, rows, slots) -> None:
-        """Pack ``rows`` of every subarray into their slots."""
-        if rows:
-            planes = _pack_rows(self._backend.bits[:, rows, :], self._nbytes)
-            P = self.P
-            for i, value in zip(slots, planes):
+        self._nbytes = nbytes = (num_cols + 7) >> 3
+        self.P = P = [0] * (program.num_subarrays * NUM_ROWS)
+        self.T = T = [0] * program.num_subarrays
+        if program.rows:
+            planes = _pack_rows(backend.bits[:, program.rows, :], nbytes)
+            for i, value in zip(program.in_slots, planes):
                 P[i] = value
+        if program.tags:
+            tags = _pack_rows(backend.tags[program.tags, :], nbytes)
+            for sub, value in zip(program.tags, tags):
+                T[sub] = value
 
     def store(self) -> None:
         """Write the rows and tag registers the program writes back."""
@@ -195,23 +196,12 @@ class _State:
                 [T[sub] for sub in tags], (len(tags),), num_cols, nbytes
             )
 
-    def value(self, operand) -> int:
-        """A token's packed value, or a literal column vector packed."""
-        if type(operand) is Token:
-            return self.env[operand.index]
-        operand = np.asarray(operand, dtype=np.uint8)
-        if operand.shape != (self._backend.num_cols,):
-            raise ConfigError(
-                f"column vector expects {self._backend.num_cols} bits, "
-                f"got {operand.shape}"
-            )
-        return pack_bits(operand & 1)
-
 
 # ---------------------------------------------------------------------------
 # Kernels. Each takes (payload, state) and leaves the packed state exactly
 # as the corresponding Chain method leaves the backend (minus accounting,
-# which the plan applies in bulk). Plane operands are slots (see _slot()).
+# applied in bulk by Program.charges_over). Plane operands are slots (see
+# _slot()); column operands are token indices into the environment.
 # ---------------------------------------------------------------------------
 
 
@@ -297,8 +287,8 @@ def _k_update_bp(p, st: _State) -> None:
 
 
 def _k_update_bp_select(p, st: _State) -> None:
-    slots, value, select = p
-    select = st.value(select) & st.A
+    slots, value, token = p
+    select = st.env[token] & st.A
     P = st.P
     if value:
         for i in slots:
@@ -310,8 +300,8 @@ def _k_update_bp_select(p, st: _State) -> None:
 
 
 def _k_set_tags(p, st: _State) -> None:
-    sub, tags = p
-    st.T[sub] = st.value(tags)
+    sub, token = p
+    st.T[sub] = st.env[token]
 
 
 def _k_clear_tags(p, st: _State) -> None:
@@ -344,17 +334,15 @@ def _k_redsum_step(p, st: _State) -> None:
         st.env[out] = (plane & st.A).bit_count()
 
 
-def _k_rmw(p, st: _State) -> None:
-    """The shifts' element rewrite: a barrier through the backend."""
-    vd, vs1, fn, width = p
-    st.store()
-    st.rmw(vd, vs1, fn, width)
-    st.load([vd], _row_slots(vd, st._program.num_subarrays))
-
-
-def _k_new_env(p, st: _State) -> None:
-    """Instruction boundary in a fused stream: fresh token environment."""
-    st.env = [None] * p
+def _k_move(p, st: _State) -> None:
+    """The shifts' element rewrite: in the window, plane ``dst[i]`` takes
+    plane ``src[i]`` (0 where it is ``None``); every source is read
+    before any plane is written."""
+    dst, src = p
+    P, A, NA = st.P, st.A, st.NA
+    moved = [0 if j is None else P[j] & A for j in src]
+    for i, value in zip(dst, moved):
+        P[i] = P[i] & NA | value
 
 
 def effects(fn, p, num_subarrays: int) -> Tuple[tuple, tuple, tuple, tuple]:
@@ -389,22 +377,15 @@ def effects(fn, p, num_subarrays: int) -> Tuple[tuple, tuple, tuple, tuple]:
         return (), (), range(p[0]), ()
     if fn is _k_redsum_step:
         return (p[1],), (), (), (p[0],)
-    if fn is _k_rmw:
-        vd, vs1 = p[:2]
-        dst = _row_slots(vd, num_subarrays)
-        return _row_slots(vs1, num_subarrays) + dst, dst, (), ()
-    if fn is _k_new_env:
-        return (), (), (), ()
+    if fn is _k_move:
+        dst, src = p
+        return dst + tuple(j for j in src if j is not None), dst, (), ()
     raise AssertionError(f"unknown kernel {fn!r}")  # pragma: no cover
 
 
-def new_env(num_tokens: int) -> tuple:
-    """Kernel opening a fresh token environment (instruction boundary)."""
-    return (_k_new_env, num_tokens)
-
-
 class Program:
-    """A lowered kernel stream plus the planes and tags it touches.
+    """A lowered kernel stream, the planes and tags it touches, and what
+    one replay charges.
 
     The row set (packed on entry), the written-row set (written back on
     exit) and the tag sets are derived once here from the kernels'
@@ -412,14 +393,24 @@ class Program:
     """
 
     __slots__ = ("kernels", "num_subarrays", "num_tokens", "rows",
-                 "rows_out", "in_slots", "out_slots", "tags", "tags_out")
+                 "rows_out", "in_slots", "out_slots", "tags", "tags_out",
+                 "charges", "lane_charges")
 
     def __init__(
-        self, kernels: Sequence[tuple], num_subarrays: int, num_tokens: int
+        self,
+        kernels: Sequence[tuple],
+        num_subarrays: int,
+        num_tokens: int,
+        charges: Mapping,
+        lane_charges: Mapping,
     ) -> None:
         self.kernels = tuple(kernels)
         self.num_subarrays = num_subarrays
         self.num_tokens = num_tokens
+        #: Microop charges keyed like ``MicroopStats.counts``: ``charges``
+        #: once per replay, ``lane_charges`` once per active lane.
+        self.charges = dict(charges)
+        self.lane_charges = dict(lane_charges)
         planes, planes_out, tags, tags_out = set(), set(), set(), set()
         for fn, p in self.kernels:
             reads, writes, tag_reads, tag_writes = effects(fn, p, num_subarrays)
@@ -438,17 +429,25 @@ class Program:
         self.tags = sorted(tags)
         self.tags_out = sorted(tags_out)
 
+    def charges_over(self, lanes: int) -> Mapping:
+        """What one replay over ``lanes`` active lanes charges — the rule
+        every lowered replay charges by."""
+        if not (lanes and self.lane_charges):
+            return self.charges
+        total = Counter(self.charges)
+        for key, n in self.lane_charges.items():
+            total[key] += n * lanes
+        return total
 
-def run_program(program: Program, backend, active: int, rmw) -> list:
+
+def run_program(program: Program, backend, active: int) -> list:
     """Replay ``program`` on a plain bit-plane backend; returns the token
     environment.
 
-    ``active`` is the packed active window (:func:`pack_bits`); ``rmw``
-    is called as ``rmw(vd, vs1, fn, width)`` for the shifts' element
-    rewrite after the packed state is written back, and must apply the
-    rewrite (and its dynamic charges) to the backend.
+    ``active`` is the packed active window (:func:`pack_bits`). Charging
+    is the caller's, by :meth:`Program.charges_over`.
     """
-    st = _State(program, backend, active, rmw)
+    st = _State(program, backend, active)
     for fn, p in program.kernels:
         fn(p, st)
     st.store()
@@ -484,14 +483,15 @@ def _lower_lut(sub: int, dest: int, keys: Sequence[dict]) -> tuple:
     return (_k_lut, (dest, slots, compile_lut(len(rows), table, slots)))
 
 
-def lower(steps, consumed, num_subarrays: int, num_tokens: int) -> Program:
-    """Translate a recorded step stream into packed-plane kernels.
+def lower(recorder, consumed) -> Program:
+    """Translate a :class:`~repro.plan.recorder.RecordingChain`'s step
+    stream into packed-plane kernels.
 
     Consecutive accumulate-search runs over one subarray compile into a
     single lookup-table expression; token outputs nobody ``consumed``
-    are dropped.
+    are dropped; token operands become their indices.
     """
-    S = num_subarrays
+    S = recorder.num_subarrays
     kernels: List[Tuple] = []
     group: List[dict] = []   # search keys of the accumulating run
     group_rows: set = set()  # the rows those keys drive
@@ -509,7 +509,7 @@ def lower(steps, consumed, num_subarrays: int, num_tokens: int) -> Program:
         group_rows.clear()
         group_dest = group_src = None
 
-    for method, args, out in steps:
+    for method, args, out in recorder.steps:
         out = out if (out is not None and out in consumed) else None
         if method in ("search", "search_accumulate_next"):
             sub, key, accumulate = args
@@ -569,10 +569,11 @@ def lower(steps, consumed, num_subarrays: int, num_tokens: int) -> Program:
         elif method == "update_bit_parallel_select":
             row, value, select = args
             kernels.append(
-                (_k_update_bp_select, (_row_slots(row, S), value, select))
+                (_k_update_bp_select, (_row_slots(row, S), value, select.index))
             )
         elif method == "set_tags":
-            kernels.append((_k_set_tags, args))
+            sub, tags = args
+            kernels.append((_k_set_tags, (sub, tags.index)))
         elif method == "clear_tags":
             kernels.append((_k_clear_tags, None))
         elif method in ("combine_tags_serial", "combine_tags_serial_or"):
@@ -584,10 +585,17 @@ def lower(steps, consumed, num_subarrays: int, num_tokens: int) -> Program:
         elif method == "redsum_step":
             sub, row = args
             kernels.append((_k_redsum_step, (sub, _slot(sub, row), out)))
-        elif method == "rmw_register":
-            kernels.append((_k_rmw, args))
+        elif method == "move_planes":
+            vd, vs1, sources = args
+            kernels.append((_k_move, (
+                _row_slots(vd, S),
+                tuple(None if j is None else _slot(j, vs1) for j in sources),
+            )))
         else:  # pragma: no cover - recorder and plan must stay in sync
             raise AssertionError(f"unloweable step {method!r}")
     flush()
-    return Program(kernels, S, num_tokens)
+    return Program(
+        kernels, S, recorder.num_tokens, recorder.charges,
+        recorder.lane_charges,
+    )
 

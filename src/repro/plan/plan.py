@@ -5,12 +5,13 @@ body (an associative algorithm, or the sequencer-FSM walk of a truth
 table) against a :class:`~repro.plan.recorder.RecordingChain`. It holds
 
 * the flat step stream (the exact chain-level microoperation sequence),
-* the stream's static microop charges (pre-summed per flavour), and
+  and
 * a *lowered* :class:`~repro.plan.packed.Program` for the bit-plane
   backend: steps pre-translated into int kernels over packed bit planes
   (one Python int per ``(subarray, row)`` plane and per tag row), with
   runs of accumulating searches over the same subarray compiled into one
-  bitwise expression of their truth table (up to ``MAX_LUT_ROWS`` rows).
+  bitwise expression of their truth table (up to ``MAX_LUT_ROWS`` rows),
+  and the stream's microop charges, pre-summed per flavour.
 
 Replay has two flavours with identical architectural effects:
 
@@ -18,15 +19,16 @@ Replay has two flavours with identical architectural effects:
   :class:`~repro.csb.chain.Chain` API. Bit-exact and charge-exact by
   construction; used for the reference backend, fault-wrapped backends,
   and traced runs (``stats.keep_trace`` needs the interleaved order).
-* **lowered** — :func:`~repro.plan.packed.run_program` packs the planes
-  the program touches, runs the kernels, writes back what they wrote,
-  then the static charges are applied in bulk. Same state transitions,
-  same microop totals, same observer counters — just far fewer Python
-  dispatches, each one a few int operations.
+* **lowered** — :func:`replay_lowered` packs the planes the program
+  touches, runs the kernels, writes back what they wrote, then applies
+  the program's charges over the active lanes in bulk. Same state
+  transitions, same microop totals, same observer counters — just far
+  fewer Python dispatches, each one a few int operations.
 
-Plans are pure: they capture no chain state, only structure, so one plan
-serves every device whose chains share the subarray count (column count
-is resolved at replay), and caching them never needs invalidation.
+Plans are pure data: they capture no chain state, callable or column
+vector, only structure, so one plan serves every device whose chains
+share the subarray count (column count is resolved at replay), and
+caching them never needs invalidation.
 """
 
 from __future__ import annotations
@@ -48,6 +50,17 @@ def compile_chain_program(num_subarrays: int, body) -> "CompiledPlan":
     recorder = RecordingChain(num_subarrays)
     result_spec = body(recorder)
     return CompiledPlan(recorder, result_spec)
+
+
+def replay_lowered(program: packed.Program, chain) -> list:
+    """Run a plan's or superplan's ``program`` on a live chain's plain
+    bit-plane backend and charge it; returns the token environment."""
+    active = packed.pack_bits(chain.active_columns)
+    env = packed.run_program(program, chain.backend, active)
+    stats = chain.stats
+    for (op, bit_parallel), n in program.charges_over(active.bit_count()).items():
+        stats.record(op, bit_parallel, n)
+    return env
 
 
 def _resolve(spec, env):
@@ -82,9 +95,7 @@ class CompiledPlan:
         self.steps: Tuple[Tuple[str, tuple, Optional[int]], ...] = tuple(
             recorder.steps
         )
-        self.charges = dict(recorder.charges)
         self.result_spec = result_spec
-        self._num_tokens = recorder.num_tokens
         consumed = set()
         for _method, args, _out in self.steps:
             for arg in args:
@@ -92,9 +103,7 @@ class CompiledPlan:
                     consumed.add(arg.index)
         _mark_consumed(result_spec, consumed)
         #: The lowered packed-plane program (see :mod:`repro.plan.packed`).
-        self.program = packed.lower(
-            self.steps, consumed, self.num_subarrays, self._num_tokens
-        )
+        self.program = packed.lower(recorder, consumed)
 
     # -- introspection --------------------------------------------------
 
@@ -125,16 +134,9 @@ class CompiledPlan:
         the chain API) and only when the stats recorder is not keeping a
         microop trace (bulk charging would reorder the trace).
         """
-        stats = chain.stats
-        if type(chain.backend) is BitplaneBackend and not stats.keep_trace:
-            env = packed.run_program(
-                self.program, chain.backend,
-                packed.pack_bits(chain.active_columns), chain.rmw_register,
-            )
-            for (op, bit_parallel), n in self.charges.items():
-                stats.record(op, bit_parallel, n)
-            return _resolve(self.result_spec, env)
-        env: List = [None] * self._num_tokens
+        if type(chain.backend) is BitplaneBackend and not chain.stats.keep_trace:
+            return _resolve(self.result_spec, replay_lowered(self.program, chain))
+        env: List = [None] * self.program.num_tokens
         for method, args, out in self.steps:
             bound = tuple(
                 env[arg.index] if type(arg) is Token else arg for arg in args

@@ -14,6 +14,11 @@ tag bus, a redsum pop-count) are represented by :class:`Token`
 placeholders, so the recorded program is a small dataflow graph that a
 :class:`~repro.plan.plan.CompiledPlan` can replay on any real chain.
 
+A recording is plain data: no step holds a callable or a column vector
+(a plan has no column count, so a tag load or routed select takes only
+a token), and the shifts' element rewrite is a ``move_planes`` step
+charged per active lane.
+
 Operand validation mirrors what :class:`~repro.csb.chain.Chain` and the
 backends would enforce on first execution, so a malformed program fails
 at compile time exactly where the uncompiled walk would have failed.
@@ -24,11 +29,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.circuits.microops import Microop
 from repro.common.errors import ConfigError, ProtocolError
-from repro.csb.chain import NUM_VREGS, MetaRow
+from repro.csb.chain import NUM_VREGS, MetaRow, plane_sources
 from repro.csb.subarray import MAX_SEARCH_ROWS
 
 #: Wordlines per subarray (32 vector registers + 4 metadata rows).
@@ -67,10 +70,12 @@ class RecordingChain:
         self.num_subarrays = num_subarrays
         #: Recorded steps: (method name, args tuple, output token index).
         self.steps: List[Tuple[str, tuple, Optional[int]]] = []
-        #: Static microop charges of the recorded stream, keyed like
-        #: :class:`~repro.csb.counter.MicroopStats.counts`. Dynamic
-        #: charges (``rmw_register``) are levied at replay instead.
+        #: Microop charges of the recorded stream, keyed like
+        #: :class:`~repro.csb.counter.MicroopStats.counts`: ``charges``
+        #: once per replay, ``lane_charges`` once per active lane (the
+        #: element rewrite visits every active column).
         self.charges: Counter = Counter()
+        self.lane_charges: Counter = Counter()
         self._num_tokens = 0
 
     # ------------------------------------------------------------------
@@ -113,6 +118,10 @@ class RecordingChain:
     def _check_row(self, row: int) -> None:
         if not 0 <= row < NUM_ROWS:
             raise ConfigError(f"row {row} out of range [0, {NUM_ROWS})")
+
+    def _check_token(self, operand) -> None:
+        if type(operand) is not Token:  # a plan has no column count
+            raise ConfigError(f"expected a token, got {type(operand).__name__}")
 
     def _check_key(self, key: Mapping[int, int]) -> dict:
         if len(key) > MAX_SEARCH_ROWS:
@@ -212,11 +221,10 @@ class RecordingChain:
         self._emit("update_bit_parallel", row, int(value) & 1, bool(use_tags))
 
     def update_bit_parallel_select(
-        self, row: int, value: int, select
+        self, row: int, value: int, select: Token
     ) -> None:
         self._check_row(row)
-        if not isinstance(select, Token):
-            select = np.asarray(select, dtype=np.uint8)
+        self._check_token(select)
         self._charge(Microop.UPDATE, True)
         self._emit("update_bit_parallel_select", row, int(value) & 1, select)
 
@@ -240,10 +248,9 @@ class RecordingChain:
     # Tag plumbing (free of microop cost, like the real chain)
     # ------------------------------------------------------------------
 
-    def set_tags(self, subarray: int, tags) -> None:
+    def set_tags(self, subarray: int, tags: Token) -> None:
         self._check_subarray(subarray)
-        if not isinstance(tags, Token):
-            tags = np.asarray(tags, dtype=np.uint8)
+        self._check_token(tags)
         self._emit("set_tags", subarray, tags)
 
     def clear_tags(self) -> None:
@@ -278,12 +285,12 @@ class RecordingChain:
         self._charge(Microop.REDUCE, True)
         return self._emit_value("redsum_step", subarray, row)
 
-    def rmw_register(
-        self, vd: int, vs1: int, fn, width: Optional[int] = None
+    def move_planes(
+        self, vd: int, vs1: int, sources: Sequence[Optional[int]]
     ) -> None:
-        # Charged dynamically at replay (cost depends on the live active
-        # window), so no static charge here — the step routes through
-        # the real chain's rmw path on both replay flavours.
         self._check_vreg(vd)
         self._check_vreg(vs1)
-        self._emit("rmw_register", vd, vs1, fn, width)
+        sources = plane_sources(sources, self.num_subarrays)
+        self.lane_charges[(Microop.READ, True)] += 1
+        self.lane_charges[(Microop.WRITE, True)] += 1
+        self._emit("move_planes", vd, vs1, sources)

@@ -15,12 +15,16 @@ Every member's lowered kernels — packed-plane int kernels, with each
 accumulating search group compiled into one bitwise expression of its
 truth table (``repro.plan.packed``) — are concatenated into one
 :class:`~repro.plan.packed.Program`, so the fused stream packs each
-touched row once per flush and writes back only what it wrote.
+touched row once per flush and writes back only what it wrote. The
+fused stream is exactly its members' kernels: they share one token
+environment, as large as the largest member's, and no kernel marks the
+instruction boundaries.
 
 Cycle/energy charging is untouched (it is functional-side, per
-instruction); the fused stream's static microop charges are the *sum* of
-the member plans' charges, so ``csb.microops`` totals stay bit-identical
-to per-instruction replay. The destination check and mirror re-sync
+instruction); the fused program's static and per-lane microop charges
+are the *sums* of the member plans', charged by the one rule every
+lowered replay uses, so ``csb.microops`` totals stay bit-identical to
+per-instruction replay. The destination check and mirror re-sync
 happen once per flushed register (``CAPESystem._superplan_flush``),
 through the routine every route uses,
 :func:`~repro.engine.bitexec.sync_destination`: the low SEW planes
@@ -60,63 +64,34 @@ def superplan_key(num_subarrays: int, sew: int, op_keys: Sequence) -> tuple:
 class Superplan:
     """An immutable fused kernel stream for one instruction sequence.
 
-    Built by :func:`fuse_plans`; replayed by
-    ``CAPESystem._superplan_flush`` on the ganged chain of a plain
-    bit-plane backend. ``writes`` lists the registers the sequence
+    Built by :func:`fuse_plans`; ``CAPESystem._superplan_flush`` replays
+    its ``program`` (:func:`~repro.plan.plan.replay_lowered`) on the
+    ganged chain of a plain bit-plane backend. ``writes`` lists the registers the sequence
     leaves written (in first-write order) with their mask-result flag —
     the flush validates and re-syncs exactly those.
     """
 
-    __slots__ = (
-        "key",
-        "num_subarrays",
-        "program",
-        "charges",
-        "writes",
-        "num_instructions",
-        "kernels_in",
-        "kernels_out",
-    )
+    __slots__ = ("key", "num_subarrays", "program", "writes",
+                 "num_instructions")
 
     def __init__(
         self,
         key,
         num_subarrays: int,
-        kernels: List[Tuple],
-        charges: Counter,
+        program: packed.Program,
         writes: Tuple[Tuple[int, bool], ...],
         num_instructions: int,
-        kernels_in: int,
     ) -> None:
         self.key = key
         self.num_subarrays = num_subarrays
-        self.program = packed.Program(kernels, num_subarrays, 0)
-        self.charges = dict(charges)
+        self.program = program
         self.writes = writes
         self.num_instructions = num_instructions
-        self.kernels_in = kernels_in
-        self.kernels_out = len(kernels)
-
-    def replay(self, chain) -> None:
-        """Run the fused stream on a live ganged chain, then bulk-charge.
-
-        The caller guarantees a plain
-        :class:`~repro.csb.bitplane.BitplaneBackend` with no microop
-        trace (the same precondition as the lowered per-instruction
-        path); validation and mirror re-sync are the caller's job.
-        """
-        packed.run_program(
-            self.program, chain.backend,
-            packed.pack_bits(chain.active_columns), chain.rmw_register,
-        )
-        stats = chain.stats
-        for (op, bit_parallel), n in self.charges.items():
-            stats.record(op, bit_parallel, n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Superplan({self.num_instructions} instrs, "
-            f"{self.kernels_in}->{self.kernels_out} kernels)"
+            f"{len(self.program.kernels)} kernels)"
         )
 
 
@@ -129,14 +104,12 @@ def fuse_plans(
 
     ``entries`` is the recorded sequence: ``(mnemonic, vd, is_mask,
     plan)`` per instruction in dispatch order. The members' kernels are
-    concatenated, each member opening a fresh token environment, and
-    their charges summed, so microop totals match per-instruction replay
-    exactly.
+    concatenated and their charges summed, so microop totals match
+    per-instruction replay exactly. The members share one token
+    environment, sized for the largest: every token a kernel reads was
+    written earlier by its own member, so a slot an earlier member left
+    behind is never read.
     """
-    kernels: List[Tuple] = []
-    charges: Counter = Counter()
-    kernels_in = 0
-
     writes: List[Tuple[int, bool]] = []
     last_mask: Dict[int, bool] = {}
     for _mnemonic, vd, is_mask, _plan in entries:
@@ -147,20 +120,17 @@ def fuse_plans(
     # values are overwritten before the flush compares them).
     writes = [(vd, last_mask[vd]) for vd, _ in writes]
 
-    for _mnemonic, _vd, _is_mask, plan in entries:
-        for (op, bit_parallel), n in plan.charges.items():
-            charges[(op, bit_parallel)] += n
-        if plan.program.num_tokens:
-            kernels.append(packed.new_env(plan.program.num_tokens))
-        kernels.extend(plan.program.kernels)
-        kernels_in += len(plan.program.kernels)
-
-    return Superplan(
-        key,
+    programs = [plan.program for _mnemonic, _vd, _is_mask, plan in entries]
+    charges: Counter = Counter()
+    lane_charges: Counter = Counter()
+    for program in programs:
+        charges.update(program.charges)
+        lane_charges.update(program.lane_charges)
+    fused = packed.Program(
+        [kernel for program in programs for kernel in program.kernels],
         num_subarrays,
-        kernels,
+        max((program.num_tokens for program in programs), default=0),
         charges,
-        tuple(writes),
-        len(entries),
-        kernels_in,
+        lane_charges,
     )
+    return Superplan(key, num_subarrays, fused, tuple(writes), len(entries))

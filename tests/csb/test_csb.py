@@ -86,3 +86,25 @@ def test_redsum_after_vl_masking(small_csb):
     small_csb.poke_vector(2, np.ones(small_csb.max_vl))
     small_csb.set_vector_length(13)
     assert small_csb.redsum(2, width=8) == 13
+
+
+def test_bitplane_per_chain_windows_follow_the_ganged_window():
+    """Under the bit-plane backend each chain's window is a view of the
+    ganged chain's, so it equals the reference CSB's per-chain window
+    after every window change — including one programmed on the ganged
+    chain directly."""
+    ref = CSB(num_chains=4, num_subarrays=8, num_cols=8)
+    fast = CSB(num_chains=4, num_subarrays=8, num_cols=8, backend="bitplane")
+
+    def assert_same_windows():
+        for got, want in zip(fast.chains, ref.chains):
+            assert got.active_columns.tolist() == want.active_columns.tolist()
+
+    for vl, vstart in [(32, 0), (10, 0), (13, 5), (7, 6), (0, 0), (31, 1)]:
+        ref.set_vector_length(vl, vstart)
+        fast.set_vector_length(vl, vstart)
+        assert_same_windows()
+    for vl, vstart in [(22, 3), (9, 9)]:
+        ref.set_vector_length(vl, vstart)
+        fast.ganged.set_active_window(vstart, vl - vstart)
+        assert_same_windows()

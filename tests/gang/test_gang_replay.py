@@ -149,10 +149,10 @@ def test_heterogeneous_vl_members_share_one_gang():
 
 
 def test_three_member_gang_replays_shifts_between_masked_ops():
-    """The shifts' element rewrite runs as a barrier inside stacked
-    replay (write the packed planes back, rewrite through the stacked
-    backend under the gang-wide window, re-pack): three members of
-    different lengths, masked ops on both sides of it."""
+    """The shifts' element rewrite runs inside stacked replay as a move
+    of packed planes under the gang-wide window, each member charged for
+    its own lanes: three members of different lengths, masked ops on
+    both sides of it."""
 
     def body_for(vl, seed):
         def body(system):

@@ -33,7 +33,8 @@ MODES = tuple(itertools.product(CACHES, (False, True)))
 
 #: (system method, supports mask kwarg). Masked vmul has no microcode:
 #: it falls back to a re-sync (non-deferrable) — kept deliberately so
-#: the differential covers a mid-scope flush.
+#: the differential covers a mid-scope flush. The harness calls each op
+#: as ``op(vd, 1, 2)``, so the shifts shift ``v1`` by 2.
 OPS = (
     ("vadd", True),
     ("vsub", True),
@@ -43,6 +44,9 @@ OPS = (
     ("vxor", True),
     ("vmin", False),
     ("vmax", False),
+    ("vsll_vi", False),
+    ("vsrl_vi", False),
+    ("vsra_vi", False),
 )
 
 #: Strategies for the hypothesis differentials: operand lists (trimmed
@@ -76,7 +80,8 @@ def fault_program():
     a = rng.integers(0, 1 << 16, 16).tolist()
     b = rng.integers(0, 1 << 16, 16).tolist()
     mask = rng.integers(0, 2, 16).tolist()
-    ops = [("vadd", True), ("vmul", False), ("vxor", True), ("vmin", False)]
+    ops = [("vadd", True), ("vmul", False), ("vxor", True), ("vmin", False),
+           ("vsrl_vi", False)]
     return a, b, mask, ops
 
 

@@ -7,8 +7,8 @@ generic per-primitive replay on the reference backend, from any state:
 identical bits, tags, returned tokens and ``stats.counts`` — at column
 counts that are not multiples of 8 or of a machine word, under partial
 ``[vstart, vl)`` windows, across SEWs and masked forms, and through the
-shifts' element rewrite, which the lowered path runs as a barrier (write
-back, rewrite through the backend, re-pack).
+shifts' element rewrite, which the lowered path runs as a move of packed
+planes between the other kernels (``vsra`` replicating the sign plane).
 """
 
 import functools
@@ -27,7 +27,7 @@ S = 32
 COLUMNS = (1, 5, 37, 64, 256, 1000)
 
 #: mnemonic -> (sources, maskable). The OPS of the plan-equivalence
-#: suite, the compares behind its closing vmseq, and the two shifts.
+#: suite, the compares behind its closing vmseq, and the three shifts.
 OPS = {
     "vadd.vv": (2, True),
     "vsub.vv": (2, True),
@@ -42,6 +42,7 @@ OPS = {
     "vmslt.vv": (2, False),
     "vsll.vi": (1, False),
     "vsrl.vi": (1, False),
+    "vsra.vi": (1, False),
 }
 MASK_REG = 6
 
@@ -126,9 +127,9 @@ def test_lowered_replay_matches_generic_from_any_state(columns, sew, ops, data):
 
 @pytest.mark.parametrize("columns", COLUMNS)
 def test_shift_barrier_between_arithmetic(columns):
-    """Writes before the element rewrite must reach the backend before
-    it reads them, and its output must be re-packed before later kernels
-    read it — at every column count."""
+    """The element rewrite must read the planes the kernels before it
+    wrote, and the kernels after it must read the planes it moved — at
+    every column count."""
     rng = np.random.default_rng(columns)
     bits = rng.integers(0, 2, (S, NUM_ROWS, columns), dtype=np.uint8)
     tags = rng.integers(0, 2, (S, columns), dtype=np.uint8)

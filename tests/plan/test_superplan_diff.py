@@ -69,7 +69,8 @@ def test_superplan_respects_partial_windows(vstart, vl):
     a = rng.integers(0, 1 << 16, vl).tolist()
     b = rng.integers(0, 1 << 16, vl).tolist()
     mask = rng.integers(0, 2, vl).tolist()
-    ops = [("vadd", True), ("vmul", False), ("vmax", False)]
+    ops = [("vadd", True), ("vmul", False), ("vmax", False),
+           ("vsra_vi", False)]
     records = run_modes("bitplane", MODES, a, b, mask, ops, vstart=vstart)
     for (_cache, superplan), record in records.items():
         (assert_fused if superplan else assert_not_fused)(record)
