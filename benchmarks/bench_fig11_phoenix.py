@@ -4,15 +4,20 @@ CAPE32k vs one out-of-order tile, CAPE131k vs two, with the three-core
 system as reference — the area-equivalent comparison of Section VI-E.
 Checks the qualitative structure the paper reports: histogram and kmeans
 dominate, kmeans jumps across the capacity cliff, pca is the weakest
-matrix app, and the variable-intensity text apps scale worst.
+matrix app, and the variable-intensity text apps scale worst. The same
+16 model runs also pass on the bit-level mirror, with cycles and energy
+identical to the functional model alone.
 """
 
 import math
+import time
 
 import pytest
 
+from repro.engine.system import CAPE131K, CAPE32K, CAPESystem
 from repro.eval.harness import run_phoenix_suite
 from repro.eval.tables import format_table
+from repro.workloads.phoenix import PHOENIX_APPS
 
 
 @pytest.mark.slow
@@ -51,3 +56,28 @@ def test_fig11_phoenix(once):
     # distribution):
     for app in ("wrdcnt", "revidx", "strmatch"):
         assert by_name[app].speedup_131k < by_name[app].speedup_32k
+
+
+@pytest.mark.slow
+def test_fig11_phoenix_on_the_mirror():
+    """All 16 Figure 11 model runs (8 apps on CAPE32k and CAPE131k) with
+    every supported intrinsic also run as microcode on the bit-plane
+    mirror and checked: each output verifies, and cycles and energy are
+    identical to the same inputs on the functional model alone."""
+    print()
+    total = 0.0
+    for config in (CAPE32K, CAPE131K):
+        for name, app in PHOENIX_APPS.items():
+            plain = CAPESystem(config)
+            assert app().run_cape(plain).checked
+            mirror = CAPESystem(config, backend="bitplane")
+            start = time.perf_counter()
+            result = app().run_cape(mirror)
+            wall = time.perf_counter() - start
+            total += wall
+            print(f"{config.name} {name}: {wall:.1f} s on the mirror")
+            assert result.checked, (config.name, name)
+            assert (mirror.stats.cycles, mirror.stats.energy_j) == (
+                plain.stats.cycles, plain.stats.energy_j
+            ), (config.name, name)
+    print(f"16 mirror runs: {total:.1f} s")

@@ -104,8 +104,10 @@ def ejection_run(num_jobs, devices):
 
     def hook(replay, index, kind):
         if kind == "sync" and replay._pending and fired["count"] == 0:
-            vd = replay._pending[0]
-            replay.backend.bits[0, vd, replay.member_slice(0)] ^= 1
+            vd = replay._pending[0].vd
+            planes = replay.backend.register_planes(vd)
+            planes[0, replay.member_slice(0)] ^= 1
+            replay.backend.set_register_planes(vd, planes)
             fired["count"] += 1
 
     obs = Observer()

@@ -19,11 +19,12 @@ Two backends ship:
     backend must match it bit-for-bit.
 
 ``bitplane``
-    A vectorized engine (:mod:`repro.csb.bitplane`) storing the whole
-    chain — or, fused at the CSB level, *all* chains — as a single
-    ``(subarrays, rows, columns)`` bit matrix, so each microoperation is
-    one whole-array boolean kernel instead of a per-subarray/per-column
-    loop. Same semantics, orders of magnitude faster at scale.
+    A packed engine (:mod:`repro.csb.bitplane`) storing the whole chain —
+    or, fused at the CSB level, *all* chains — as one Python int per
+    ``(subarray, row)`` plane and per tag row, so each microoperation is
+    a few word-wide bitwise operations instead of a per-subarray/
+    per-column loop. Same semantics, orders of magnitude faster at
+    scale.
 
 Both implement the :class:`ExecutionBackend` protocol below. Because the
 chain facade performs all microop recording, the two backends charge
@@ -52,11 +53,12 @@ BackendLike = Union[str, "ExecutionBackend"]
 class ExecutionBackend(Protocol):
     """State + kernels a :class:`~repro.csb.chain.Chain` executes on.
 
-    All bit arrays use dtype ``uint8`` with values 0/1; ``sub`` indexes a
-    subarray (bit-slice), ``row`` a wordline, and column vectors have one
-    entry per chain column. Implementations mutate their arrays strictly
-    in place so external views (e.g. the per-chain windows of a fused
-    CSB-level backend) stay coherent.
+    Bit arrays crossing the protocol use dtype ``uint8`` with values 0/1;
+    ``sub`` indexes a subarray (bit-slice), ``row`` a wordline, and
+    column vectors have one entry per chain column. Implementations
+    mutate their state strictly in place, so a holder of it (lowered
+    replay holds the bit-plane backend's plane and tag lists) sees every
+    write.
     """
 
     #: Identifying name ("reference" / "bitplane").
@@ -76,10 +78,9 @@ class ExecutionBackend(Protocol):
     def register_planes(self, row: int) -> np.ndarray:
         """Copy of one row across all subarrays: ``(num_subarrays, num_cols)``."""
 
-    def set_register_planes(
-        self, row: int, bits: np.ndarray, cols: Optional[slice] = None
-    ) -> None:
-        """Write one row across all subarrays (optionally a column slice)."""
+    def set_register_planes(self, row: int, bits: np.ndarray) -> None:
+        """Write columns ``[0, n)`` of one row across all subarrays from
+        ``(num_subarrays, n)`` bits; the other columns keep theirs."""
 
     def plane(self, sub: int, row: int) -> np.ndarray:
         """Copy of a single subarray row: ``(num_cols,)``."""
@@ -202,14 +203,9 @@ class ReferenceBackend:
     def register_planes(self, row: int) -> np.ndarray:
         return np.stack([sub.bits[row] for sub in self.subarrays])
 
-    def set_register_planes(
-        self, row: int, bits: np.ndarray, cols: Optional[slice] = None
-    ) -> None:
+    def set_register_planes(self, row: int, bits: np.ndarray) -> None:
         for sub, plane in zip(self.subarrays, bits):
-            if cols is None:
-                sub.bits[row] = plane & 1
-            else:
-                sub.bits[row, cols] = plane & 1
+            sub.bits[row, :len(plane)] = plane & 1
 
     def plane(self, sub: int, row: int) -> np.ndarray:
         return self.subarrays[sub].bits[row].copy()
@@ -302,9 +298,9 @@ def make_backend(
 ) -> "ExecutionBackend":
     """Resolve a backend selector into an instance with the given shape.
 
-    Accepts a name from :data:`BACKEND_NAMES` or a ready instance (used
-    by the CSB to hand chains column-windows of one fused backend); an
-    instance must already have matching dimensions.
+    Accepts a name from :data:`BACKEND_NAMES` or a ready instance (the
+    CSB hands its ganged chain the fused, possibly fault-wrapped,
+    backend); an instance must already have matching dimensions.
     """
     if isinstance(backend, str):
         if backend == "reference":

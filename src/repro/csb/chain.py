@@ -22,7 +22,7 @@ The chain itself is backend-agnostic: it owns the paper-visible semantics
 (microoperation accounting, active-window masking, tag routing) and drives
 an :class:`~repro.csb.backend.ExecutionBackend` for the bitcell state and
 raw kernels. ``backend="reference"`` (default) keeps the per-subarray
-model; ``backend="bitplane"`` swaps in the vectorized engine of
+model; ``backend="bitplane"`` swaps in the packed bit-plane engine of
 :mod:`repro.csb.bitplane` with identical semantics and microop charges.
 """
 
@@ -74,9 +74,9 @@ class Chain:
         stats: microoperation recorder; a fresh one is created if omitted.
             Multiple chains may share one recorder.
         backend: execution backend — ``"reference"`` (default) for the
-            per-subarray model, ``"bitplane"`` for the vectorized engine,
+            per-subarray model, ``"bitplane"`` for the packed engine,
             or a ready :class:`~repro.csb.backend.ExecutionBackend`
-            instance (e.g. a column window of a fused CSB-level backend).
+            instance (e.g. a CSB's fused, possibly fault-wrapped, one).
     """
 
     def __init__(
@@ -105,7 +105,9 @@ class Chain:
     @property
     def subarrays(self) -> List:
         """Per-subarray state windows (real :class:`Subarray` objects under
-        the reference backend; live views under the bitplane backend)."""
+        the reference backend; plane views,
+        :class:`~repro.csb.bitplane.PlaneView`, under the bitplane
+        backend)."""
         return self.backend.subarrays
 
     # ------------------------------------------------------------------
@@ -124,8 +126,6 @@ class Chain:
                 f"active window [{start}, {start + length}) outside "
                 f"[0, {self.num_cols})"
             )
-        # In place: a CSB binds its per-chain windows as views of the
-        # ganged chain's mask.
         mask = self.active_columns
         mask[:] = 0
         mask[start : start + length] = 1

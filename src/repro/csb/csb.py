@@ -12,14 +12,14 @@ Adjacent vector elements are interleaved across chains by the VMU (element
 memory sub-request can stream one element into every chain in one cycle.
 
 Under ``backend="bitplane"`` the whole block is stored as one fused
-bit-plane matrix of ``num_chains * num_cols`` columns. The interleave
-makes the fused layout trivial: chain ``c``'s column ``j`` holds element
-``c + j * num_chains``, so laying chain ``c`` at fused columns
-``c::num_chains`` puts element ``e`` exactly at fused column ``e``. The
-:attr:`CSB.ganged` chain then drives every column of every chain in one
-vectorized microoperation (the paper's lockstep execution, literally),
-while ``csb.chains[c]`` remain live column windows of the same storage
-and of the ganged chain's active window.
+bank of packed bit planes over ``num_chains * num_cols`` columns. The
+interleave makes the fused layout trivial: chain ``c``'s column ``j``
+holds element ``c + j * num_chains``, so laying chain ``c`` at fused
+columns ``c::num_chains`` puts element ``e`` exactly at fused column
+``e``. The :attr:`CSB.ganged` chain then drives every column of every
+chain in one microoperation (the paper's lockstep execution, literally),
+and every access — vector IO, host peeks, reductions, the active window
+— goes through it; a bit-plane CSB builds no per-chain ``chains``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.circuits.microops import Microop
 from repro.common.bitutils import bits_to_ints, ints_to_bits
 from repro.common.errors import CapacityError, ConfigError
 from repro.csb.backend import BackendLike
-from repro.csb.bitplane import BitplaneBackend
+from repro.csb.bitplane import BitplaneBackend, pack_bits
 from repro.csb.chain import NUM_VREGS, Chain, MetaRow
 from repro.csb.counter import MicroopStats
 from repro.csb.reduction import ReductionTree
@@ -46,10 +46,10 @@ class CSB:
             design points; tests use small counts).
         num_subarrays: subarrays (bit-slices) per chain.
         num_cols: columns (elements) per chain.
-        backend: execution backend for every chain — ``"reference"``
-            (default, per-subarray objects) or ``"bitplane"`` (one fused
-            bit-plane matrix; enables :attr:`ganged` and the vectorized
-            vector-IO fast paths).
+        backend: execution backend — ``"reference"`` (default, one
+            chain of per-subarray objects per chain) or ``"bitplane"``
+            (one fused bank of packed planes behind :attr:`ganged`, and
+            no per-chain ``chains``).
         observer: optional :class:`repro.obs.Observer`; microop counts
             are mirrored into its ``csb.microops`` family, labelled with
             the backend name.
@@ -90,20 +90,8 @@ class CSB:
             base = BitplaneBackend(
                 num_subarrays, num_rows, num_chains * num_cols
             )
-            self.chains: List[Chain] = [
-                Chain(
-                    num_subarrays,
-                    num_cols,
-                    stats=self.stats,
-                    backend=base.column_view(slice(c, None, num_chains)),
-                )
-                for c in range(num_chains)
-            ]
-            # Faults are asserted through the fused backend, which owns
-            # the storage every per-chain window aliases.
-            fused = (
-                fault_injector.wrap_fused(base, num_chains) if inject else base
-            )
+            if inject:
+                base = fault_injector.wrap_fused(base, num_chains)
             # The ganged chain spans every column of every chain; because
             # fused column k holds element k, its active window is simply
             # [vstart, vl) and one microoperation covers the whole block.
@@ -111,19 +99,14 @@ class CSB:
                 num_subarrays,
                 num_chains * num_cols,
                 stats=self.stats,
-                backend=fused,
+                backend=base,
             )
-            # Each chain's window is a view of the ganged one, as its
-            # bits and tags are: programming the ganged window programs
-            # them all.
-            for c, chain in enumerate(self.chains):
-                chain.active_columns = self.ganged.active_columns[c::num_chains]
-            self.base = fused
+            self.base = base
         else:
             if inject and isinstance(backend, str):
                 from repro.csb.backend import make_backend
 
-                self.chains = [
+                self.chains: List[Chain] = [
                     Chain(
                         num_subarrays,
                         num_cols,
@@ -174,7 +157,6 @@ class CSB:
         if not 0 <= vstart <= vl:
             raise ConfigError(f"vstart {vstart} outside [0, vl={vl}]")
         if self.ganged is not None:
-            # The per-chain windows are views of this one.
             self.ganged.set_active_window(vstart, vl - vstart)
             return
         for chain_id, chain in enumerate(self.chains):
@@ -196,10 +178,10 @@ class CSB:
                 f"vector of {len(values)} elements exceeds MAX_VL {self.max_vl}"
             )
         if self.base is not None and len(values):
-            # Fused column e = element e: one strided store, same microop
+            # Fused column e = element e: one prefix store, same microop
             # tally as the per-element loop (one WRITE per element).
             bits = ints_to_bits(values, self.num_subarrays)
-            self.base.set_register_planes(vreg, bits, cols=slice(0, len(values)))
+            self.base.set_register_planes(vreg, bits)
             self.stats.record(Microop.WRITE, bit_parallel=True, n=len(values))
             return
         for element, value in enumerate(values):
@@ -215,7 +197,7 @@ class CSB:
                 f"element {self.max_vl} outside CSB capacity {self.max_vl}"
             )
         if self.base is not None and vl:
-            out = bits_to_ints(self.base.bits[:, vreg, :vl])
+            out = bits_to_ints(self.base.register_planes(vreg)[:, :vl])
             self.stats.record(Microop.READ, bit_parallel=True, n=vl)
             return out
         out = np.zeros(vl, dtype=np.int64)
@@ -252,13 +234,10 @@ class CSB:
                 f"vector of {n} elements exceeds MAX_VL {self.max_vl}"
             )
         if self.base is not None:
-            self.base.set_register_planes(vreg, bits, cols=slice(0, n))
+            self.base.set_register_planes(vreg, bits)
             return
         for c, chain in enumerate(self.chains):
-            mine = bits[:, c::self.num_chains]
-            chain.backend.set_register_planes(
-                vreg, mine, cols=slice(0, mine.shape[1])
-            )
+            chain.backend.set_register_planes(vreg, bits[:, c::self.num_chains])
 
     def peek_vector(self, vreg: int, vl: Optional[int] = None, signed: bool = False) -> np.ndarray:
         """Host-side gather without microop cost (validation fixture)."""
@@ -318,14 +297,15 @@ class CSB:
         charged (:meth:`redsum` charges its walk; a mask pop-count is
         the width-1 case). On a plain bit-plane backend the searches
         touch only the tags, so the walk is one pass over the planes
-        (:meth:`~repro.csb.bitplane.BitplaneBackend.echo_partials`); a
-        fault-wrapped or reference backend searches bit by bit and chain
-        by chain, so scheduled tag flips land where they would.
+        (:meth:`~repro.csb.bitplane.BitplaneBackend.echo_partials`) in
+        the packed window; a fault-wrapped or reference backend searches
+        bit by bit and chain by chain, so scheduled tag flips land where
+        they would.
         """
         ganged = self.ganged
         if ganged is not None and type(ganged.backend) is BitplaneBackend:
             return ganged.backend.echo_partials(
-                vreg, width, ganged.active_columns, self.num_chains
+                vreg, width, pack_bits(ganged.active_columns), self.num_chains
             )[0]
         partials = np.zeros(self.num_chains, dtype=np.int64)
         for bit in reversed(range(width)):

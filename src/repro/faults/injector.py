@@ -13,8 +13,8 @@ Injection sites:
   bitcells after every mutation, forces killed chains' bitcells and tags
   to zero, and flips tag latches after scheduled searches. Because the
   wrapper mutates the *underlying storage* (never shadow copies), every
-  live view of the fused bit-plane matrix — per-chain windows, the
-  ganged chain, host peeks — sees the same faulty bits.
+  reader of the fused bit-plane backend — the ganged chain, host peeks,
+  re-syncs — sees the same faulty bits.
 * **VMU transfers** — :meth:`FaultInjector.filter_transfer` corrupts
   in-flight load/store values; :meth:`FaultInjector.corrupt_slab`
   flips a bit of a written spill slab in memory (caught by the parity
@@ -342,10 +342,9 @@ class FaultyBackend:
     Read paths delegate untouched (``__getattr__``); mutating kernels
     delegate and then *re-assert* the plan's faults into the underlying
     storage — stuck bits forced back, killed chains zeroed — so every
-    live view (per-chain windows of a fused matrix, host peeks, the
-    ganged chain) observes the same faulty silicon. Searches are counted
-    and scheduled tag flips land both in the latched tags and the
-    returned outcome.
+    reader (host peeks, the ganged chain, re-syncs) observes the same
+    faulty silicon. Searches are counted and scheduled tag flips land
+    both in the latched tags and the returned outcome.
     """
 
     def __init__(
@@ -410,8 +409,8 @@ class FaultyBackend:
         self._base.set_element_bits(row, col, bits)
         self._assert_state()
 
-    def set_register_planes(self, row, bits, cols=None) -> None:
-        self._base.set_register_planes(row, bits, cols=cols)
+    def set_register_planes(self, row, bits) -> None:
+        self._base.set_register_planes(row, bits)
         self._assert_state()
 
     # -- kernels ----------------------------------------------------------

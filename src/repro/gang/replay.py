@@ -8,18 +8,19 @@ VMU interleave makes fused column ``e`` hold element ``e``, a member
 block is just that device's ganged backend laid side by side with its
 peers: the conceptual ``(devices, planes, cols)`` stack flattened along
 the column axis. Every lowered plan kernel is already width-agnostic
-(plans are shared across device widths), so one kernel over ``K*C``-bit
-packed planes (``repro.plan.packed``) **is** the batched per-step op —
-searches, updates, lookup-table expressions and the shifts' plane moves
-sweep all K devices in one int operation, with no callback into the
-backend.
+(plans are shared across device widths), so one kernel over the
+backend's ``K*C``-bit packed planes (``repro.plan.packed``), run in
+place, **is** the batched per-step op — searches, updates, lookup-table
+expressions and the shifts' plane moves sweep all K devices in one int
+operation, with no callback into the backend.
 
 Per-member state enters through two narrow doors:
 
 * **syncs** — the K functional rows are concatenated and exploded into
   bit-planes with one :func:`~repro.common.bitutils.ints_to_bits` call;
 * **active windows** — each member's ``vl``/``vstart`` becomes ones in
-  its column block, so heterogeneous vector lengths gang together.
+  its column block of one packed window, so heterogeneous vector
+  lengths gang together.
 
 Cross-validation is batched and lazy: after replaying an op the
 destination is *checked at the adjacent sync* (the system always syncs
@@ -49,11 +50,10 @@ import numpy as np
 from repro.circuits.microops import Microop
 from repro.common.bitutils import ints_to_bits
 from repro.common.errors import ConfigError
-from repro.csb.bitplane import BitplaneBackend
+from repro.csb.bitplane import NUM_ROWS, BitplaneBackend
 from repro.csb.reduction import ReductionTree
 from repro.engine.bitexec import MASK_RESULTS, sync_destination
-from repro.plan.packed import pack_bits, run_program
-from repro.plan.recorder import NUM_ROWS
+from repro.plan.packed import run_program
 
 __all__ = ["GangMember", "GangReplay"]
 
@@ -111,7 +111,6 @@ class GangReplay:
         self.backend = BitplaneBackend(self.S, NUM_ROWS, self.K * self.C)
         self._tree = ReductionTree(self.num_chains)
         self._active_key: Optional[Tuple] = None
-        self._active_u8: Optional[np.ndarray] = None
         self._active_int = 0
         #: (OpKey, windows) of the op awaiting its sync check.
         self._pending = None
@@ -122,17 +121,16 @@ class GangReplay:
 
     # -- active-window stacking ----------------------------------------
 
-    def _active(self, windows: Tuple[Tuple[int, int], ...]) -> np.ndarray:
-        """Gang-wide active mask from per-member ``(vl, vstart)``."""
-        if windows == self._active_key:
-            return self._active_u8
-        active = np.zeros(self.K * self.C, dtype=np.uint8)
-        for k, (vl, vstart) in enumerate(windows):
-            active[k * self.C + vstart: k * self.C + vl] = 1
-        self._active_key = windows
-        self._active_u8 = active
-        self._active_int = pack_bits(active)
-        return active
+    def _active(self, windows: Tuple[Tuple[int, int], ...]) -> int:
+        """Gang-wide packed active window from per-member ``(vl, vstart)``:
+        member ``k``'s columns ``[vstart, vl)`` of its block."""
+        if windows != self._active_key:
+            active = 0
+            for k, (vl, vstart) in enumerate(windows):
+                active |= ((1 << (vl - vstart)) - 1) << (k * self.C + vstart)
+            self._active_key = windows
+            self._active_int = active
+        return self._active_int
 
     # -- ejection -------------------------------------------------------
 
@@ -170,9 +168,8 @@ class GangReplay:
     def _replay_op(self, rows) -> None:
         _, key, plan, _vl, _vstart = rows[0]
         windows = tuple((entry[3], entry[4]) for entry in rows)
-        self._active(windows)
         program = plan.program
-        run_program(program, self.backend, self._active_int)
+        run_program(program, self.backend, self._active(windows))
         for member, (vl, vstart) in zip(self.members, windows):
             if not member.ejected:
                 member.charges.update(program.charges_over(vl - vstart))

@@ -30,10 +30,11 @@ The pipeline:
    buffered microop charges flushed to their device's observer, ejected
    members are re-run sequentially (the healing ladder applies there).
 
-Observer families (pool-level observer): ``gang.size`` histogram (one
-observation per gang), ``gang.hit`` (jobs whose mirror work was served
-by a stacked replay), ``gang.miss`` with a ``reason`` label, and
-``gang.ejected``.
+Observer families (pool-level observer): ``gang.hit`` (jobs whose
+mirror work was served by a stacked replay), ``gang.size`` histogram
+(one observation per ``gang.hit``: the size of that job's gang, ejected
+members included — what the wire path folds from each reply),
+``gang.miss`` with a ``reason`` label, and ``gang.ejected``.
 """
 
 from __future__ import annotations
@@ -215,8 +216,6 @@ def run_ganged(
         ]
         replay = GangReplay(config, members)
         replay.replay()
-        if obs is not None:
-            obs.histogram("gang.size").observe(len(members))
         for (index, _trace), member in zip(grouped, members):
             outcome = outcomes[index]
             outcome.gang_size = len(members)
@@ -233,6 +232,7 @@ def run_ganged(
                 _flush_charges(system, member)
                 if obs is not None:
                     obs.counter("gang.hit").inc()
+                    obs.histogram("gang.size").observe(len(members))
 
     for index in sequential:
         run_job(index)

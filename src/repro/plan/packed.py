@@ -1,30 +1,32 @@
 """Packed bit planes: the one lowered kernel set behind every plan replay.
 
-A lowered :class:`Program` runs on *packed planes*: each ``(subarray,
-row)`` bit plane of a :class:`~repro.csb.bitplane.BitplaneBackend`, and
-each subarray's tag row, is one Python int whose bit ``c`` is column
-``c``. A search is then a few word-wide ANDs and an update one masked OR
-or AND-NOT, whatever the column count — the bulk-bitwise mapping of
-associative microoperations used by DRAMA and the FPGA CAM processors,
-with Python's arbitrary-width ints as the machine word.
+A lowered :class:`Program` runs on the packed planes that are a
+:class:`~repro.csb.bitplane.BitplaneBackend`'s storage: each
+``(subarray, row)`` bit plane, and each subarray's tag row, is one
+Python int whose bit ``c`` is column ``c``. A search is then a few
+word-wide ANDs and an update one masked OR or AND-NOT, whatever the
+column count — the bulk-bitwise mapping of associative microoperations
+used by DRAMA and the FPGA CAM processors, with Python's arbitrary-width
+ints as the machine word.
 
 :func:`run_program` is the single replay routine for per-instruction
-plans, fused superplans and stacked gang replay: it packs the rows the
-program touches (one ``np.packbits`` call), runs the kernels, and writes
-back only the rows and tag registers the program wrote. The backend's
-``(S, R, C)`` uint8 storage is unchanged, so everything that reads it
-between replays (syncs, validation, host peeks, fault hooks) is too.
+plans, fused superplans and stacked gang replay: it runs the kernels on
+the backend's plane and tag lists in place. Nothing is packed on entry
+or unpacked on exit, so what reads the backend between replays (syncs,
+validation, host peeks, fault hooks) sees every write at once.
 
 A :class:`Program` is plain data. Every kernel, the shifts' element
 rewrite included (a move of bit-planes), is an int operation on packed
-planes whose payload holds slots, constants and token indices, so
-:func:`run_program` is a pure loop that calls nothing back; and every
-replay charges by one rule, :meth:`Program.charges_over`.
+planes whose payload holds slots (:func:`~repro.csb.bitplane.slot`),
+constants and token indices, so :func:`run_program` is a pure loop that
+calls nothing back; and every replay charges by one rule,
+:meth:`Program.charges_over`.
 
-Exactness: 0/1 uint8 lanes and int bits obey the same Boolean algebra,
-and no kernel ever sets a bit at or above ``C``: the active window ``A``
-and every packed plane are at most ``F = 2**C - 1``, and every
-complement is written ``F ^ x`` or ``m & ~x`` with ``m <= F``.
+Exactness: 0/1 lanes and int bits obey the same Boolean algebra, and
+the kernels keep the backend's storage invariant — no kernel sets a bit
+at or above ``C``: the active window ``A`` and every plane are at most
+``F = 2**C - 1``, and every complement is written ``F ^ x`` or
+``m & ~x`` with ``m <= F``.
 """
 
 from __future__ import annotations
@@ -33,46 +35,17 @@ import functools
 from collections import Counter
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.common.errors import ConfigError
-from repro.plan.recorder import NUM_ROWS
+from repro.csb.bitplane import slot as _slot
 
 #: Largest row union a batched search group may compile into one
 #: lookup-table expression (real microcode unions stay at <= 4 rows).
 MAX_LUT_ROWS = 10
 
 
-def _slot(sub: int, row: int) -> int:
-    """Index of plane ``(sub, row)`` in the packed-plane list."""
-    return sub * NUM_ROWS + row
-
-
 def _row_slots(row: int, num_subarrays: int) -> Tuple[int, ...]:
     """The slots of one row across every subarray."""
     return tuple(_slot(sub, row) for sub in range(num_subarrays))
-
-
-def pack_bits(bits) -> int:
-    """One 0/1 column vector as an int (bit ``c`` = column ``c``)."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _pack_rows(array: np.ndarray, nbytes: int) -> List[int]:
-    """Every last-axis row of a 0/1 array as an int, in C order."""
-    buf = np.packbits(array, axis=-1, bitorder="little").tobytes()
-    return [
-        int.from_bytes(buf[i:i + nbytes], "little")
-        for i in range(0, len(buf), nbytes)
-    ]
-
-
-def _unpack_rows(values, shape, num_cols: int, nbytes: int) -> np.ndarray:
-    """Inverse of :func:`_pack_rows`: ints back to a 0/1 array."""
-    buf = b"".join([v.to_bytes(nbytes, "little") for v in values])
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(*shape, nbytes)
-    return np.unpackbits(packed, axis=-1, count=num_cols, bitorder="little")
 
 
 # ---------------------------------------------------------------------------
@@ -151,57 +124,27 @@ def _lut_table(rows: Tuple[int, ...], keys: Tuple[tuple, ...]) -> int:
 
 
 class _State:
-    """One replay: packed planes ``P``, tags ``T``, window ``A`` (and its
-    complement ``NA``, only ever ANDed into a bounded plane), all-ones
-    ``F``, the token environment, and the backend it writes back to."""
+    """One replay: the backend's planes ``P`` and tags ``T`` (its own
+    lists, mutated in place), window ``A`` (and its complement ``NA``,
+    only ever ANDed into a bounded plane), all-ones ``F``, and the token
+    environment."""
 
-    __slots__ = ("P", "T", "A", "NA", "F", "env", "_program", "_backend",
-                 "_nbytes")
+    __slots__ = ("P", "T", "A", "NA", "F", "env")
 
     def __init__(self, program: "Program", backend, active: int) -> None:
-        num_cols = backend.num_cols
-        self.F = (1 << num_cols) - 1
+        self.P = backend.planes
+        self.T = backend.tags
+        self.F = backend.full
         self.A = active
         self.NA = ~active
         self.env = [None] * program.num_tokens
-        self._program = program
-        self._backend = backend
-        self._nbytes = nbytes = (num_cols + 7) >> 3
-        self.P = P = [0] * (program.num_subarrays * NUM_ROWS)
-        self.T = T = [0] * program.num_subarrays
-        if program.rows:
-            planes = _pack_rows(backend.bits[:, program.rows, :], nbytes)
-            for i, value in zip(program.in_slots, planes):
-                P[i] = value
-        if program.tags:
-            tags = _pack_rows(backend.tags[program.tags, :], nbytes)
-            for sub, value in zip(program.tags, tags):
-                T[sub] = value
-
-    def store(self) -> None:
-        """Write the rows and tag registers the program writes back."""
-        program, backend = self._program, self._backend
-        num_cols, nbytes = backend.num_cols, self._nbytes
-        rows = program.rows_out
-        if rows:
-            P = self.P
-            backend.bits[:, rows, :] = _unpack_rows(
-                [P[i] for i in program.out_slots],
-                (program.num_subarrays, len(rows)), num_cols, nbytes,
-            )
-        tags = program.tags_out
-        if tags:
-            T = self.T
-            backend.tags[tags, :] = _unpack_rows(
-                [T[sub] for sub in tags], (len(tags),), num_cols, nbytes
-            )
 
 
 # ---------------------------------------------------------------------------
-# Kernels. Each takes (payload, state) and leaves the packed state exactly
-# as the corresponding Chain method leaves the backend (minus accounting,
-# applied in bulk by Program.charges_over). Plane operands are slots (see
-# _slot()); column operands are token indices into the environment.
+# Kernels. Each takes (payload, state) and leaves the backend's planes and
+# tags exactly as the corresponding Chain method leaves them (minus
+# accounting, applied in bulk by Program.charges_over). Plane operands are
+# slots; column operands are token indices into the environment.
 # ---------------------------------------------------------------------------
 
 
@@ -305,7 +248,8 @@ def _k_set_tags(p, st: _State) -> None:
 
 
 def _k_clear_tags(p, st: _State) -> None:
-    st.T = [0] * len(st.T)
+    T = st.T
+    T[:] = [0] * len(T)
 
 
 def _k_combine_and(p, st: _State) -> None:
@@ -345,56 +289,11 @@ def _k_move(p, st: _State) -> None:
         P[i] = P[i] & NA | value
 
 
-def effects(fn, p, num_subarrays: int) -> Tuple[tuple, tuple, tuple, tuple]:
-    """``(planes read, planes written, tags read, tags written)`` of one
-    kernel; planes as slots, tags as subarray indices."""
-    every = range(num_subarrays)
-    if fn is _k_search:
-        dest, head, pos, neg, accumulate = p[:5]
-        return _reads(head, pos, neg), (), (dest,) if accumulate else (), \
-            (dest,)
-    if fn is _k_lut:
-        return p[1], (), (), (p[0],)
-    if fn is _k_search_bp:
-        terms, accumulate = p[:2]
-        reads = tuple(i for term in terms for i in _reads(*term))
-        return reads, (), every if accumulate else (), every
-    if fn is _k_update:
-        return (p[0],), (p[0],), (p[1],), ()
-    if fn is _k_update_prop:
-        return (p[0], p[3]), (p[0], p[3]), (p[1], p[4]), ()
-    if fn is _k_update_full:
-        return (p[0],), (p[0],), (), ()
-    if fn is _k_update_bp:
-        return p[0], p[0], every if p[2] else (), ()
-    if fn is _k_update_bp_select:
-        return p[0], p[0], (), ()
-    if fn is _k_set_tags:
-        return (), (), (), (p[0],)
-    if fn is _k_clear_tags:
-        return (), (), (), every
-    if fn is _k_combine_and or fn is _k_combine_or:
-        return (), (), range(p[0]), ()
-    if fn is _k_redsum_step:
-        return (p[1],), (), (), (p[0],)
-    if fn is _k_move:
-        dst, src = p
-        return dst + tuple(j for j in src if j is not None), dst, (), ()
-    raise AssertionError(f"unknown kernel {fn!r}")  # pragma: no cover
-
-
 class Program:
-    """A lowered kernel stream, the planes and tags it touches, and what
-    one replay charges.
+    """A lowered kernel stream and what one replay charges."""
 
-    The row set (packed on entry), the written-row set (written back on
-    exit) and the tag sets are derived once here from the kernels'
-    :func:`effects`, so replay never rediscovers them.
-    """
-
-    __slots__ = ("kernels", "num_subarrays", "num_tokens", "rows",
-                 "rows_out", "in_slots", "out_slots", "tags", "tags_out",
-                 "charges", "lane_charges")
+    __slots__ = ("kernels", "num_subarrays", "num_tokens", "charges",
+                 "lane_charges")
 
     def __init__(
         self,
@@ -411,23 +310,6 @@ class Program:
         #: once per replay, ``lane_charges`` once per active lane.
         self.charges = dict(charges)
         self.lane_charges = dict(lane_charges)
-        planes, planes_out, tags, tags_out = set(), set(), set(), set()
-        for fn, p in self.kernels:
-            reads, writes, tag_reads, tag_writes = effects(fn, p, num_subarrays)
-            planes.update(reads)
-            planes_out.update(writes)
-            tags.update(tag_reads)
-            tags_out.update(tag_writes)
-        #: Every tag register the program touches is packed on entry, so
-        #: a register written back always holds a defined value.
-        tags |= tags_out
-        subs = range(num_subarrays)
-        self.rows = sorted({i % NUM_ROWS for i in planes | planes_out})
-        self.rows_out = sorted({i % NUM_ROWS for i in planes_out})
-        self.in_slots = tuple(_slot(s, r) for s in subs for r in self.rows)
-        self.out_slots = tuple(_slot(s, r) for s in subs for r in self.rows_out)
-        self.tags = sorted(tags)
-        self.tags_out = sorted(tags_out)
 
     def charges_over(self, lanes: int) -> Mapping:
         """What one replay over ``lanes`` active lanes charges — the rule
@@ -441,16 +323,16 @@ class Program:
 
 
 def run_program(program: Program, backend, active: int) -> list:
-    """Replay ``program`` on a plain bit-plane backend; returns the token
-    environment.
+    """Replay ``program`` in place on a plain bit-plane backend's planes
+    and tags; returns the token environment.
 
-    ``active`` is the packed active window (:func:`pack_bits`). Charging
-    is the caller's, by :meth:`Program.charges_over`.
+    ``active`` is the packed active window
+    (:func:`~repro.csb.bitplane.pack_bits`). Charging is the caller's,
+    by :meth:`Program.charges_over`.
     """
     st = _State(program, backend, active)
     for fn, p in program.kernels:
         fn(p, st)
-    st.store()
     return st.env
 
 
@@ -461,11 +343,6 @@ def _terms(sub: int, key: dict) -> Tuple[Optional[int], tuple, tuple]:
     pos = sorted(_slot(sub, row) for row, want in key.items() if want)
     neg = tuple(sorted(_slot(sub, row) for row, want in key.items() if not want))
     return (pos[0] if pos else None), tuple(pos[1:]), neg
-
-
-def _reads(head: Optional[int], pos: tuple, neg: tuple) -> tuple:
-    """The slots a ``(head, pos, neg)`` search term reads."""
-    return (() if head is None else (head,)) + pos + neg
 
 
 def _lower_search(sub: int, dest: int, key: dict, accumulate: bool,

@@ -7,11 +7,12 @@ table) against a :class:`~repro.plan.recorder.RecordingChain`. It holds
 * the flat step stream (the exact chain-level microoperation sequence),
   and
 * a *lowered* :class:`~repro.plan.packed.Program` for the bit-plane
-  backend: steps pre-translated into int kernels over packed bit planes
-  (one Python int per ``(subarray, row)`` plane and per tag row), with
-  runs of accumulating searches over the same subarray compiled into one
-  bitwise expression of their truth table (up to ``MAX_LUT_ROWS`` rows),
-  and the stream's microop charges, pre-summed per flavour.
+  backend: steps pre-translated into int kernels over the backend's
+  packed bit planes (one Python int per ``(subarray, row)`` plane and
+  per tag row), with runs of accumulating searches over the same
+  subarray compiled into one bitwise expression of their truth table
+  (up to ``MAX_LUT_ROWS`` rows), and the stream's microop charges,
+  pre-summed per flavour.
 
 Replay has two flavours with identical architectural effects:
 
@@ -19,11 +20,11 @@ Replay has two flavours with identical architectural effects:
   :class:`~repro.csb.chain.Chain` API. Bit-exact and charge-exact by
   construction; used for the reference backend, fault-wrapped backends,
   and traced runs (``stats.keep_trace`` needs the interleaved order).
-* **lowered** — :func:`replay_lowered` packs the planes the program
-  touches, runs the kernels, writes back what they wrote, then applies
-  the program's charges over the active lanes in bulk. Same state
-  transitions, same microop totals, same observer counters — just far
-  fewer Python dispatches, each one a few int operations.
+* **lowered** — :func:`replay_lowered` runs the kernels on the
+  backend's planes and tags in place, then applies the program's
+  charges over the active lanes in bulk. Same state transitions, same
+  microop totals, same observer counters — just far fewer Python
+  dispatches, each one a few int operations.
 
 Plans are pure data: they capture no chain state, callable or column
 vector, only structure, so one plan serves every device whose chains
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.csb.bitplane import BitplaneBackend
+from repro.csb.bitplane import BitplaneBackend, pack_bits
 from repro.plan import packed
 from repro.plan.recorder import RecordingChain, Token
 
@@ -55,7 +56,7 @@ def compile_chain_program(num_subarrays: int, body) -> "CompiledPlan":
 def replay_lowered(program: packed.Program, chain) -> list:
     """Run a plan's or superplan's ``program`` on a live chain's plain
     bit-plane backend and charge it; returns the token environment."""
-    active = packed.pack_bits(chain.active_columns)
+    active = pack_bits(chain.active_columns)
     env = packed.run_program(program, chain.backend, active)
     stats = chain.stats
     for (op, bit_parallel), n in program.charges_over(active.bit_count()).items():

@@ -31,11 +31,9 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.circuits.microops import Microop
 from repro.common.errors import ConfigError, ProtocolError
-from repro.csb.chain import NUM_VREGS, MetaRow, plane_sources
+from repro.csb.bitplane import NUM_ROWS
+from repro.csb.chain import NUM_VREGS, plane_sources
 from repro.csb.subarray import MAX_SEARCH_ROWS
-
-#: Wordlines per subarray (32 vector registers + 4 metadata rows).
-NUM_ROWS = NUM_VREGS + len(MetaRow)
 
 
 class Token:

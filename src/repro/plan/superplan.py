@@ -14,8 +14,8 @@ loop-invariant by construction).
 Every member's lowered kernels — packed-plane int kernels, with each
 accumulating search group compiled into one bitwise expression of its
 truth table (``repro.plan.packed``) — are concatenated into one
-:class:`~repro.plan.packed.Program`, so the fused stream packs each
-touched row once per flush and writes back only what it wrote. The
+:class:`~repro.plan.packed.Program`, which replays once per flush on the
+backend's packed planes. The
 fused stream is exactly its members' kernels: they share one token
 environment, as large as the largest member's, and no kernel marks the
 instruction boundaries.

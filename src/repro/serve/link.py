@@ -108,10 +108,10 @@ def count_gang_outcome(observer, reply: dict) -> None:
     """Fold one reply's gang outcome into the ``gang.*`` families.
 
     Workers run no observer, so each reply carries what
-    :func:`repro.gang.run_ganged` would have emitted; ``gang.size`` is
-    observed per member here (the in-process pool observes it once per
-    gang). Replies from a ``gang=False`` worker carry no outcome and
-    emit nothing.
+    :func:`repro.gang.run_ganged` would have emitted in process:
+    ``gang.size`` once per surviving member, beside ``gang.hit``.
+    Replies from a ``gang=False`` worker carry no outcome and emit
+    nothing.
     """
     if not observer.enabled or "ganged" not in reply:
         return

@@ -89,16 +89,20 @@ def test_redsum_after_vl_masking(small_csb):
 
 
 def test_bitplane_per_chain_windows_follow_the_ganged_window():
-    """Under the bit-plane backend each chain's window is a view of the
-    ganged chain's, so it equals the reference CSB's per-chain window
-    after every window change — including one programmed on the ganged
-    chain directly."""
+    """A bit-plane CSB keeps no per-chain objects: chain ``c``'s window
+    is the ganged window's columns ``c::num_chains``, and it equals the
+    reference CSB's per-chain window after every window change —
+    including one programmed on the ganged chain directly."""
     ref = CSB(num_chains=4, num_subarrays=8, num_cols=8)
     fast = CSB(num_chains=4, num_subarrays=8, num_cols=8, backend="bitplane")
+    with pytest.raises(AttributeError):
+        fast.chains
 
     def assert_same_windows():
-        for got, want in zip(fast.chains, ref.chains):
-            assert got.active_columns.tolist() == want.active_columns.tolist()
+        window = fast.ganged.active_columns
+        for c, want in enumerate(ref.chains):
+            got = window[c::fast.num_chains]
+            assert got.tolist() == want.active_columns.tolist()
 
     for vl, vstart in [(32, 0), (10, 0), (13, 5), (7, 6), (0, 0), (31, 1)]:
         ref.set_vector_length(vl, vstart)

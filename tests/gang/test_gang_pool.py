@@ -117,9 +117,10 @@ class TestDevicePoolIdentity:
         assert obs.metrics.total("gang.hit") == 0
         assert obs.metrics.total("gang.miss", reason="singleton") == 4
 
-    def test_mid_gang_ejection_heals_through_the_sequential_path(self):
-        specs = dot_specs(6)
-        _, base_jobs, _ = run_device_pool(specs, gang=False)
+    @staticmethod
+    def run_with_one_ejection(specs):
+        """A gang pool run whose first gang ejects its first member;
+        returns the jobs, the observer and how often the hook fired."""
         fired = {"count": 0}
 
         def hook(replay, index, kind):
@@ -127,7 +128,9 @@ class TestDevicePoolIdentity:
             # validating sync, once per pool run (first gang only).
             if kind == "sync" and replay._pending and fired["count"] == 0:
                 vd = replay._pending[0].vd
-                replay.backend.bits[0, vd, replay.member_slice(0)] ^= 1
+                planes = replay.backend.register_planes(vd)
+                planes[0, replay.member_slice(0)] ^= 1
+                replay.backend.set_register_planes(vd, planes)
                 fired["count"] += 1
 
         obs = Observer()
@@ -136,11 +139,27 @@ class TestDevicePoolIdentity:
             _, jobs, _ = run_device_pool(specs, observer=obs, gang=True)
         finally:
             GangReplay.chaos_hook = None
-        assert fired["count"] == 1
+        return jobs, obs, fired["count"]
+
+    def test_mid_gang_ejection_heals_through_the_sequential_path(self):
+        specs = dot_specs(6)
+        _, base_jobs, _ = run_device_pool(specs, gang=False)
+        jobs, obs, fired = self.run_with_one_ejection(specs)
+        assert fired == 1
         assert result_tuples(jobs) == result_tuples(base_jobs)
         assert obs.metrics.total("gang.ejected") == 1
         assert obs.metrics.total("gang.miss", reason="ejected") == 1
         assert obs.metrics.total("gang.hit") == 5
+
+    def test_gang_size_is_observed_once_per_surviving_member(self):
+        """In process as over the wire (``count_gang_outcome``), each
+        ``gang.hit`` observes its gang's size once; an ejected member
+        observes nothing."""
+        jobs, obs, fired = self.run_with_one_ejection(dot_specs(6))
+        assert fired == 1
+        assert obs.metrics.total("gang.ejected") == 1
+        sizes = [h for _labels, h in obs.metrics.series("gang.size")]
+        assert sum(h.count for h in sizes) == obs.metrics.total("gang.hit")
 
 
 class TestExecConfigWiring:

@@ -25,6 +25,8 @@ from repro.gang import (
 from repro.obs import Observer
 from repro.runtime.job import Footprint, Job
 
+from ..csb.storage import assert_planes_in_range
+
 NANO = CAPEConfig(name="nano", num_chains=8)  # 256 lanes
 
 #: op -> accepts mask=; masked vmul falls back to re-sync and is
@@ -113,8 +115,19 @@ def run_sequential(program, members):
 
 
 def run_gang(program, members, mode=True):
+    """Gang the members; every stacked backend a gang used must end
+    with each plane and tag int inside ``[0, 2**(K*C))``."""
     entries = build_entries(program, members)
-    outcomes = run_ganged(entries, mode=mode)
+    replays = {}
+    GangReplay.chaos_hook = lambda replay, index, kind: replays.setdefault(
+        id(replay), replay
+    )
+    try:
+        outcomes = run_ganged(entries, mode=mode)
+    finally:
+        GangReplay.chaos_hook = None
+    for replay in replays.values():
+        assert_planes_in_range(replay.backend)
     return snapshot(entries), outcomes
 
 
@@ -285,7 +298,9 @@ class TestEjection:
             # sync that validates it: the batched check must catch it.
             if kind == "sync" and replay._pending and not fired["done"]:
                 vd = replay._pending[0].vd
-                replay.backend.bits[0, vd, replay.member_slice(victim)] ^= 1
+                planes = replay.backend.register_planes(vd)
+                planes[0, replay.member_slice(victim)] ^= 1
+                replay.backend.set_register_planes(vd, planes)
                 fired["done"] = True
 
         return hook, fired
@@ -322,7 +337,9 @@ class TestEjection:
             # before the popcount searches it: the count check ejects.
             if kind == "popcount" and not fired["done"]:
                 vm = replay.members[0].trace[index][1]
-                replay.backend.bits[0, vm, replay.member_slice(0)] ^= 1
+                planes = replay.backend.register_planes(vm)
+                planes[0, replay.member_slice(0)] ^= 1
+                replay.backend.set_register_planes(vm, planes)
                 fired["done"] = True
 
         GangReplay.chaos_hook = hook

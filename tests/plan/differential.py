@@ -7,7 +7,9 @@ walk afresh and replays it), and ``superplan`` fuses a kernel's
 eligible plans into one trace or not. :func:`run_program` runs one op
 sequence in one mode and returns every observable — destination
 values, the full register file, cycle and energy totals, and every
-``csb.microops`` series — so two modes compare with ``==``.
+``csb.microops`` series — so two modes compare with ``==``. Each op may
+carry its own SEW (8, 16 or 32) over 32-bit operands, so narrow ops
+read rows holding bits above SEW, on every backend and in every mode.
 ``test_plan_equiv.py`` holds the cache axis and
 ``test_superplan_diff.py`` the superplan axis; each draws or iterates
 the other axis.
@@ -50,10 +52,14 @@ OPS = (
 )
 
 #: Strategies for the hypothesis differentials: operand lists (trimmed
-#: to a common length by :func:`operands`) and op sequences.
+#: to a common length by :func:`operands`) and op sequences of
+#: ``(op, use_mask, sew)``.
 WORDS = st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=32)
 PROGRAMS = st.lists(
-    st.tuples(st.sampled_from([op for op, _ in OPS]), st.booleans()),
+    st.tuples(
+        st.sampled_from([op for op, _ in OPS]), st.booleans(),
+        st.sampled_from((8, 16, 32)),
+    ),
     min_size=1, max_size=6,
 )
 
@@ -88,6 +94,9 @@ def fault_program():
 def run_program(backend, mode, a, b, mask, ops, faults=False, vstart=0):
     """Run an op sequence inside one superplan scope.
 
+    Each op is ``(op, use_mask)`` or ``(op, use_mask, sew)``; the SEW
+    (32 when absent) is selected before the op whenever it changes, and
+    the closing vmerge, vmseq, vredsum and popcount run at SEW 32.
     Returns every observable, and how much fusing happened: the fused
     flushes the observer saw, and (cache ``"kept"`` only) the cache's
     counter snapshot.
@@ -113,10 +122,15 @@ def run_program(backend, mode, a, b, mask, ops, faults=False, vstart=0):
     if vstart:
         system.set_vstart(vstart)
     with system.superplan_scope():
-        for i, (op, use_mask) in enumerate(ops):
+        for i, step in enumerate(ops):
+            op, use_mask, sew = (*step, 32)[:3]
+            if sew != system.sew:
+                system.set_sew(sew)
             _, maskable = next(entry for entry in OPS if entry[0] == op)
             kwargs = {"mask": 6} if (use_mask and maskable) else {}
             getattr(system, op)(3 + (i % 3), 1, 2, **kwargs)
+        if system.sew != 32:
+            system.set_sew(32)
         system.vmerge(5, 1, 2, vm=6)
         system.vmseq(7, 1, 2)
         total = int(system.vredsum(3, signed=False))

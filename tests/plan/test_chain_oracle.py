@@ -12,7 +12,8 @@ masked form at SEW 8, 16 and 32, on both backends, on a
 :class:`~repro.faults.FaultyBackend`-wrapped chain (stuck bit and tag
 flip, whose injector counters must also agree) and with
 ``stats.keep_trace`` on; likewise every truth table, walked live against
-``execute_table``.
+``execute_table``. Every bit-plane run must also leave each plane and
+tag int inside ``[0, 2**COLUMNS)``.
 """
 
 import functools
@@ -34,6 +35,8 @@ from repro.engine.vcu import (
 from repro.faults import FaultInjector, FaultPlan, StuckBit, TagFlip
 from repro.plan import PlanCache, compile_chain_program
 from repro.plan.recorder import NUM_ROWS
+
+from ..csb.storage import assert_planes_in_range
 
 S = 32
 COLUMNS = 13
@@ -99,31 +102,36 @@ def make_chain(kind, seed):
     """A chain of ``kind`` holding seeded random bits and tags in every
     row, under a partial window; returns it and its fault injector."""
     rng = np.random.default_rng(seed)
-    injector = None
+    injector = raw = None
     if kind == "faulty":
         injector = FaultInjector(FaultPlan([
             StuckBit(row=VD, element=4, bit=1, value=1),
             TagFlip(element=6, bit=0, at_search=3),
         ]))
         injector.bind_csb(1, S, NUM_ROWS, COLUMNS)
-        backend = injector.wrap_chain(
-            BitplaneBackend(S, NUM_ROWS, COLUMNS), 0, 1
-        )
+        raw = BitplaneBackend(S, NUM_ROWS, COLUMNS)
+        backend = injector.wrap_chain(raw, 0, 1)
     else:
         backend = "reference" if kind == "reference" else "bitplane"
     chain = Chain(S, COLUMNS, backend=backend)
     chain.stats.keep_trace = kind == "keep_trace"
     bits = rng.integers(0, 2, (S, NUM_ROWS, COLUMNS), dtype=np.uint8)
     tags = rng.integers(0, 2, (S, COLUMNS), dtype=np.uint8)
+    # The seeded state goes in raw, under any fault wrapper.
+    raw = chain.backend if raw is None else raw
+    for row in range(NUM_ROWS):
+        raw.set_register_planes(row, bits[:, row])
     for sub, view in enumerate(chain.subarrays):
-        view.bits[:] = bits[sub]
         view.tags = tags[sub]
     chain.set_active_window(VSTART, VL - VSTART)
     return chain, injector
 
 
 def observe(chain, injector, returned):
-    """Everything a run leaves behind."""
+    """Everything a run leaves behind (on a bit-plane backend, after
+    checking its storage invariant)."""
+    if chain.backend.name == "bitplane":
+        assert_planes_in_range(chain.backend)
     return {
         "returned": returned,
         "bits": np.stack([view.bits for view in chain.subarrays]).tolist(),

@@ -1,14 +1,16 @@
 """Differential tests: packed-plane lowered replay vs generic replay.
 
-The lowered path packs every bit plane a plan touches into one int per
-``(subarray, row)`` (bit ``c`` = column ``c``), runs int kernels, and
-writes back what they wrote. Its contract is total equivalence with the
-generic per-primitive replay on the reference backend, from any state:
-identical bits, tags, returned tokens and ``stats.counts`` — at column
-counts that are not multiples of 8 or of a machine word, under partial
-``[vstart, vl)`` windows, across SEWs and masked forms, and through the
-shifts' element rewrite, which the lowered path runs as a move of packed
-planes between the other kernels (``vsra`` replicating the sign plane).
+The lowered path runs int kernels in place on the bit-plane backend's
+storage, one int per ``(subarray, row)`` plane and per tag row (bit
+``c`` = column ``c``). Its contract is total equivalence with the
+generic per-primitive replay, on the reference backend and step by step
+on the bit-plane backend, from any state: identical bits, tags,
+returned tokens and ``stats.counts`` — at column counts that are not
+multiples of 8 or of a machine word, under partial ``[vstart, vl)``
+windows, across SEWs and masked forms, and through the shifts' element
+rewrite, which the lowered path runs as a move of packed planes between
+the other kernels (``vsra`` replicating the sign plane). Both bit-plane
+routes must keep every plane and tag int inside ``[0, 2**C)``.
 """
 
 import functools
@@ -22,6 +24,8 @@ from repro.engine.bitexec import run_microcode
 from repro.plan import compile_chain_program
 from repro.plan.packed import MAX_LUT_ROWS, compile_lut, lut_expression
 from repro.plan.recorder import NUM_ROWS
+
+from ..csb.storage import assert_planes_in_range
 
 S = 32
 COLUMNS = (1, 5, 37, 64, 256, 1000)
@@ -71,8 +75,9 @@ def program_plan(ops, width):
 
 def make_chain(backend, bits, tags, vstart, vl):
     chain = Chain(S, bits.shape[-1], backend=backend)
+    for row in range(NUM_ROWS):
+        chain.backend.set_register_planes(row, bits[:, row])
     for sub, view in enumerate(chain.subarrays):
-        view.bits[:] = bits[sub]
         view.tags = tags[sub]
     chain.set_active_window(vstart, vl - vstart)
     return chain
@@ -86,16 +91,25 @@ def state(chain):
 
 
 def assert_lowered_matches_generic(plan, bits, tags, vstart, vl):
+    """Lowered replay on a bit-plane chain, and generic replay on a
+    reference chain and on a bit-plane chain keeping its microop trace
+    (which forces the step-by-step route), all end identical; both
+    bit-plane chains keep their storage invariant."""
     lowered = make_chain("bitplane", bits, tags, vstart, vl)
     generic = make_chain("reference", bits, tags, vstart, vl)
+    stepped = make_chain("bitplane", bits, tags, vstart, vl)
+    stepped.stats.keep_trace = True
     got = plan.replay(lowered)
     want = plan.replay(generic)
     assert got == want
-    got_bits, got_tags = state(lowered)
+    assert plan.replay(stepped) == want
     want_bits, want_tags = state(generic)
-    assert np.array_equal(got_bits, want_bits)
-    assert np.array_equal(got_tags, want_tags)
-    assert lowered.stats.counts == generic.stats.counts
+    for chain in (lowered, stepped):
+        assert_planes_in_range(chain.backend)
+        got_bits, got_tags = state(chain)
+        assert np.array_equal(got_bits, want_bits)
+        assert np.array_equal(got_tags, want_tags)
+        assert chain.stats.counts == generic.stats.counts
 
 
 op_strategy = st.sampled_from(sorted(OPS)).flatmap(
