@@ -277,7 +277,10 @@ seq_jobs = pool.submit_stream(
     [s.to_job() for s in make_specs()], interarrival_cycles=40.0
 )
 pool.run()
-seq = {j.name: j.result.output for j in seq_jobs}
+seq = {
+    j.name: (j.result.output, j.result.service_cycles, j.result.energy_j)
+    for j in seq_jobs
+}
 
 
 async def main():
@@ -289,11 +292,13 @@ async def main():
 
 results = asyncio.run(main())
 assert len(results) == 20 and all(r.ok for r in results)
-served = {r.name: r.output for r in results}
-assert served == seq, "gateway outputs diverged from sequential pool"
+# Both tiers build their devices through one recipe, so each request's
+# output, cycles and energy must match exactly.
+served = {r.name: (r.output, r.service_cycles, r.energy_j) for r in results}
+assert served == seq, "gateway (output, cycles, energy) diverged from the pool"
 workers = {r.worker_id for r in results}
 print(f"gateway served 20/20 mixed jobs across workers {sorted(workers)}; "
-      f"checksums match the sequential pool")
+      f"outputs, cycles and energy match the sequential pool")
 EOF
 
 echo "== resilience smoke (transport-fault storm) =="

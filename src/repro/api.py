@@ -297,6 +297,11 @@ class RunResult:
 class Device:
     """One CAPE device: a system model plus convenience entry points.
 
+    The device charges every vector instruction its Table I
+    closed-form cycles; the cycles our microcode measures are an
+    :class:`~repro.assoc.instruction_model.InstructionModel` report
+    (``InstructionModel.measure``), not a device setting.
+
     Args:
         config: design point (:data:`CAPE32K`, :data:`CAPE131K`, or any
             :class:`CAPEConfig`).
@@ -306,8 +311,6 @@ class Device:
             only. See :data:`BACKEND_NAMES`.
         memory_bytes: functional main-memory size (defaults to the
             system's 64 MiB store).
-        accounting: instruction accounting mode (``"paper"`` keeps the
-            published methodology).
         observer: optional :class:`Observer` receiving counters and
             trace events from every layer; defaults to the shared
             zero-overhead null observer.
@@ -330,7 +333,6 @@ class Device:
         config: CAPEConfig = CAPE32K,
         backend: Optional[str] = None,
         memory_bytes: Optional[int] = None,
-        accounting: str = "paper",
         observer: Optional[Observer] = None,
         plan_cache=True,
         superplan=False,
@@ -338,7 +340,6 @@ class Device:
         self.system = CAPESystem(
             config,
             memory=WordMemory(memory_bytes) if memory_bytes is not None else None,
-            accounting=accounting,
             backend=backend,
             observer=observer,
             plan_cache=plan_cache,

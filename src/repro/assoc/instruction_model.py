@@ -4,8 +4,9 @@ Combines the associative emulator's measured microoperation mix with the
 circuit layer's per-microop energies to estimate each vector instruction's
 latency (cycles) and per-lane energy. Two cycle accountings coexist:
 
-* ``paper`` (default for system simulation): Table I's closed forms —
-  the published calibration, e.g. 8n + 2 for ``vadd.vv``.
+* ``paper`` (the default, and what every
+  :class:`~repro.engine.system.CAPESystem` charges): Table I's closed
+  forms — the published calibration, e.g. 8n + 2 for ``vadd.vv``.
 * ``measured``: cycles counted by running our reconstructed microcode on
   the bit-level chain. For most instructions this matches the closed form
   exactly; for the few whose published microcode is not fully specified

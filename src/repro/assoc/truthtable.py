@@ -12,8 +12,8 @@ to represent any associative algorithm's truth table".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.common.errors import ConfigError, ProtocolError
 from repro.csb.subarray import MAX_SEARCH_ROWS
@@ -81,11 +81,6 @@ class TTEntry:
                 raise ConfigError(f"unknown operand role {role!r}")
             if bit not in (0, 1):
                 raise ConfigError(f"search bit must be 0 or 1, got {bit}")
-
-    @property
-    def search_key(self) -> Dict[str, int]:
-        """The search pattern as a role -> bit mapping."""
-        return dict(self.search)
 
     @property
     def has_search(self) -> bool:

@@ -134,11 +134,6 @@ class CircuitModel:
         """Operating frequency after the conservative derate (2.7 GHz)."""
         return self.max_frequency_hz * self.frequency_derate
 
-    @property
-    def cycle_time_s(self) -> float:
-        """Operating cycle time (inverse of the derated frequency)."""
-        return 1.0 / self.frequency_hz
-
     def delay(self, op: Microop) -> float:
         """Delay of ``op`` in seconds."""
         return self.timings[op].delay_s

@@ -63,10 +63,6 @@ class CSBCapacityError(CapacityError):
         return -(-self.requested_lanes // self.cols_per_chain)
 
     @property
-    def available_chains(self) -> int:
-        return self.available_lanes // self.cols_per_chain
-
-    @property
     def shortfall_lanes(self) -> int:
         """Lanes the request overshoots capacity by (never negative)."""
         return max(0, self.requested_lanes - self.available_lanes)

@@ -104,12 +104,6 @@ class MicroopStats:
             total += n * circuit.energy(op, bit_parallel=bit_parallel)
         return total
 
-    def merged_with(self, other: "MicroopStats") -> "MicroopStats":
-        """Return a new stats object combining both tallies."""
-        merged = MicroopStats()
-        merged.counts = self.counts + other.counts
-        return merged
-
     def snapshot(self) -> Mapping[Tuple[Microop, bool], int]:
         """An immutable copy of the raw counters, for reporting."""
         return dict(self.counts)

@@ -273,7 +273,7 @@ class CSB:
         self._check_vreg(vreg)
         if self.ganged is not None:
             width = self.num_subarrays if width is None else width
-            partials = [int(p) for p in self.echo_partials(vreg, width)]
+            partials = self.echo_partials(vreg, width)
             for _ in range(width):
                 self.stats.record(Microop.SEARCH, bit_parallel=True)
                 self.stats.record(Microop.REDUCE, bit_parallel=True)

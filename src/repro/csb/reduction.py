@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from repro.common.errors import ConfigError
 
 #: Fan-in of one pipeline stage of the synthesized tree.
@@ -57,8 +59,10 @@ class ReductionTree:
 
         Walks the tree stage by stage (radix-4 groups) so tests can check
         that the staged structure computes the same result as a flat sum.
+        ``partials`` may be any int sequence or array; they are converted
+        to Python ints once, in C.
         """
-        values = [int(v) for v in partials]
+        values = np.asarray(partials, dtype=np.int64).tolist()
         if len(values) != self.num_chains:
             raise ConfigError(
                 f"expected {self.num_chains} partials, got {len(values)}"

@@ -29,10 +29,6 @@ class CPStats:
     hidden_scalar_cycles: float = 0.0
     vector_cycles: float = 0.0
 
-    @property
-    def exposed_scalar_cycles(self) -> float:
-        return self.scalar_cycles - self.hidden_scalar_cycles
-
 
 class ControlProcessor:
     """The in-order scalar core with vector-shadow accounting."""

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,12 +29,7 @@ from repro.baseline.trace import TraceBlock
 from repro.circuits.area import AreaModel
 from repro.circuits.microops import CircuitModel
 from repro.common.bitutils import to_signed, to_unsigned
-from repro.common.errors import (
-    CapacityError,
-    ConfigError,
-    CSBCapacityError,
-    ProtocolError,
-)
+from repro.common.errors import ConfigError, CSBCapacityError, ProtocolError
 from repro.engine.bitexec import (
     MASK_RESULTS,
     BitEngine,
@@ -124,8 +119,6 @@ class CAPESystem:
     Args:
         config: design point (CAPE32K / CAPE131K).
         memory: functional main memory (fresh 64 MiB store by default).
-        accounting: instruction cycle accounting — ``"paper"`` (Table I
-            closed forms) or ``"measured"`` (emulated microcode counts).
         backend: optional bit-accurate execution backend. ``None``
             (default) runs purely functionally; ``"bitplane"`` or
             ``"reference"`` additionally executes every supported compute
@@ -133,14 +126,21 @@ class CAPESystem:
             :class:`~repro.common.errors.ProtocolError` if the two ever
             diverge (see :mod:`repro.engine.bitexec`). Charged cycles and
             energy are identical in all modes — charging always comes
-            from the instruction model.
+            from the instruction model, which charges every instruction
+            its Table I closed-form cycles (the cycles our microcode
+            measures are an :class:`InstructionModel` report,
+            ``InstructionModel.measure``).
         observer: optional :class:`repro.obs.Observer`; counters and
             trace events flow from every layer (VCU, VMU, CSB backend,
             paging, spill path) into it. Defaults to the shared null
             observer, which costs one attribute check per charge.
-        fault_injector: optional :class:`repro.faults.FaultInjector`
-            bound via :meth:`attach_fault_injector`; with none attached
-            every injection hook is a single ``None`` check.
+        fault_injector: optional :class:`repro.faults.FaultInjector`,
+            bound to every injection site: the VMU transfer paths, the
+            cycle charging path (whole-device death) and every mirror
+            CSB the backend builds. Its state persists across
+            :meth:`reset`, so faults carry over between jobs on the
+            same device. With none, every injection hook is a single
+            ``None`` check.
         plan_cache: where the bit-accurate backend keeps the compiled
             microcode plans every dispatch replays — ``True`` (default)
             shares the process-wide
@@ -161,8 +161,6 @@ class CAPESystem:
         self,
         config: CAPEConfig = CAPE32K,
         memory: Optional[WordMemory] = None,
-        accounting: str = "paper",
-        circuit: Optional[CircuitModel] = None,
         backend: Optional[str] = None,
         observer=None,
         fault_injector=None,
@@ -170,10 +168,8 @@ class CAPESystem:
         superplan=False,
     ) -> None:
         self.config = config
-        self.circuit = circuit if circuit is not None else CircuitModel()
-        self.model = InstructionModel(
-            self.circuit, width=config.element_bits, accounting=accounting
-        )
+        self.circuit = CircuitModel()
+        self.model = InstructionModel(self.circuit, width=config.element_bits)
         self.memory = memory if memory is not None else WordMemory()
         self.hbm = HBM()
         self.cp = ControlProcessor()
@@ -195,7 +191,6 @@ class CAPESystem:
         self.vstart = 0
         self.stats = _CAPERunStats(frequency_hz=self.circuit.frequency_hz)
         self._memory_energy_j = 0.0
-        self._accounting = accounting
         #: Selected element width (SEW). Narrower elements keep one lane
         #: per chain column but walk fewer bit-slices, so bit-serial
         #: instructions speed up proportionally (Section V-A: "element
@@ -221,8 +216,10 @@ class CAPESystem:
         self.fault_injector = None
         self.observer = NULL_OBSERVER
         self.attach_observer(observer)
-        if fault_injector is not None:
-            self.attach_fault_injector(fault_injector)
+        self.fault_injector = fault_injector
+        self.vmu.fault_injector = fault_injector
+        if fault_injector is not None and fault_injector.observer is None:
+            fault_injector.observer = self.observer if self.observer.enabled else None
         if backend is not None:
             self.set_backend(backend)
 
@@ -247,25 +244,6 @@ class CAPESystem:
             self.fault_injector.observer = live
         if self._bitengine is not None:
             self._bitengine.attach_observer(self.observer)
-
-    def attach_fault_injector(self, injector) -> None:
-        """Bind a per-device fault injector to every injection site.
-
-        Threads the injector into the VMU transfer paths, the cycle
-        charging path (whole-device death), and — rebuilding the mirror
-        CSB if a backend is active — the execution backend. Injector
-        state persists across :meth:`reset`, so faults carry over between
-        jobs on the same device; pass ``None`` to detach.
-        """
-        self._superplan_flush()
-        self.fault_injector = injector
-        self.vmu.fault_injector = injector
-        if injector is not None and injector.observer is None:
-            injector.observer = self.observer if self.observer.enabled else None
-        if self._bitengine is not None:
-            backend = self._bitengine.backend
-            self._bitengine = None
-            self.set_backend(backend)
 
     def set_backend(self, backend: Optional[str]) -> None:
         """Select the bit-accurate execution backend at runtime.
@@ -339,9 +317,7 @@ class CAPESystem:
         # pending under the SEW it was issued at.
         self._superplan_flush()
         if bits not in self._models:
-            self._models[bits] = InstructionModel(
-                self.circuit, width=bits, accounting=self._accounting
-            )
+            self._models[bits] = InstructionModel(self.circuit, width=bits)
         self.sew = bits
         self.model = self._models[bits]
         self.vcu.model = self.model
@@ -823,19 +799,6 @@ class CAPESystem:
         if signed:
             return to_signed(vals, self.sew)
         return vals
-
-    def vreg_occupancy(self) -> tuple:
-        """Architectural registers written since construction/reset.
-
-        The register-file occupancy a runtime places jobs against: a
-        sorted tuple of vector-register indices holding live state.
-        """
-        return tuple(sorted(self._written_vregs))
-
-    @property
-    def lane_occupancy(self) -> float:
-        """Fraction of the CSB's lanes inside the active vl window."""
-        return self.vl / self.config.max_vl
 
     # ------------------------------------------------------------------
     # Context save/restore hooks (runtime spill path)

@@ -199,7 +199,7 @@ class GangReplay:
             member = self.members[k]
             if member.ejected:
                 continue
-            total = self._tree.reduce([int(p) for p in partials[k]])
+            total = self._tree.reduce(partials[k])
             if total != entry[5]:
                 self._eject(k, "redsum divergence")
                 continue

@@ -5,8 +5,9 @@ owned by the observability layer so that all three stats surfaces —
 engine run stats, runtime telemetry reports, and :class:`ProfileReport`
 — share one home, one naming scheme (snake_case with unit suffixes:
 ``*_cycles``, ``*_seconds``, ``*_j``), and one export contract
-(``.as_dict()`` / ``.summary()``). ``repro.engine.system.CAPERunStats``
-remains importable through a :class:`DeprecationWarning` shim.
+(``.as_dict()`` / ``.summary()``). Import it from here (or from
+``repro.obs`` / ``repro.api``); ``repro.engine.system`` no longer
+exports it.
 """
 
 from __future__ import annotations

@@ -62,6 +62,41 @@ from repro.runtime._telemetry import DeviceRecord, Telemetry, TelemetryReport
 DEFAULT_POOL = (CAPE32K, CAPE32K, CAPE131K)
 
 
+def build_system(
+    config: CAPEConfig,
+    device_id: int,
+    memory_bytes: Optional[int] = None,
+    backend: Optional[str] = None,
+    fault_plan=None,
+    exec: ExecConfig = ExecConfig(),
+    plan_cache=True,
+) -> CAPESystem:
+    """Build pool device ``device_id``: the one device recipe.
+
+    :class:`DevicePool` builds its devices here, and so does every
+    ``repro.serve`` worker for its shard, which is what makes served
+    results, cycles and energy bit-identical to in-process ones. With a
+    ``fault_plan`` the system carries a
+    :class:`~repro.faults.FaultInjector` over the device's slice of the
+    plan (``fault_plan.for_device(device_id)``) as its
+    ``fault_injector``; ``exec.superplan`` goes to the system, and
+    ``plan_cache`` is the system's ``plan_cache=`` (the process-wide
+    cache by default).
+    """
+    return CAPESystem(
+        config,
+        memory=WordMemory(memory_bytes) if memory_bytes is not None else None,
+        backend=backend,
+        fault_injector=(
+            FaultInjector(fault_plan.for_device(device_id))
+            if fault_plan is not None
+            else None
+        ),
+        plan_cache=plan_cache,
+        superplan=exec.superplan,
+    )
+
+
 class Device:
     """One pool shard: a CAPE system plus its queue and timeline."""
 
@@ -75,7 +110,11 @@ class Device:
         self.jobs_run = 0
         self.lane_occupancies: List[float] = []
         self.health = DeviceHealth()
-        self.injector: Optional[FaultInjector] = None
+
+    @property
+    def injector(self) -> Optional[FaultInjector]:
+        """The system's fault injector (``None`` without a fault plan)."""
+        return self.system.fault_injector
 
     @property
     def config(self) -> CAPEConfig:
@@ -105,6 +144,11 @@ class DevicePool:
         report = pool.run()
         print(report.job_table())
 
+    Every device comes from :func:`build_system` and charges each
+    vector instruction its Table I closed-form cycles; the cycles our
+    microcode measures are an
+    :class:`~repro.assoc.instruction_model.InstructionModel` report.
+
     Args:
         configs: design points, one device per entry (mixed presets
             welcome).
@@ -113,7 +157,6 @@ class DevicePool:
         work_stealing: let idle devices pull from loaded peers.
         memory_bytes: per-device functional memory size (defaults to
             each system's 64 MiB store).
-        accounting: instruction accounting mode passed to every device.
         backend: execution backend selected on every device
             (``"reference"`` or ``"bitplane"``); ``None`` keeps the
             fast functional-only path. Individual jobs may still
@@ -155,7 +198,6 @@ class DevicePool:
         policy="fifo",
         work_stealing: bool = True,
         memory_bytes: Optional[int] = None,
-        accounting: str = "paper",
         backend: Optional[str] = None,
         observer=None,
         fault_plan=None,
@@ -185,16 +227,8 @@ class DevicePool:
         self._launching: List[Tuple[Device, Job]] = []
         self.devices = []
         for i, config in enumerate(configs):
-            system = CAPESystem(
-                config,
-                memory=(
-                    WordMemory(memory_bytes)
-                    if memory_bytes is not None
-                    else None
-                ),
-                accounting=accounting,
-                backend=backend,
-                superplan=exec.superplan,
+            system = build_system(
+                config, i, memory_bytes, backend, fault_plan, exec
             )
             device = Device(i, system)
             device.health = DeviceHealth(
@@ -204,9 +238,6 @@ class DevicePool:
             system.attach_observer(
                 self.observer.labelled(device=device.name)
             )
-            if fault_plan is not None:
-                device.injector = FaultInjector(fault_plan.for_device(i))
-                system.attach_fault_injector(device.injector)
             self.devices.append(device)
         self._submitted: List[Job] = []
         #: Jobs with no accepting device right now; replayed on the next

@@ -33,7 +33,7 @@ from repro.serve.gateway import (
     ServeResult,
     TenantQuota,
 )
-from repro.serve.pool import ServePool, default_mp_context
+from repro.serve.pool import ServePool
 from repro.serve.resilience import (
     BreakerState,
     CircuitBreaker,
@@ -60,6 +60,7 @@ from repro.serve.worker import (
     KILLED_EXIT_CODE,
     WorkerHandle,
     WorkerOptions,
+    default_mp_context,
     worker_main,
 )
 

@@ -67,7 +67,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import (
@@ -84,14 +84,14 @@ from repro.runtime.execconfig import ExecConfig
 from repro.serve.link import (
     WORKER_GONE,
     WorkerLink,
+    boot_workers,
     count_gang_outcome,
     silence_budget_s,
 )
-from repro.serve.pool import default_mp_context
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.shm import HostWire, payload_nbytes
 from repro.serve.spec import JobSpec
-from repro.serve.worker import WorkerHandle, WorkerOptions
+from repro.serve.worker import WorkerOptions
 
 __all__ = [
     "Gateway",
@@ -145,8 +145,13 @@ class ServeConfig:
         default_quota: quota applied to tenants absent from ``quotas``.
         quotas: per-tenant overrides.
         warmup: specs each worker runs at boot to warm its plan cache.
-        memory_bytes / accounting / backend: device construction knobs,
-            as :class:`~repro.runtime.pool.DevicePool`.
+        memory_bytes / backend: device construction knobs, as
+            :class:`~repro.runtime.pool.DevicePool`; workers build every
+            device through its recipe
+            (:func:`~repro.runtime.pool.build_system`), so devices charge
+            Table I cycles (the cycles our microcode measures are an
+            :class:`~repro.assoc.instruction_model.InstructionModel`
+            report).
         fault_plan: optional :class:`~repro.faults.FaultPlan` (device
             slices go to the workers; ``WorkerKill`` entries kill whole
             worker processes).
@@ -170,7 +175,6 @@ class ServeConfig:
     quotas: Dict[str, TenantQuota] = field(default_factory=dict)
     warmup: Tuple[JobSpec, ...] = ()
     memory_bytes: Optional[int] = None
-    accounting: str = "paper"
     backend: Optional[str] = None
     fault_plan: object = None
     max_retries: int = 3
@@ -417,38 +421,22 @@ class Gateway:
         num_workers = min(self.exec.workers, len(cfg.configs))
         options = WorkerOptions(
             memory_bytes=cfg.memory_bytes,
-            accounting=cfg.accounting,
             backend=cfg.backend,
             warmup=cfg.warmup,
             fault_plan=cfg.fault_plan,
             exec=self.exec,
             heartbeat_interval_s=cfg.resilience.heartbeat_interval_s,
         )
-        ctx = default_mp_context()
-        self._host_wire = HostWire(self.exec.wire, observer=self.observer)
+        self._host_wire, self._links = boot_workers(
+            cfg.configs, num_workers, options, cfg.resilience,
+            self.observer, self.report_data,
+        )
         self.wire_stats = self._host_wire.stats
         for device_id, config in enumerate(cfg.configs):
             self._worker_of[device_id] = device_id % num_workers
             self._device_config[device_id] = config
             self._free_devices.append(device_id)
-        for worker_id in range(num_workers):
-            owned = [
-                (device_id, config)
-                for device_id, config in enumerate(cfg.configs)
-                if self._worker_of[device_id] == worker_id
-            ]
-            worker_options = replace(
-                options,
-                reply_segment=self._host_wire.reply_segment_for(worker_id),
-            )
-            handle = WorkerHandle(
-                worker_id, owned, worker_options, mp_context=ctx
-            ).start()
-            link = WorkerLink(
-                handle, self._host_wire, cfg.resilience.make_breaker(),
-                self.observer, self.report_data,
-            )
-            self._links[worker_id] = link
+        for worker_id, link in self._links.items():
             reader = threading.Thread(
                 target=self._reader_main,
                 args=(link,),

@@ -19,23 +19,27 @@ the wire that does not depend on *who wins* a request:
 * breaker accounting: detected transport faults, trips, and half-open
   probes.
 
-Each front door keeps its own winner policy and reply loop on top:
-the pool polls on its main thread and lets the primary's reply win
-canonically; the gateway pumps replies in from reader threads and lets
-the first reply win.
+Both front doors boot their workers through :func:`boot_workers`. Each
+keeps its own winner policy and reply loop on top: the pool polls on
+its main thread and lets the primary's reply win canonically; the
+gateway pumps replies in from reader threads and lets the first reply
+win.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.serve.resilience import BreakerState
+from repro.engine.system import CAPEConfig
+from repro.serve.resilience import BreakerState, ResilienceConfig
+from repro.serve.shm import HostWire
+from repro.serve.worker import WorkerHandle, WorkerOptions
 
 __all__ = [
-    "WORKER_GONE", "Frame", "TransportTally", "WorkerLink",
+    "WORKER_GONE", "Frame", "TransportTally", "WorkerLink", "boot_workers",
     "count_gang_outcome", "silence_budget_s",
 ]
 
@@ -306,3 +310,49 @@ class WorkerLink:
         if self.observer.enabled:
             self.observer.counter("serve.breaker.probes", worker=self.worker_id).inc()
         return True
+
+
+def boot_workers(
+    configs: Sequence[CAPEConfig],
+    num_workers: int,
+    options: WorkerOptions,
+    resilience: ResilienceConfig,
+    observer,
+    tally,
+) -> Tuple[HostWire, Dict[int, WorkerLink]]:
+    """Start a front door's worker fleet; return its wire and links.
+
+    Device ``i`` (``configs[i]``) is owned by worker ``i % num_workers``.
+    The :class:`~repro.serve.shm.HostWire` runs in
+    ``options.exec.wire`` mode; each worker starts with ``options`` plus
+    its own reply-ring segment, and gets one :class:`WorkerLink` with a
+    fresh breaker from ``resilience``, accounting into ``tally``. A boot
+    that fails part-way shuts down the workers it started and unlinks
+    the wire's segments before re-raising, so nothing outlives it.
+    """
+    host_wire = HostWire(options.exec.wire, observer=observer)
+    links: Dict[int, WorkerLink] = {}
+    try:
+        for worker_id in range(num_workers):
+            owned = [
+                (device_id, config)
+                for device_id, config in enumerate(configs)
+                if device_id % num_workers == worker_id
+            ]
+            handle = WorkerHandle(
+                worker_id,
+                owned,
+                replace(
+                    options,
+                    reply_segment=host_wire.reply_segment_for(worker_id),
+                ),
+            ).start()
+            links[worker_id] = WorkerLink(
+                handle, host_wire, resilience.make_breaker(), observer, tally
+            )
+    except BaseException:
+        for link in links.values():
+            link.handle.shutdown()
+        host_wire.close()
+        raise
+    return host_wire, links

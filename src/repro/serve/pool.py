@@ -15,8 +15,9 @@ job's device.
 Jobs must be :class:`~repro.serve.spec.ServeJob` instances (built from
 picklable :class:`~repro.serve.spec.JobSpec` descriptions) because only
 the spec crosses the pipe. Devices are assigned to workers round-robin;
-each worker rebuilds its devices — same config, memory size, accounting,
-backend, and fault-plan slice as the in-process pool would use — plus a
+each worker builds its devices through the in-process pool's own recipe,
+:func:`~repro.runtime.pool.build_system` — same config, memory size,
+backend, and fault-plan slice, and so the same Table I charges — plus a
 per-process plan cache warmed from ``plan_cache_warmup``.
 
 The fault/healing ledger crosses the process boundary in both
@@ -32,7 +33,6 @@ to a fault-free run as long as capacity survives.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import time
 from contextlib import contextmanager
@@ -50,15 +50,16 @@ from repro.runtime.pool import DEFAULT_POOL, Device, DevicePool
 from repro.serve.link import (
     TransportTally,
     WorkerLink,
+    boot_workers,
     count_gang_outcome,
     silence_budget_s,
 )
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.shm import HostWire
 from repro.serve.spec import JobSpec, ServeJob
-from repro.serve.worker import WorkerHandle, WorkerOptions
+from repro.serve.worker import WorkerOptions
 
-__all__ = ["ServePool", "default_mp_context"]
+__all__ = ["ServePool"]
 
 #: How long one poll of a worker pipe blocks while collecting replies.
 #: Small enough that other workers' replies and the silence clocks are
@@ -104,15 +105,6 @@ class _Pending:
         )
 
 
-def default_mp_context():
-    """``fork`` where available (cheap, inherits kernel registrations),
-    else ``spawn``."""
-    import multiprocessing as mp
-
-    method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-    return mp.get_context(method)
-
-
 class ServePool(DevicePool):
     """A :class:`DevicePool` whose jobs execute in worker processes.
 
@@ -137,8 +129,6 @@ class ServePool(DevicePool):
             wall-clock); they gate hedge targets and feed
             ``serve.breaker.*`` metrics. Defaults to
             ``ResilienceConfig()`` (heartbeats on, hedging off).
-        mp_context: a ``multiprocessing`` context; defaults to
-            :func:`default_mp_context`.
         exec: the :class:`~repro.runtime.execconfig.ExecConfig`
             execution shape. ``workers`` sets the worker-process count;
             ``gang`` and ``superplan`` ship to every worker via
@@ -160,7 +150,6 @@ class ServePool(DevicePool):
         *,
         plan_cache_warmup: Sequence[JobSpec] = (),
         worker_timeout: float = 120.0,
-        mp_context=None,
         fault_plan=None,
         resilience: Optional[ResilienceConfig] = None,
         exec: ExecConfig = ExecConfig(),
@@ -171,7 +160,6 @@ class ServePool(DevicePool):
         # parent keeps its own copy because DevicePool doesn't retain
         # them.
         self._memory_bytes = pool_kwargs.get("memory_bytes")
-        self._accounting = pool_kwargs.get("accounting", "paper")
         self._backend = pool_kwargs.pop("backend", None)
         # The parent's systems are bookkeeping mirrors that never
         # execute a job: no bit-level mirror (the backend goes to the
@@ -188,7 +176,6 @@ class ServePool(DevicePool):
         self.resilience = (
             resilience if resilience is not None else ResilienceConfig()
         )
-        self._mp_context = mp_context
         #: device_id -> owning worker id (round-robin).
         self.worker_of: Dict[int, int] = {
             d.device_id: d.device_id % self.num_workers for d in self.devices
@@ -237,39 +224,19 @@ class ServePool(DevicePool):
     # ------------------------------------------------------------------
 
     def _start_workers(self) -> None:
-        ctx = (
-            self._mp_context
-            if self._mp_context is not None
-            else default_mp_context()
-        )
-        self._host_wire = HostWire(self.exec.wire, observer=self.observer)
-        self.wire_stats = self._host_wire.stats
         options = WorkerOptions(
             memory_bytes=self._memory_bytes,
-            accounting=self._accounting,
             backend=self._backend,
             warmup=self.plan_cache_warmup,
             fault_plan=self.fault_plan,
             exec=self.exec,
             heartbeat_interval_s=self.resilience.heartbeat_interval_s,
         )
-        for worker_id in range(self.num_workers):
-            owned = [
-                (d.device_id, d.config)
-                for d in self.devices
-                if self.worker_of[d.device_id] == worker_id
-            ]
-            worker_options = dataclasses.replace(
-                options,
-                reply_segment=self._host_wire.reply_segment_for(worker_id),
-            )
-            handle = WorkerHandle(
-                worker_id, owned, worker_options, mp_context=ctx
-            ).start()
-            self._links[worker_id] = WorkerLink(
-                handle, self._host_wire, self.resilience.make_breaker(),
-                self.observer, self.transport,
-            )
+        self._host_wire, self._links = boot_workers(
+            [d.config for d in self.devices], self.num_workers, options,
+            self.resilience, self.observer, self.transport,
+        )
+        self.wire_stats = self._host_wire.stats
 
     def _stop_workers(self) -> None:
         try:

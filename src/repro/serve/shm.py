@@ -36,8 +36,8 @@ mapping (parent's or the dying worker's) closes.
 Fallback rules — the wire is *transparent*; every fallback is counted
 (``serve.wire.fallbacks``) but never changes results:
 
-* arrays smaller than ``min_bytes`` (default 4 KiB) stay inline — the
-  descriptor + mapping overhead beats pickling only for big arrays;
+* arrays smaller than :data:`DEFAULT_MIN_BYTES` (4 KiB) stay inline —
+  the descriptor + mapping overhead beats pickling only for big arrays;
 * object/structured dtypes stay inline (not shareable as flat bytes);
 * an exhausted arena or reply ring falls back to inline pickling for
   the arrays that did not fit;
@@ -156,20 +156,20 @@ def _shareable(arr: np.ndarray) -> bool:
 
 
 def _walk_encode(
-    obj: Any, alloc: Callable[[np.ndarray], Optional[ShmRef]], min_bytes: int
+    obj: Any, alloc: Callable[[np.ndarray], Optional[ShmRef]]
 ) -> Any:
     if isinstance(obj, np.ndarray):
-        if obj.nbytes >= min_bytes and _shareable(obj):
+        if obj.nbytes >= DEFAULT_MIN_BYTES and _shareable(obj):
             ref = alloc(obj)
             if ref is not None:
                 return ref
         return obj
     if isinstance(obj, dict):
-        return {k: _walk_encode(v, alloc, min_bytes) for k, v in obj.items()}
+        return {k: _walk_encode(v, alloc) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_walk_encode(v, alloc, min_bytes) for v in obj]
+        return [_walk_encode(v, alloc) for v in obj]
     if isinstance(obj, tuple):
-        return tuple(_walk_encode(v, alloc, min_bytes) for v in obj)
+        return tuple(_walk_encode(v, alloc) for v in obj)
     return obj
 
 
@@ -401,14 +401,9 @@ class WorkerWire:
     worker's reply ring when one was provisioned.
     """
 
-    def __init__(
-        self,
-        reply_segment: Optional[str] = None,
-        min_bytes: int = DEFAULT_MIN_BYTES,
-    ) -> None:
+    def __init__(self, reply_segment: Optional[str] = None) -> None:
         self._cache = SegmentCache()
         self._ring = _RingWriter(reply_segment) if reply_segment else None
-        self._min_bytes = min_bytes
 
     def note_ack(self, mark: int) -> None:
         if self._ring is not None and mark:
@@ -431,7 +426,7 @@ class WorkerWire:
     def encode_reply(self, reply: Any) -> Any:
         if self._ring is None or not isinstance(reply, dict):
             return reply
-        return _walk_encode(reply, self._ring.put, self._min_bytes)
+        return _walk_encode(reply, self._ring.put)
 
     def close(self) -> None:
         self._cache.close()
@@ -450,18 +445,10 @@ class HostWire:
     as ``serve.wire.*`` counters when one is enabled.
     """
 
-    def __init__(
-        self,
-        mode: str = "auto",
-        observer: Any = None,
-        min_bytes: int = DEFAULT_MIN_BYTES,
-        reply_ring_bytes: int = _REPLY_RING_BYTES,
-    ) -> None:
+    def __init__(self, mode: str = "auto", observer: Any = None) -> None:
         self.mode = resolve_wire_mode(mode)
         self.shm = self.mode == "shm"
         self._observer = observer if observer is not None and observer.enabled else None
-        self._min_bytes = min_bytes
-        self._reply_ring_bytes = reply_ring_bytes
         self._arena = SlabArena() if self.shm else None
         self._reply_rings: Dict[int, "shared_memory.SharedMemory"] = {}
         self._cache = SegmentCache()
@@ -485,7 +472,7 @@ class HostWire:
             return None
         seg = self._reply_rings.get(worker_id)
         if seg is None:
-            seg = _new_segment(self._reply_ring_bytes, f"cape-ring-{worker_id}")
+            seg = _new_segment(_REPLY_RING_BYTES, f"cape-ring-{worker_id}")
             self._reply_rings[worker_id] = seg
             self.consumed[worker_id] = 0
         return seg.name
@@ -521,8 +508,8 @@ class HostWire:
             shm_bytes += ref.nbytes
             return ref
 
-        payload = _walk_encode(spec.payload, alloc, self._min_bytes)
-        golden = _walk_encode(spec.golden, alloc, self._min_bytes)
+        payload = _walk_encode(spec.payload, alloc)
+        golden = _walk_encode(spec.golden, alloc)
         if not tokens and not fallbacks:
             return spec, ()
         self.stats["shm_hits"] += hits

@@ -64,6 +64,7 @@ itself — see :class:`~repro.faults.TransportSchedule` for precedence.
 from __future__ import annotations
 
 import gc
+import multiprocessing as mp
 import os
 import threading
 import time
@@ -77,15 +78,17 @@ from repro.common.errors import (
     WorkerTimeoutError,
 )
 from repro.engine.system import CAPEConfig, CAPESystem
-from repro.faults.injector import FaultInjector
 from repro.gang import run_ganged
-from repro.memory.mainmem import WordMemory
 from repro.plan.cache import PlanCache
 from repro.runtime.execconfig import ExecConfig
-from repro.serve.shm import DEFAULT_MIN_BYTES, WorkerWire
+from repro.runtime.pool import build_system
+from repro.serve.shm import WorkerWire
 from repro.serve.spec import JobSpec
 
-__all__ = ["GARBLED_PAYLOAD", "WorkerHandle", "WorkerOptions", "worker_main"]
+__all__ = [
+    "GARBLED_PAYLOAD", "WorkerHandle", "WorkerOptions", "default_mp_context",
+    "worker_main",
+]
 
 #: Exit code of an injected :class:`WorkerKill` crash (tests assert it).
 KILLED_EXIT_CODE = 17
@@ -95,13 +98,13 @@ KILLED_EXIT_CODE = 17
 class WorkerOptions:
     """Everything a worker needs to rebuild its shard (picklable).
 
-    Attributes mirror the :class:`~repro.runtime.pool.DevicePool`
-    construction arguments so worker-side devices are indistinguishable
-    from the in-process devices the sequential comparison path uses.
+    The device attributes are :func:`~repro.runtime.pool.build_system`'s
+    arguments, and the worker builds every device through that recipe,
+    the one :class:`~repro.runtime.pool.DevicePool` uses, so worker-side
+    devices are indistinguishable from in-process ones.
     """
 
     memory_bytes: Optional[int] = None
-    accounting: str = "paper"
     backend: Optional[str] = None
     warmup: Tuple[JobSpec, ...] = ()
     fault_plan: object = None  # Optional[FaultPlan]; picklable
@@ -116,8 +119,6 @@ class WorkerOptions:
     #: Name of this worker's parent-owned reply-ring segment on the
     #: shared-memory data plane; ``None`` keeps replies fully inline.
     reply_segment: Optional[str] = None
-    #: Arrays below this many bytes stay inline even on the shm wire.
-    wire_min_bytes: int = DEFAULT_MIN_BYTES
 
 
 def _build_shard(
@@ -125,49 +126,29 @@ def _build_shard(
     devices: Sequence[Tuple[int, CAPEConfig]],
     options: WorkerOptions,
 ):
-    """Construct this worker's systems, injectors, and plan cache."""
+    """Construct this worker's systems and plan cache."""
     plan_cache = PlanCache()
-    systems: Dict[int, CAPESystem] = {}
-    injectors: Dict[int, Optional[FaultInjector]] = {}
-    for device_id, config in devices:
-        system = CAPESystem(
-            config,
-            memory=(
-                WordMemory(options.memory_bytes)
-                if options.memory_bytes is not None
-                else None
-            ),
-            accounting=options.accounting,
-            backend=options.backend,
-            plan_cache=plan_cache,
-            superplan=options.exec.superplan,
+    systems: Dict[int, CAPESystem] = {
+        device_id: build_system(
+            config, device_id, options.memory_bytes, options.backend,
+            options.fault_plan, options.exec, plan_cache,
         )
-        injector = None
-        if options.fault_plan is not None:
-            injector = FaultInjector(options.fault_plan.for_device(device_id))
-            system.attach_fault_injector(injector)
-        systems[device_id] = system
-        injectors[device_id] = injector
+        for device_id, config in devices
+    }
     if options.warmup and devices:
-        # Warm the per-process plan cache on a throwaway system so the
-        # warmup never advances injector state — plans are shape-keyed
-        # (num_cols excluded), so one config warms every device.
-        scratch = CAPESystem(
-            devices[0][1],
-            memory=(
-                WordMemory(options.memory_bytes)
-                if options.memory_bytes is not None
-                else None
-            ),
-            accounting=options.accounting,
-            backend=options.backend,
-            plan_cache=plan_cache,
-            superplan=options.exec.superplan,
+        # Warm the per-process plan cache on a throwaway system with no
+        # fault plan, so the warmup never advances injector state —
+        # plans are shape-keyed (num_cols excluded), so one config
+        # warms every device.
+        device_id, config = devices[0]
+        scratch = build_system(
+            config, device_id, options.memory_bytes, options.backend,
+            None, options.exec, plan_cache,
         )
         for spec in options.warmup:
             scratch.reset()
             spec.to_job().execute(scratch)
-    return systems, injectors, plan_cache
+    return systems, plan_cache
 
 
 def _error_reply(spec: JobSpec, injector, exc: Exception) -> dict:
@@ -226,7 +207,7 @@ def _cancel_reply(spec: JobSpec, injector, deadline_s) -> dict:
     return reply
 
 
-def _run_frame(systems, injectors, members, mode) -> list:
+def _run_frame(systems, members, mode) -> list:
     """Execute one ``runs`` frame's members; one plain-dict reply each.
 
     Every member goes through :func:`repro.gang.run_ganged` in the
@@ -246,15 +227,16 @@ def _run_frame(systems, injectors, members, mode) -> list:
     slots = []
     errors: Dict[int, Exception] = {}
     for i, (device_id, spec, deadline_s) in enumerate(members):
+        system = systems[device_id]
         if deadline_s is not None and deadline_s <= 0:
-            replies[i] = _cancel_reply(spec, injectors[device_id], deadline_s)
+            replies[i] = _cancel_reply(spec, system.fault_injector, deadline_s)
             continue
         try:
             job = spec.to_job()
         except Exception as exc:  # noqa: BLE001 — the reply IS the error path
-            replies[i] = _error_reply(spec, injectors[device_id], exc)
+            replies[i] = _error_reply(spec, system.fault_injector, exc)
             continue
-        entries.append((systems[device_id], job))
+        entries.append((system, job))
         slots.append(i)
 
     def run_job(index: int) -> None:
@@ -266,11 +248,11 @@ def _run_frame(systems, injectors, members, mode) -> list:
             errors[index] = exc
 
     outcomes = run_ganged(entries, mode=mode, run_job=run_job)
-    for index, (slot, (_system, job), outcome) in enumerate(
+    for index, (slot, (system, job), outcome) in enumerate(
         zip(slots, entries, outcomes)
     ):
-        device_id, spec, _deadline_s = members[slot]
-        injector = injectors[device_id]
+        spec = members[slot][1]
+        injector = system.fault_injector
         if index in errors:
             reply = _error_reply(spec, injector, errors[index])
         else:
@@ -348,8 +330,8 @@ def worker_main(
     # the GIL long enough to silence the heartbeat past the hang
     # threshold.
     gc.freeze()
-    systems, injectors, plan_cache = _build_shard(worker_id, devices, options)
-    wire = WorkerWire(options.reply_segment, options.wire_min_bytes)
+    systems, plan_cache = _build_shard(worker_id, devices, options)
+    wire = WorkerWire(options.reply_segment)
     schedule = None
     if options.fault_plan is not None:
         schedule = options.fault_plan.transport_for_worker(worker_id)
@@ -406,7 +388,7 @@ def worker_main(
                     (device_id, wire.decode_spec(spec), deadline_s)
                     for device_id, spec, deadline_s in members
                 ]
-                replies = _run_frame(systems, injectors, members, options.exec.gang)
+                replies = _run_frame(systems, members, options.exec.gang)
                 snapshot = plan_cache.snapshot()
                 for i, reply in enumerate(replies):
                     reply["worker_id"] = worker_id
@@ -463,11 +445,11 @@ def worker_main(
                             "plan_cache": plan_cache.snapshot(),
                             "devices": {
                                 device_id: (
-                                    injector.report()
-                                    if injector is not None
+                                    system.fault_injector.report()
+                                    if system.fault_injector is not None
                                     else None
                                 )
-                                for device_id, injector in injectors.items()
+                                for device_id, system in systems.items()
                             },
                         },
                     )
@@ -478,6 +460,13 @@ def worker_main(
         heartbeat.stop()
         wire.close()
         conn.close()
+
+
+def default_mp_context():
+    """``fork`` where available (cheap, inherits kernel registrations),
+    else ``spawn``: the context every worker process starts from."""
+    method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+    return mp.get_context(method)
 
 
 class WorkerHandle:
@@ -496,7 +485,6 @@ class WorkerHandle:
         worker_id: int,
         devices: Sequence[Tuple[int, CAPEConfig]],
         options: WorkerOptions,
-        mp_context=None,
     ) -> None:
         if not devices:
             raise ConfigError(f"worker {worker_id} owns no devices")
@@ -504,16 +492,13 @@ class WorkerHandle:
         self.devices = tuple(devices)
         self.device_ids = tuple(device_id for device_id, _ in devices)
         self.options = options
-        self._ctx = mp_context
         self._process = None
         self._conn = None
 
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "WorkerHandle":
-        import multiprocessing as mp
-
-        ctx = self._ctx if self._ctx is not None else mp.get_context()
+        ctx = default_mp_context()
         parent, child = ctx.Pipe(duplex=True)
         self._process = ctx.Process(
             target=worker_main,

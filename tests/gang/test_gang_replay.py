@@ -31,6 +31,8 @@ NANO = CAPEConfig(name="nano", num_chains=8)  # 256 lanes
 
 #: op -> accepts mask=; masked vmul falls back to re-sync and is
 #: covered through the unmasked entry (same split as the plan tests).
+#: The body calls each op as ``op(vd, 1, 2)``, so the shifts shift
+#: ``v1`` by 2.
 OPS = (
     ("vadd", True),
     ("vsub", True),
@@ -38,6 +40,11 @@ OPS = (
     ("vand", True),
     ("vor", True),
     ("vxor", True),
+    ("vmin", False),
+    ("vmax", False),
+    ("vsll_vi", False),
+    ("vsrl_vi", False),
+    ("vsra_vi", False),
 )
 
 _BASE = 0x1000
@@ -53,21 +60,30 @@ def _load(system, vreg, data, slot):
 def gang_body(program, vl, seed):
     """A job body: load member-specific data, run the shared program.
 
-    The *structure* (op sequence, registers, scalars — here none) is
-    shared across members so their traces group into one gang; the
-    data and the vector length are member-specific.
+    The *structure* (op sequence, SEWs, registers, scalars — here none)
+    is shared across members so their traces group into one gang; the
+    data and the vector length are member-specific. Each step is
+    ``(op, use_mask)`` or ``(op, use_mask, sew)``: the SEW (32 when
+    absent) is selected before the op whenever it changes, over 32-bit
+    operands, so narrow ops read rows holding bits above SEW. SEW 32 is
+    restored before the closing compare and reductions.
     """
 
     def body(system):
         rng = np.random.default_rng(seed)
         system.vsetvl(vl)
-        _load(system, 1, rng.integers(0, 1 << 20, vl), 0)
-        _load(system, 2, rng.integers(0, 1 << 20, vl), 1)
+        _load(system, 1, rng.integers(0, 1 << 32, vl), 0)
+        _load(system, 2, rng.integers(0, 1 << 32, vl), 1)
         _load(system, 6, rng.integers(0, 2, vl), 2)
-        for i, (op, use_mask) in enumerate(program):
+        for i, step in enumerate(program):
+            op, use_mask, sew = (*step, 32)[:3]
+            if sew != system.sew:
+                system.set_sew(sew)
             maskable = next(m for o, m in OPS if o == op)
             kwargs = {"mask": 6} if (use_mask and maskable) else {}
             getattr(system, op)(3 + (i % 3), 1, 2, **kwargs)
+        if system.sew != 32:
+            system.set_sew(32)
         system.vmseq(7, 1, 2)
         return (
             int(system.vredsum(3, signed=False)),
@@ -134,7 +150,10 @@ def run_gang(program, members, mode=True):
 @settings(max_examples=10, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from([op for op, _ in OPS]), st.booleans()),
+        st.tuples(
+            st.sampled_from([op for op, _ in OPS]), st.booleans(),
+            st.sampled_from((8, 16, 32)),
+        ),
         min_size=1,
         max_size=4,
     ),

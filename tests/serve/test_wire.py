@@ -36,7 +36,7 @@ from repro.serve import (
     resolve_wire_mode,
     shm_available,
 )
-from repro.serve.shm import DEFAULT_MIN_BYTES, HostWire, WorkerWire
+from repro.serve.shm import HostWire, WorkerWire
 from repro.serve.spec import KERNELS, register_kernel
 from repro.serve.worker import WorkerHandle, WorkerOptions
 
@@ -181,7 +181,7 @@ class TestSpecRoundTrip:
         """A 1M-element payload survives encode -> pickle -> decode for
         every registered kernel, bit for bit, in both wire modes."""
         host = HostWire(mode)
-        worker = WorkerWire(None, DEFAULT_MIN_BYTES)
+        worker = WorkerWire(None)
         try:
             for i, name in enumerate(kernel_names()):
                 data = big_array(1_000_000, seed=i)
@@ -427,6 +427,35 @@ class TestZeroLeak:
         jobs = pool.submit_specs(specs, interarrival_cycles=10.0)
         pool.run()
         assert all(j.result is not None for j in jobs)
+        assert shm_residue() == []
+
+    @pytest.mark.parametrize("front_door", ["pool", "gateway"])
+    def test_boot_failing_part_way_leaves_nothing_running(
+        self, front_door, monkeypatch
+    ):
+        """Worker 1 fails to start after worker 0 is up: the boot
+        re-raises with worker 0 stopped and every segment unlinked."""
+        started = []
+        real_start = WorkerHandle.start
+
+        def flaky_start(handle):
+            if handle.worker_id == 1:
+                raise OSError("injected process start failure")
+            started.append(real_start(handle))
+            return handle
+
+        monkeypatch.setattr(WorkerHandle, "start", flaky_start)
+        exec_config = ExecConfig(workers=2, wire="shm")
+        with pytest.raises(OSError, match="injected"):
+            if front_door == "pool":
+                pool = ServePool([TINY, TINY], exec=exec_config)
+                pool.submit_specs(dot_specs(2))
+                pool.run()
+            else:
+                cfg = ServeConfig(configs=(TINY, TINY))
+                asyncio.run(Gateway(cfg, exec=exec_config).start())
+        assert [h.worker_id for h in started] == [0]
+        assert not started[0].alive
         assert shm_residue() == []
 
 
