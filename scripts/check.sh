@@ -28,6 +28,70 @@ for mnemonic in ("vadd.vv", "vmul.vv", "vmslt.vv", "vredsum.vs"):
     assert np.array_equal(np.asarray(ref.result), np.asarray(fast.result)), mnemonic
     assert ref.stats.counts == fast.stats.counts, mnemonic
 print("reference == bitplane on", "vadd.vv vmul.vv vmslt.vv vredsum.vs")
+
+# System level: both backends build one fused CSB behind one ganged
+# chain, wrapped once by the fault injector, so a seeded stuck-bit +
+# tag-flip + chain-kill plan fires on the same kernels and every
+# observable agrees: outputs, cycles, energy, csb.microops and the
+# injector's clocks.
+from repro.engine.system import CAPEConfig, CAPESystem
+from repro.faults import ChainKill, FaultInjector, FaultPlan, StuckBit, TagFlip
+from repro.obs import Observer
+
+NANO = CAPEConfig(name="nano", num_chains=8)  # 256 lanes
+plan = FaultPlan([
+    StuckBit(row=1, element=5, bit=2, value=1),
+    TagFlip(element=10, bit=0, at_search=40),
+    ChainKill(chain=3, at_op=200),
+])
+data = rng.integers(0, 1 << 16, size=64)
+seen = {}
+for backend in ("reference", "bitplane"):
+    obs = Observer()
+    injector = FaultInjector(plan, spare_chains=1)
+    system = CAPESystem(NANO, backend=backend, observer=obs,
+                        fault_injector=injector)
+    system.memory.write_words(0x1000, data)
+    system.vsetvl(64)
+    system.vle(1, 0x1000)
+    system.vadd(2, 1, 1)
+    system.vmul(3, 2, 1)
+    system.vmseq(4, 3, 2)
+    seen[backend] = {
+        "output": int(system.vredsum(3, signed=False)),
+        "registers": [system.read_vreg(r)[:64].tolist() for r in range(5)],
+        "cycles": system.stats.cycles,
+        "energy": system.stats.energy_j,
+        "microops": obs.metrics.total("csb.microops"),
+        "csb_ops": injector.csb_ops,
+        "searches": injector.searches,
+        "injected": dict(injector.injected),
+    }
+ref, fast = seen["reference"], seen["bitplane"]
+assert ref == fast, [key for key in ref if ref[key] != fast[key]]
+assert sum(fast["injected"].values()) == 3, fast["injected"]
+print(f"NANO under a stuck-bit + tag-flip + chain-kill plan: reference == "
+      f"bitplane ({fast['csb_ops']} csb ops, {fast['searches']} searches, "
+      f"{fast['microops']:.0f} microops)")
+
+# The memory modes run on the ganged chain of a bit-plane CSB too.
+from repro.csb.csb import CSB
+from repro.memmode import KeyValueStore, Scratchpad
+
+kv = KeyValueStore(CSB(num_chains=4, num_subarrays=8, num_cols=8,
+                       backend="bitplane"))
+pairs = {int(k): int(v) for k, v in zip(rng.permutation(256)[:64],
+                                        rng.integers(0, 256, size=64))}
+for key, value in pairs.items():
+    kv.insert(key, value)
+assert all(kv.lookup(key) == value for key, value in pairs.items())
+pad = Scratchpad(CSB(num_chains=4, num_subarrays=8, num_cols=32,
+                     backend="bitplane"))
+words = rng.integers(0, 1 << 32, size=pad.capacity_words)
+pad.write_block(0, words)
+assert pad.read_block(0, pad.capacity_words).tolist() == words.tolist()
+print(f"bit-plane CSB: {len(pairs)} key-value pairs and "
+      f"{pad.capacity_words} scratchpad words round-trip")
 EOF
 
 echo "== lowered replay smoke (odd width) =="

@@ -29,10 +29,11 @@ Execution backends
 ------------------
 
 Every device runs the paper's functional + timing model. Passing
-``backend="bitplane"`` (vectorized) or ``backend="reference"``
-(per-subarray, slow) additionally executes each vector intrinsic as real
-associative microcode on a bit-level CSB mirror and cross-validates the
-results bit-exactly — see ``docs/BACKENDS.md``.
+``backend="bitplane"`` (packed bit planes, fast) or
+``backend="reference"`` (the per-subarray ground truth, slower)
+additionally executes each vector intrinsic as real associative
+microcode on a bit-level CSB mirror and cross-validates the results
+bit-exactly — see ``docs/BACKENDS.md``.
 
 Observability
 -------------

@@ -14,17 +14,20 @@ Two backends ship:
 ``reference``
     The always-available per-subarray model: a list of
     :class:`~repro.csb.subarray.Subarray` objects, each a standalone
-    6T-SRAM matrix, walked with Python loops. This is the bit-accurate
+    6T-SRAM matrix whose kernels are numpy operations over its columns,
+    walked subarray by subarray in Python. This is the bit-accurate
     model the reproduction has validated since the seed; every other
     backend must match it bit-for-bit.
 
 ``bitplane``
-    A packed engine (:mod:`repro.csb.bitplane`) storing the whole chain —
-    or, fused at the CSB level, *all* chains — as one Python int per
-    ``(subarray, row)`` plane and per tag row, so each microoperation is
-    a few word-wide bitwise operations instead of a per-subarray/
-    per-column loop. Same semantics, orders of magnitude faster at
+    A packed engine (:mod:`repro.csb.bitplane`) storing every column as
+    one Python int per ``(subarray, row)`` plane and per tag row, so
+    each microoperation is a few word-wide bitwise operations instead of
+    a per-subarray loop. Same semantics, orders of magnitude faster at
     scale.
+
+A :class:`~repro.csb.csb.CSB` holds one backend of either kind over all
+of its chains' columns (chain ``c`` at columns ``c::num_chains``).
 
 Both implement the :class:`ExecutionBackend` protocol below. Because the
 chain facade performs all microop recording, the two backends charge
@@ -299,7 +302,7 @@ def make_backend(
     """Resolve a backend selector into an instance with the given shape.
 
     Accepts a name from :data:`BACKEND_NAMES` or a ready instance (the
-    CSB hands its ganged chain the fused, possibly fault-wrapped,
+    CSB hands its ganged chain its fused, possibly fault-wrapped,
     backend); an instance must already have matching dimensions.
     """
     if isinstance(backend, str):

@@ -24,19 +24,15 @@ class MicroopStats:
     subarray and a bit-parallel search across all subarrays of a chain are
     tallied separately because their energies differ (Table II).
 
+    A CSB's one ganged chain records each microoperation once for every
+    chain that executes it, so the tally is the VCU's broadcast count.
+
     With ``keep_trace=True`` the full microop sequence is also recorded —
     the microcode listing used for documentation and debugging.
-
-    ``muted`` suspends recording entirely. The VCU broadcasts each
-    microoperation to every chain at once, so when the reference backend
-    *walks* the chains in Python, only the first chain's walk charges the
-    sequence — the rest run muted. This keeps the tally the broadcast
-    count (what the hardware issues), identical across backends.
     """
 
     counts: Counter = field(default_factory=Counter)
     keep_trace: bool = False
-    muted: bool = field(default=False, repr=False, compare=False)
     trace: List[Tuple[Microop, bool]] = field(default_factory=list)
     observer: Optional[object] = field(default=None, repr=False, compare=False)
     _obs_labels: Dict[str, object] = field(
@@ -60,8 +56,6 @@ class MicroopStats:
 
     def record(self, op: Microop, bit_parallel: bool = False, n: int = 1) -> None:
         """Record ``n`` executions of ``op`` in the given flavour."""
-        if self.muted:
-            return
         self.counts[(op, bit_parallel)] += n
         obs = self.observer
         if obs is not None:

@@ -7,14 +7,16 @@ intrinsic is *also* executed as real microcode on a bit-level CSB and
 cross-validated bit-exactly against the functional result, turning whole
 application runs into end-to-end validation of the associative microcode.
 
-The engine drives one of two execution shapes:
+Every compiled plan replays on the CSB's one
+:attr:`~repro.csb.csb.CSB.ganged` chain, which drives every chain's
+columns in each microoperation (the hardware's lockstep, literally).
+The backend behind it stores the fused block:
 
-* ``backend="bitplane"``: the CSB's fused :attr:`~repro.csb.csb.CSB.ganged`
-  chain — all chains execute each microoperation in one vectorized kernel
-  (the hardware's lockstep, literally), fast enough for full workloads;
-* ``backend="reference"``: the per-subarray model, looped over every
-  chain in Python — the always-available ground truth, practical at the
-  small configurations the test suite uses.
+* ``backend="bitplane"``: packed bit planes, replayed as lowered int
+  kernels — fast enough for full workloads;
+* ``backend="reference"``: the per-subarray model, replayed step by step
+  as numpy kernels over the fused columns — the always-available
+  ground truth.
 
 Both run identical microcode from :mod:`repro.assoc.algorithms`, and
 only as a compiled plan: :func:`op_key` names an instruction's microcode
@@ -196,8 +198,8 @@ class BitEngine:
         num_chains: chains in the CSB (the config's chain count).
         num_subarrays: bit-slices per chain (the element width).
         num_cols: columns per chain.
-        backend: ``"bitplane"`` (ganged, vectorized) or ``"reference"``
-            (per-chain Python loop).
+        backend: the CSB's storage, ``"bitplane"`` (packed planes) or
+            ``"reference"`` (per-subarray model).
         observer: optional :class:`repro.obs.Observer` forwarded to the
             CSB's microop counters (survives :meth:`reset`).
         fault_injector: optional :class:`repro.faults.FaultInjector`;
@@ -312,20 +314,7 @@ class BitEngine:
             mnemonic, width, self._shape[1], vd, vs1, vs2, scalar, mask_reg
         )
         plan = op_plan(key, self._plan_cache, self.observer)
-        csb = self.csb
-        # The single ganged chain under the bitplane backend, every chain
-        # under the reference backend.
-        targets = [csb.ganged] if csb.ganged is not None else csb.chains
-        try:
-            for i, chain in enumerate(targets):
-                # The VCU broadcasts one microop sequence to every chain
-                # in lockstep; walking the chains in Python charges it
-                # once (the reference backend mutes chains after the
-                # first, matching the ganged bitplane tally).
-                csb.stats.muted = i > 0
-                plan.replay(chain)
-        finally:
-            csb.stats.muted = False
+        plan.replay(self.csb.ganged)
         return None
 
 

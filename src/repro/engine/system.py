@@ -287,8 +287,7 @@ class CAPESystem:
         self.vregs.fill(0)
         self.vl = self.config.max_vl
         self.vstart = 0
-        if self.sew != self.config.element_bits:
-            self.set_sew(self.config.element_bits)
+        self.set_sew(self.config.element_bits)
         self.stats = _CAPERunStats(frequency_hz=self.circuit.frequency_hz)
         self._memory_energy_j = 0.0
         self._written_vregs.clear()
@@ -306,8 +305,11 @@ class CAPESystem:
 
         Reconfigures the microcode sequences: the truth-table walks cover
         ``bits`` slices instead of 32, so e.g. ``vadd`` drops from 8x32+2
-        to 8x8+2 cycles at SEW=8.
+        to 8x8+2 cycles at SEW=8. Selecting the current width does
+        nothing.
         """
+        if bits == self.sew:
+            return
         if bits not in (8, 16, self.config.element_bits):
             raise ConfigError(
                 f"SEW {bits} unsupported (8, 16, or "
@@ -357,7 +359,7 @@ class CAPESystem:
                 cols_per_chain=self.config.cols_per_chain,
             )
         self._superplan_flush()
-        if sew is not None and sew != self.sew:
+        if sew is not None:
             self.set_sew(sew)
         self.vl = min(requested, self.config.max_vl)
         self._charge_compute_cycles(1)
@@ -1008,8 +1010,7 @@ class CAPESystem:
             vd is not None
             and mnemonic != "vredsum.vs"
             and type(engine) is BitEngine
-            and engine.csb.ganged is not None
-            and type(engine.csb.base) is BitplaneBackend
+            and type(engine.csb.ganged.backend) is BitplaneBackend
             and self.fault_injector is None
             and not engine.csb.stats.keep_trace
             and microcode_unsupported_reason(mnemonic, vd, vs1, vs2, mask_reg)

@@ -13,7 +13,7 @@ Injection sites:
   bitcells after every mutation, forces killed chains' bitcells and tags
   to zero, and flips tag latches after scheduled searches. Because the
   wrapper mutates the *underlying storage* (never shadow copies), every
-  reader of the fused bit-plane backend — the ganged chain, host peeks,
+  reader of the CSB's fused backend — the ganged chain, host peeks,
   re-syncs — sees the same faulty bits.
 * **VMU transfers** — :meth:`FaultInjector.filter_transfer` corrupts
   in-flight load/store values; :meth:`FaultInjector.corrupt_slab`
@@ -272,29 +272,6 @@ class FaultInjector:
             _FlipSite(t.at_search, t.bit, t.element, t)
             for t in self._flips
         ]
-        return FaultyBackend(base, self, stuck, kills, flips)
-
-    def wrap_chain(self, base, chain_id: int, num_chains: int):
-        """Wrap one chain's backend (element ``e`` = local col ``e//C``).
-
-        Returns ``base`` untouched when no fault lands on this chain —
-        the common case stays on the fast path.
-        """
-        stuck = [
-            _StuckSite(s.bit, s.row, s.element // num_chains, s.value,
-                       chain_id, s)
-            for s in self._stuck if s.element % num_chains == chain_id
-        ]
-        kills = [
-            _KillSite(k.chain, k.at_op, np.arange(base.num_cols), k)
-            for k in self._kills if k.chain == chain_id
-        ]
-        flips = [
-            _FlipSite(t.at_search, t.bit, t.element // num_chains, t)
-            for t in self._flips if t.element % num_chains == chain_id
-        ]
-        if not (stuck or kills or flips):
-            return base
         return FaultyBackend(base, self, stuck, kills, flips)
 
     # ------------------------------------------------------------------

@@ -4,10 +4,13 @@ Keys and values are 32-bit; a pair occupies one column position at one of
 16 row-pairs (key row, value row), so a 32-subarray chain stores
 16 x 32 = 512 pairs — about half a million pairs in CAPE32k. Keys are
 bit-sliced like vector operands, so a lookup is a bit-parallel search of
-one key row across every chain simultaneously, followed by the bit-serial
-tag combine; the matched column's value is then read out. The control
-processor maintains the free list (as the paper suggests), and the VCU's
-scan microprogram realises inserts into free slots.
+one key row across every chain simultaneously — one search on the CSB's
+ganged chain — followed by the bit-serial tag combine; the matched
+column's value is then read out. Slot ``(chain, pair, col)`` is element
+``chain + col * num_chains`` of registers ``2 * pair`` (key) and
+``2 * pair + 1`` (value). The control processor maintains the free list
+(as the paper suggests), and the VCU's scan microprogram realises inserts
+into free slots.
 """
 
 from __future__ import annotations
@@ -61,9 +64,9 @@ class KeyValueStore:
             if not self._free:
                 raise CapacityError("key-value store is full")
             slot = self._free.pop()
-        chain, pair, col = slot
-        self.csb.chains[chain].write_element(2 * pair, col, key)
-        self.csb.chains[chain].write_element(2 * pair + 1, col, value)
+        pair, element = self._home(slot)
+        self.csb.ganged.write_element(2 * pair, element, key)
+        self.csb.ganged.write_element(2 * pair + 1, element, value)
         self._occupied[slot] = key
         self.cycles += 2  # two element writes
 
@@ -76,8 +79,8 @@ class KeyValueStore:
         slot = self._find(key)
         if slot is None:
             return None
-        chain, pair, col = slot
-        return self.csb.chains[chain].read_element(2 * pair + 1, col)
+        pair, element = self._home(slot)
+        return self.csb.ganged.read_element(2 * pair + 1, element)
 
     def delete(self, key: int) -> bool:
         """Remove a key; returns True when it was present."""
@@ -90,20 +93,25 @@ class KeyValueStore:
 
     # ------------------------------------------------------------------
 
+    def _home(self, slot: Tuple[int, int, int]) -> Tuple[int, int]:
+        """A slot's row pair and its element (fused column)."""
+        chain, pair, col = slot
+        return pair, chain + col * self.csb.num_chains
+
     def _find(self, key: int) -> Optional[Tuple[int, int, int]]:
         """Associative probe: search each row-pair until the key matches."""
         width = self.csb.num_subarrays
         key_bits = [(key >> i) & 1 for i in range(width)]
+        ganged = self.csb.ganged
         for pair in range(ROW_PAIRS):
             row = 2 * pair
             keys = [{row: key_bits[i]} for i in range(width)]
             self.cycles += 1  # one bit-parallel search (all chains)
-            for chain_id, chain in enumerate(self.csb.chains):
-                chain.search_bit_parallel(keys)
-                match = chain.combine_tags_serial()
-                self.cycles += 0  # combine overlaps across chains
-                for col in np.flatnonzero(match):
-                    slot = (chain_id, pair, int(col))
-                    if slot in self._occupied and self._occupied[slot] == key:
-                        return slot
+            ganged.search_bit_parallel(keys)
+            match = ganged.combine_tags_serial()
+            for element in np.flatnonzero(match):
+                chain, col = self.csb.locate(int(element))
+                slot = (chain, pair, col)
+                if self._occupied.get(slot) == key:
+                    return slot
         return None

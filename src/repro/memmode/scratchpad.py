@@ -4,7 +4,9 @@ The VMU accepts ordinary load/store requests from remote nodes and
 performs physical address indexing into the CSB. Words are stored
 row-wise: word ``w`` lives in row ``w // 32`` (wrapping through the
 subarrays) at the 32 bitcells of one subarray row — Jeloka et al.'s row
-reads take one cycle and row writes two.
+reads take one cycle and row writes two. Chain ``c``'s row is columns
+``c::num_chains`` of the CSB's fused row, so a word access reads (and a
+write rewrites) that row of one subarray of the ganged chain.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class Scratchpad:
 
     def __init__(self, csb: CSB) -> None:
         self.csb = csb
-        self._rows_per_subarray = csb.chains[0].subarrays[0].num_rows
+        self._rows_per_subarray = csb.ganged.subarrays[0].num_rows
         self.capacity_words = (
             csb.num_chains * csb.num_subarrays * self._rows_per_subarray
         )
@@ -53,8 +55,11 @@ class Scratchpad:
         if addr % 4 != 0:
             raise ConfigError(f"address {addr:#x} is not word-aligned")
         chain, subarray, row = self._locate(addr // 4)
-        bits = ints_to_bits(np.array([value]), 32)[:, 0]
-        self.csb.chains[chain].subarrays[subarray].write_row(row, bits)
+        word = ints_to_bits(np.array([value]), 32)[:, 0]
+        target = self.csb.ganged.subarrays[subarray]
+        bits = target.read_row(row)
+        bits[chain::self.csb.num_chains] = word
+        target.write_row(row, bits)
         self.cycles += ROW_WRITE_CYCLES
 
     def read_word(self, addr: int) -> int:
@@ -62,7 +67,8 @@ class Scratchpad:
         if addr % 4 != 0:
             raise ConfigError(f"address {addr:#x} is not word-aligned")
         chain, subarray, row = self._locate(addr // 4)
-        bits = self.csb.chains[chain].subarrays[subarray].read_row(row)
+        bits = self.csb.ganged.subarrays[subarray].read_row(row)
+        bits = bits[chain::self.csb.num_chains]
         self.cycles += ROW_READ_CYCLES
         return int(bits_to_ints(bits[:, None])[0])
 

@@ -160,8 +160,7 @@ class ContextManager:
         except KeyError:
             raise ConfigError(f"no spilled context under key {key!r}") from None
         system = self.system
-        if system.sew != ctx.sew:
-            system.set_sew(ctx.sew)
+        system.set_sew(ctx.sew)
         system.vl = ctx.vl
         system.vstart = ctx.vstart
         cycles = system.fill_vregs(ctx.regs, ctx.addr, protect=self.protect)

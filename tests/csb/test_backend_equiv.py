@@ -186,9 +186,9 @@ def test_observer_microop_counters_identical_across_backends():
     observer totals under both backends.
 
     The VCU broadcasts each microoperation to every chain in lockstep,
-    so the counters tally *broadcasts*: the reference backend's Python
-    walk over the chains charges the sequence once (the rest of the walk
-    runs muted), matching the bitplane backend's single ganged record.
+    so the counters tally *broadcasts*: on either backend the CSB's one
+    ganged chain drives every chain's columns and records each
+    microoperation once.
     """
     from repro.engine.system import CAPEConfig, CAPESystem
 

@@ -221,6 +221,33 @@ def test_sew_via_assembly():
     assert cape.read_vreg(2).tolist() == [(250 + 4) % 256, 14, 3, 4]
 
 
+def test_set_sew_to_the_current_width_keeps_the_superplan_open():
+    """Selecting the SEW already in force changes nothing, so it does
+    not flush the open superplan: four ``vadd``s fuse into one flush
+    whether or not each is preceded by ``set_sew(32)`` at SEW 32."""
+    from repro.obs import Observer
+
+    def flushes(reselect):
+        obs = Observer()
+        system = CAPESystem(
+            CAPEConfig(name="nano", num_chains=8), backend="bitplane",
+            observer=obs, superplan=True,
+        )
+        system.vsetvl(64, sew=32)
+        system.vmv_vx(1, 3)
+        system.vmv_vx(2, 4)
+        with system.superplan_scope():
+            for _ in range(4):
+                if reselect:
+                    system.set_sew(32)
+                system.vadd(3, 1, 2)
+        assert (system.read_vreg(3)[:64] == 7).all()
+        return obs.metrics.total("plan.superplan.flush")
+
+    assert flushes(reselect=False) == 1
+    assert flushes(reselect=True) == 1
+
+
 def test_fence_drains_vector_shadow(tiny_cape):
     tiny_cape.vsetvl(tiny_cape.config.max_vl)
     tiny_cape.vmul(2, 1, 1)  # long-running vector op -> big shadow

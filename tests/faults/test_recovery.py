@@ -62,9 +62,56 @@ def test_tag_flip_heals_on_reference_backend_too():
     system.vsetvl(16)
     system.vmv_vx(1, 7)
     system.vmv_vx(2, 7)
-    system.vmseq(3, 1, 2)  # compares search the CSB on the reference path
+    system.vmseq(3, 1, 2)  # the compare's microcode searches the CSB
     assert (system.read_vreg(3)[:16] == 1).all()
     assert injector.injected["tag_flip"] == 1
+
+
+def test_one_fault_clock_on_both_backends():
+    """Either backend wraps its one fused CSB backend once, so a plan's
+    ``at_op`` and ``at_search`` clocks advance once per broadcast kernel
+    on both: the same program under the same plan fires, detects and
+    repairs identically."""
+    faults = [
+        StuckBit(row=1, element=5, bit=2, value=1),
+        TagFlip(element=10, bit=0, at_search=40),
+        ChainKill(chain=3, at_op=200),
+    ]
+    data = np.random.default_rng(5).integers(0, 1 << 16, size=64)
+
+    def run(backend):
+        obs = Observer()
+        system, injector = faulty_system(
+            faults, backend=backend, observer=obs, spare_chains=1
+        )
+        system.memory.write_words(0x1000, data)
+        system.vsetvl(64)
+        system.vle(1, 0x1000)
+        system.vadd(2, 1, 1)
+        system.vmul(3, 2, 1)
+        system.vmseq(4, 3, 2)
+        total = int(system.vredsum(3, signed=False))
+        return {
+            "output": total,
+            "registers": [system.read_vreg(r)[:64].tolist() for r in range(5)],
+            "cycles": system.stats.cycles,
+            "energy": system.stats.energy_j,
+            "csb_ops": injector.csb_ops,
+            "searches": injector.searches,
+            "injected": dict(injector.injected),
+            "remapped": sorted(injector.remapped),
+            "faults": {
+                key: value for key, value in obs.metrics.snapshot().items()
+                if key[0].startswith("faults.")
+            },
+        }
+
+    reference, bitplane = run("reference"), run("bitplane")
+    assert reference == bitplane
+    assert reference["injected"] == {
+        "stuck_bit": 1, "tag_flip": 1, "chain_kill": 1,
+    }
+    assert reference["output"] == int(((2 * data * data) % (1 << 32)).sum())
 
 
 def test_stuck_bit_is_retired_onto_a_spare_chain():

@@ -28,12 +28,12 @@ def test_bit_level_csb_agrees_with_system_model(mnemonic, func, rng):
     a = rng.integers(0, 256, size=n)
     b = rng.integers(0, 256, size=n)
 
-    # Bit-level: run the microcode on every chain of a small CSB.
+    # Bit-level: run the microcode on the ganged chain of a small CSB,
+    # which drives every chain's columns in lockstep.
     csb = CSB(num_chains=2, num_subarrays=8, num_cols=16)
     csb.poke_vector(1, a)
     csb.poke_vector(2, b)
-    for chain in csb.chains:
-        func(chain, 3, 1, 2)
+    func(csb.ganged, 3, 1, 2)
     bit_level = csb.peek_vector(3)
 
     # System model: same operation on an 8-bit functional machine.

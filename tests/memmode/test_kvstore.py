@@ -9,9 +9,14 @@ from repro.csb.csb import CSB
 from repro.memmode.kvstore import ROW_PAIRS, KeyValueStore
 
 
-@pytest.fixture
-def store():
-    return KeyValueStore(CSB(num_chains=2, num_subarrays=8, num_cols=4))
+BACKENDS = ("reference", "bitplane")
+
+
+@pytest.fixture(params=BACKENDS)
+def store(request):
+    return KeyValueStore(
+        CSB(num_chains=2, num_subarrays=8, num_cols=4, backend=request.param)
+    )
 
 
 def test_capacity_matches_paper_formula():
@@ -73,11 +78,14 @@ def test_fills_to_capacity(store):
 @settings(max_examples=10, deadline=None)
 @given(st.dictionaries(st.integers(0, 200), st.integers(0, 255), min_size=1, max_size=30))
 def test_behaves_like_a_dict(mapping):
-    store = KeyValueStore(CSB(num_chains=2, num_subarrays=8, num_cols=4))
-    for key, value in mapping.items():
-        store.insert(key, value)
-    for key, value in mapping.items():
-        assert store.lookup(key) == value
+    for backend in BACKENDS:
+        store = KeyValueStore(
+            CSB(num_chains=2, num_subarrays=8, num_cols=4, backend=backend)
+        )
+        for key, value in mapping.items():
+            store.insert(key, value)
+        for key, value in mapping.items():
+            assert store.lookup(key) == value
 
 
 def test_lookup_cost_counts_searches(store):

@@ -8,9 +8,11 @@ from repro.csb.csb import CSB
 from repro.memmode.scratchpad import ROW_READ_CYCLES, ROW_WRITE_CYCLES, Scratchpad
 
 
-@pytest.fixture
-def pad():
-    return Scratchpad(CSB(num_chains=2, num_subarrays=4, num_cols=32))
+@pytest.fixture(params=("reference", "bitplane"))
+def pad(request):
+    return Scratchpad(
+        CSB(num_chains=2, num_subarrays=4, num_cols=32, backend=request.param)
+    )
 
 
 def test_capacity_is_rows_times_subarrays_times_chains(pad):

@@ -110,7 +110,7 @@ def make_chain(kind, seed):
         ]))
         injector.bind_csb(1, S, NUM_ROWS, COLUMNS)
         raw = BitplaneBackend(S, NUM_ROWS, COLUMNS)
-        backend = injector.wrap_chain(raw, 0, 1)
+        backend = injector.wrap_fused(raw, 1)
     else:
         backend = "reference" if kind == "reference" else "bitplane"
     chain = Chain(S, COLUMNS, backend=backend)
